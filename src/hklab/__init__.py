@@ -2,7 +2,7 @@
 hypersurfaces, syzygy-bundle cohomology on plane curves, slope-profile
 estimation, and exact limit-multiplicity formulas."""
 
-from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, is_prime, nullity_mod_p, rank_mod_p
+from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, is_prime, rank_mod_p
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -18,9 +18,8 @@ from hklab.colength import (
     SizeGuardError,
     colength,
     frobenius_power,
+    graded_rank,
     parse_ideal_spec,
-    quotient_piece_dim,
-    syzygy_h0,
 )
 from hklab.curves import (
     AmbiguousPlateauError,
@@ -61,7 +60,6 @@ __all__ = [
     "PrimeField",
     "PrimeFieldMatrix",
     "is_prime",
-    "nullity_mod_p",
     "rank_mod_p",
     "HypersurfaceRing",
     "Polynomial",
@@ -75,9 +73,8 @@ __all__ = [
     "SizeGuardError",
     "colength",
     "frobenius_power",
+    "graded_rank",
     "parse_ideal_spec",
-    "quotient_piece_dim",
-    "syzygy_h0",
     "AmbiguousPlateauError",
     "CohomologyProfile",
     "CurveGeometry",

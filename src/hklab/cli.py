@@ -45,57 +45,44 @@ from hklab.limits import (
 )
 from hklab.store import ResultStore, cached_colength
 
-COMMANDS = ("colength", "profile", "hn", "limits", "sandwich", "convergence", "gm")
-
-_CONFIG_KEYS = {
-    "ring": "ring",
-    "ideal": "ideal",
-    "family": "family",
-    "primes": "primes",
-    "n": "n_list",
-    "m-max": "m_max",
-    "out": "out",
-    "cache": "cache",
-    "jobs": "jobs",
-    "cap": "cap",
-    "d": "d",
+# One row per flag: dest, value type, default, help.  Flags register with
+# default None so a config file can tell "flag omitted" from "flag set to the
+# default value"; _finalize fills the gaps.  Every flag except --config is
+# also a config key.
+_FLAGS = {
+    "config": ("config", Path, None, "key=value file mirroring the flags"),
+    "ring": ("ring", str, None, "explicit ring spec, e.g. fermat:s=3,d=4,p=7"),
+    "ideal": ("ideal", str, "maximal", "'maximal' (default) or comma-joined generators"),
+    "family": (
+        "family",
+        str,
+        None,
+        "fermat-quartic | chang-quartic | diagonal:d1,..,ds | buchweitz-chen",
+    ),
+    "primes": ("primes", str, None, "list '3,5,7', range '3..23', or '3..23%%8=1,7'"),
+    "n": ("n_list", str, "1", "Frobenius exponents, e.g. '1,2' (default 1)"),
+    "m-max": ("m_max", int, None, "profile twist cutoff, >= 0"),
+    "out": ("out", Path, Path("."), "output directory (default .)"),
+    "cache": ("cache", Path, None, "colength cache directory"),
+    "jobs": ("jobs", int, 1, "parallel (p,n) jobs (default 1)"),
+    "cap": ("cap", int, 5000, "matrix-size guard (default 5000)"),
+    "d": ("d", str, None, "diagonal exponents, e.g. '4,4,4,4'"),
 }
 
-_DEFAULTS = {
-    "ring": None,
-    "ideal": "maximal",
-    "family": None,
-    "primes": None,
-    "n_list": "1",
-    "m_max": None,
-    "out": Path("."),
-    "cache": None,
-    "jobs": 1,
-    "cap": 5000,
-    "d": None,
+_GRID = ("config", "ring", "ideal", "family", "primes", "n", "out", "cap")
+
+# Each subcommand registers exactly the flags its handler reads.
+_COMMAND_FLAGS = {
+    "colength": _GRID + ("jobs", "cache"),
+    "profile": _GRID + ("m-max", "jobs"),
+    "hn": _GRID + ("m-max", "jobs"),
+    "limits": _GRID + ("m-max",),
+    "sandwich": ("config", "family", "primes", "n", "jobs", "out"),
+    "convergence": _GRID + ("jobs", "cache"),
+    "gm": ("config", "d", "out"),
 }
 
-_INT_KEYS = {"m_max", "jobs", "cap"}
-_PATH_KEYS = {"out", "cache"}
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    # defaults stay None here so a config file can tell "flag omitted" from
-    # "flag set to the default value"; _finalize_defaults fills the gaps
-    sub.add_argument("--config", type=Path, help="key=value file mirroring the flags")
-    sub.add_argument("--ring", help="explicit ring spec, e.g. fermat:s=3,d=4,p=7")
-    sub.add_argument("--ideal", help="'maximal' (default) or comma-joined generators")
-    sub.add_argument(
-        "--family",
-        help="fermat-quartic | chang-quartic | diagonal:d1,..,ds | buchweitz-chen",
-    )
-    sub.add_argument("--primes", help="list '3,5,7', range '3..23', or '3..23%%8=1,7'")
-    sub.add_argument("--n", dest="n_list", help="Frobenius exponents, e.g. '1,2' (default 1)")
-    sub.add_argument("--m-max", dest="m_max", type=int, help="profile twist cutoff")
-    sub.add_argument("--out", type=Path, help="output directory (default .)")
-    sub.add_argument("--cache", type=Path, help="colength cache directory")
-    sub.add_argument("--jobs", type=int, help="parallel (p,n) jobs (default 1)")
-    sub.add_argument("--cap", type=int, help="matrix-size guard (default 5000)")
+COMMANDS = tuple(_COMMAND_FLAGS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,11 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frobenius colengths, syzygy cohomology, and limit multiplicities",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, flags in _COMMAND_FLAGS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "gm":
-            sub.add_argument("--d", help="diagonal exponents, e.g. '4,4,4,4'")
+        for flag in flags:
+            dest, kind, _, text = _FLAGS[flag]
+            sub.add_argument(f"--{flag}", dest=dest, type=kind, help=text)
     return parser
 
 
@@ -126,35 +113,32 @@ def load_config(path: Path) -> dict:
         if not sep:
             raise SpecParseError(f"{path}:{lineno}: expected key=value")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FLAGS or key == "config":
             raise SpecParseError(f"{path}:{lineno}: unknown key {key!r}")
-        mapping[_CONFIG_KEYS[key]] = value.strip()
+        mapping[key] = value.strip()
     return mapping
 
 
 def apply_config(args: argparse.Namespace, mapping: dict) -> None:
     """Config values fill in flags the command line left unset."""
-    for dest, raw in mapping.items():
+    for key, raw in mapping.items():
+        dest, kind, _, _ = _FLAGS[key]
         if not hasattr(args, dest):
             raise SpecParseError(f"config key not valid for this command: {dest}")
         if getattr(args, dest) is not None:
             continue
-        if dest in _INT_KEYS:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise SpecParseError(f"config {dest}: expected integer, got {raw!r}") from None
-        elif dest in _PATH_KEYS:
-            value = Path(raw)
-        else:
-            value = raw
-        setattr(args, dest, value)
+        try:
+            setattr(args, dest, kind(raw))
+        except ValueError:
+            raise SpecParseError(f"config {dest}: expected integer, got {raw!r}") from None
 
 
-def _finalize_defaults(args: argparse.Namespace) -> None:
-    for dest, fallback in _DEFAULTS.items():
+def _finalize(args: argparse.Namespace) -> None:
+    for dest, _, fallback, _ in _FLAGS.values():
         if hasattr(args, dest) and getattr(args, dest) is None and fallback is not None:
             setattr(args, dest, fallback)
+    if getattr(args, "m_max", None) is not None and args.m_max < 0:
+        raise SpecParseError(f"--m-max must be >= 0, got {args.m_max}")
 
 
 def parse_primes(text: str) -> List[int]:
@@ -235,10 +219,11 @@ def resolve_ring(args: argparse.Namespace, p: int) -> HypersurfaceRing:
 
 
 def grid_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
+    ring = getattr(args, "ring", None)  # sandwich has no --ring
     if args.primes:
         primes = parse_primes(args.primes)
-    elif args.ring:
-        primes = [parse_ring_spec(args.ring).field.p]
+    elif ring:
+        primes = [parse_ring_spec(ring).field.p]
     else:
         raise SpecParseError("need --primes (or an explicit --ring)")
     ns = parse_n_list(args.n_list)
@@ -259,10 +244,11 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
+def write_csv(path: Path, rows: Sequence[dict]) -> None:
+    """Columns in the key order of the first row."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames), lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -286,7 +272,7 @@ def cmd_colength(args: argparse.Namespace) -> int:
         p, n = pn
         ring = resolve_ring(args, p)
         ideal = parse_ideal_spec(ring, args.ideal)
-        return cached_colength(store, ring, ideal, p, n, max_dim=args.cap)
+        return cached_colength(store, ring, ideal, n, max_dim=args.cap)
 
     records = run_grid(pairs, worker, args.jobs)
     label = _family_label(args)
@@ -302,7 +288,7 @@ def cmd_colength(args: argparse.Namespace) -> int:
         for rec in records
         for m, dim in enumerate(rec.dims)
     ]
-    write_csv(args.out / "colength.csv", ("family", "p", "n", "q", "m", "dim"), rows)
+    write_csv(args.out / "colength.csv", rows)
     write_json(
         args.out / "colength.json",
         {"family": label, "records": [rec.to_json_dict() for rec in records]},
@@ -322,7 +308,7 @@ def _curve_profile(args, p: int, n: int):
     prof = cohomology_profile(
         ring, ideal, p**n, m_max=args.m_max, max_dim=args.cap
     )
-    return ring, ideal, geom, prof
+    return ideal, geom, prof
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -331,7 +317,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     label = _family_label(args)
     rows = []
     payload = []
-    for (p, n), (_, _, geom, prof) in results:
+    for (p, n), (_, geom, prof) in results:
         for m in range(prof.m_max + 1):
             rows.append(
                 {
@@ -361,13 +347,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "h1": list(prof.h1),
             }
         )
-    write_csv(
-        args.out / "profile.csv",
-        ("family", "p", "n", "q", "m", "h0", "chi", "h1"),
-        rows,
-    )
+    write_csv(args.out / "profile.csv", rows)
     write_json(args.out / "profile.json", {"family": label, "profiles": payload})
-    for (p, n), (_, _, _, prof) in results:
+    for (p, n), (_, _, prof) in results:
         print(f"p={p} n={n} q={prof.q} m_max={prof.m_max}")
     return 0
 
@@ -377,8 +359,8 @@ def cmd_hn(args: argparse.Namespace) -> int:
 
     def worker(pn):
         p, n = pn
-        ring, ideal, geom, prof = _curve_profile(args, p, n)
-        hn = estimate_hn_profile(prof, geom, ring.s, sum(ideal.degrees))
+        ideal, geom, prof = _curve_profile(args, p, n)
+        hn = estimate_hn_profile(prof, geom, len(ideal.degrees), sum(ideal.degrees))
         report = vanishing_report(prof, hn, geom, p**n)
         return pn, hn, report
 
@@ -414,9 +396,7 @@ def cmd_hn(args: argparse.Namespace) -> int:
                 },
             }
         )
-    write_csv(
-        args.out / "hn.csv", ("family", "p", "n", "q", "k", "nu", "r"), rows
-    )
+    write_csv(args.out / "hn.csv", rows)
     write_json(args.out / "hn.json", {"family": label, "runs": payload})
     for (p, n), hn, report in results:
         steps = " ".join(f"({rational_str(nu)},{r})" for nu, r in hn.pairs)
@@ -437,8 +417,10 @@ def cmd_limits(args: argparse.Namespace) -> int:
         if args.family == "fermat-quartic":
             estimates = []
             for n in ns:
-                ring, ideal, geom, prof = _curve_profile(args, p, n)
-                hn = estimate_hn_profile(prof, geom, ring.s, sum(ideal.degrees))
+                ideal, geom, prof = _curve_profile(args, p, n)
+                hn = estimate_hn_profile(
+                    prof, geom, len(ideal.degrees), sum(ideal.degrees)
+                )
                 value = hk_from_profile(geom, hn, ideal.degrees)
                 estimates.append(
                     {"n": n, "hk_from_profile": rational_str(value)}
@@ -458,9 +440,8 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     pairs = grid_pairs(args)
     reports = run_grid(pairs, lambda pn: sandwich_check(spec, *pn), args.jobs)
     label = _family_label(args)
-    rows = [
+    exact = [
         {
-            "family": label,
             "p": rep.p,
             "n": rep.n,
             "lower": rational_str(rep.lower),
@@ -468,47 +449,21 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
             "upper": rational_str(rep.upper),
             "gap": rational_str(rep.gap),
             "gap_p": rational_str(rep.gap_p),
+        }
+        for rep in reports
+    ]
+    rows = [
+        {
+            "family": label,
+            **row,
             "lower_float": float(rep.lower),
             "value_float": float(rep.value),
             "upper_float": float(rep.upper),
         }
-        for rep in reports
+        for row, rep in zip(exact, reports)
     ]
-    write_csv(
-        args.out / "sandwich.csv",
-        (
-            "family",
-            "p",
-            "n",
-            "lower",
-            "value",
-            "upper",
-            "gap",
-            "gap_p",
-            "lower_float",
-            "value_float",
-            "upper_float",
-        ),
-        rows,
-    )
-    write_json(
-        args.out / "sandwich.json",
-        {
-            "family": label,
-            "reports": [
-                {
-                    "p": rep.p,
-                    "n": rep.n,
-                    "lower": rational_str(rep.lower),
-                    "value": rational_str(rep.value),
-                    "upper": rational_str(rep.upper),
-                    "gap": rational_str(rep.gap),
-                    "gap_p": rational_str(rep.gap_p),
-                }
-                for rep in reports
-            ],
-        },
-    )
+    write_csv(args.out / "sandwich.csv", rows)
+    write_json(args.out / "sandwich.json", {"family": label, "reports": exact})
     for rep in reports:
         print(
             f"p={rep.p} n={rep.n} {rational_str(rep.lower)} <= "
@@ -530,33 +485,23 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         p, n = pn
         ring = resolve_ring(args, p)
         ideal = parse_ideal_spec(ring, args.ideal)
-        record = cached_colength(store, ring, ideal, p, n, max_dim=args.cap)
+        record = cached_colength(store, ring, ideal, n, max_dim=args.cap)
         return ConvergenceRow.build(
             p, n, record.normalized, reference_value(args.family, p)
         )
 
     rows = run_grid(pairs, worker, args.jobs)
     fit = convergence_fit(rows)
-    csv_rows = []
-    for row in rows:
-        d = row.to_csv_dict()
-        d["normalized_float"] = float(row.normalized)
-        d["residual_float"] = float(row.residual)
-        csv_rows.append(d)
     write_csv(
         args.out / "convergence.csv",
-        (
-            "p",
-            "n",
-            "q",
-            "normalized",
-            "reference",
-            "residual",
-            "residual_p",
-            "normalized_float",
-            "residual_float",
-        ),
-        csv_rows,
+        [
+            {
+                **row.to_csv_dict(),
+                "normalized_float": float(row.normalized),
+                "residual_float": float(row.residual),
+            }
+            for row in rows
+        ],
     )
     write_json(args.out / "convergence_fit.json", fit)
     for row in rows:
@@ -611,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.config is not None:
             apply_config(args, load_config(args.config))
-        _finalize_defaults(args)
+        _finalize(args)
         return _HANDLERS[args.command](args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

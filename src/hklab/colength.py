@@ -1,10 +1,10 @@
-"""Frobenius powers, graded quotient dimensions, total colengths and syzygy
-section counts.
+"""Frobenius powers, the graded-rank kernel and total colengths.
 
-Everything is one rank computation per degree: the degree-m piece of R/J is
-the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m, and the
-degree-m syzygies of the generators are its kernel.  Standard grading makes
-vanishing hereditary, so the colength loop stops at the first zero piece.
+Everything is one rank computation per degree, ``graded_rank``: the degree-m
+piece of R/J is the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m,
+and the degree-m syzygies of the generators (``curves.cohomology_profile``)
+are its kernel.  Standard grading makes vanishing hereditary, so the
+colength loop stops at the first zero piece.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ __all__ = [
     "NotPrimaryError",
     "SizeGuardError",
     "frobenius_power",
-    "quotient_piece_dim",
+    "graded_rank",
     "colength",
-    "syzygy_h0",
     "parse_ideal_spec",
 ]
 
@@ -149,22 +148,20 @@ def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, q: int) -> IdealSp
     return IdealSpec(tuple(gens), tuple(e * q for e in ideal.degrees))
 
 
-def _guarded_matrix(ring, gens, m, max_dim):
+def graded_rank(
+    ring: HypersurfaceRing, gens: Sequence, m: int, max_dim: Optional[int] = None
+) -> int:
+    """Rank over F_p of the degree-m multiplication map ⊕_i R_{m-e_i} -> R_m.
+
+    Raises SizeGuardError instead of building a matrix with more than
+    ``max_dim`` rows or columns.
+    """
     if max_dim is not None:
         rows = ring.hilbert_dim(m)
         cols = sum(ring.hilbert_dim(m - g.degree) for g in gens)
         if max(rows, cols) > max_dim:
             raise SizeGuardError(m, rows, cols, max_dim)
-    return graded_map_matrix(ring, gens, m)
-
-
-def quotient_piece_dim(
-    ring: HypersurfaceRing, ideal: IdealSpec, m: int, max_dim: Optional[int] = None
-) -> int:
-    """dim of (R/J)_m = hilbert_dim(m) - rank of the multiplication map."""
-    return ring.hilbert_dim(m) - rank_mod_p(
-        _guarded_matrix(ring, ideal.generators, m, max_dim)
-    )
+    return rank_mod_p(graded_map_matrix(ring, gens, m))
 
 
 def colength(
@@ -194,7 +191,7 @@ def colength(
     dims = []
     total = 0
     for m in range(cap + 1):
-        dim = quotient_piece_dim(ring, reduced, m, max_dim)
+        dim = ring.hilbert_dim(m) - graded_rank(ring, reduced.generators, m, max_dim)
         dims.append(dim)
         if dim == 0:
             normalized = Fraction(total, q ** ring.krull_dim)
@@ -208,27 +205,6 @@ def colength(
             )
         total += dim
     raise NotPrimaryError("not primary: no graded piece vanished by the cap")
-
-
-def syzygy_h0(
-    ring: HypersurfaceRing,
-    ideal: IdealSpec,
-    q: int,
-    m: int,
-    max_dim: Optional[int] = None,
-) -> int:
-    """Dimension of the degree-m syzygy space of (f_1^q, ..., f_s^q).
-
-    Rank-nullity on the same multiplication matrix that computes the
-    quotient piece; only defined on curve rings (two-dimensional quotients).
-    """
-    if ring.krull_dim != 2:
-        raise ValueError("syzygy section counts are defined for curve rings only")
-    if m < 0:
-        return 0
-    frob = frobenius_power(ring, ideal, q)
-    domain = sum(ring.hilbert_dim(m - e) for e in frob.degrees)
-    return domain - rank_mod_p(_guarded_matrix(ring, frob.generators, m, max_dim))
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

@@ -22,9 +22,9 @@ from hklab.colength import (
     NotPrimaryError,
     colength,
     frobenius_power,
+    graded_rank,
 )
-from hklab.fp_linalg import rank_mod_p
-from hklab.graded import HypersurfaceRing, graded_map_matrix
+from hklab.graded import HypersurfaceRing
 
 __all__ = [
     "CurveGeometry",
@@ -203,14 +203,7 @@ def cohomology_profile(
     chi = []
     for m in range(m_max + 1):
         domain = sum(ring.hilbert_dim(m - e) for e in frob.degrees)
-        if max_dim is not None:
-            rows = ring.hilbert_dim(m)
-            if max(rows, domain) > max_dim:
-                from hklab.colength import SizeGuardError
-
-                raise SizeGuardError(m, rows, domain, max_dim)
-        rank = rank_mod_p(graded_map_matrix(ring, reduced, m))
-        h0.append(domain - rank)
+        h0.append(domain - graded_rank(ring, reduced, m, max_dim))
         chi.append(syzygy_euler_char(geom, ideal.degrees, q, m))
     h1 = tuple(a - b for a, b in zip(h0, chi))
     if any(v < 0 for v in h1):

@@ -254,7 +254,7 @@ def sandwich_check(spec: DiagonalSpec, p: int, n: int) -> SandwichReport:
     lower = Fraction(scale * d_f(p, *floors), denom)
     upper = Fraction(scale * d_f(p, *[f + 1 for f in floors]), denom)
     ring = diagonal_ring(spec, p)
-    value = normalized_colength(ring, IdealSpec.maximal_ideal(ring), p, n)
+    value = normalized_colength(ring, IdealSpec.maximal_ideal(ring), n)
     if not lower <= value <= upper:
         raise AssertionError(
             f"sandwich violated at p={p}, n={n}: "

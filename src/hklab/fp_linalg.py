@@ -12,11 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PrimeField", "PrimeFieldMatrix", "rank_mod_p", "nullity_mod_p", "is_prime"]
+__all__ = ["PrimeField", "PrimeFieldMatrix", "rank_mod_p", "is_prime"]
 
 # Witnesses make Miller-Rabin deterministic for every n < 3.3e24, which
 # covers all machine-word sized moduli.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest modulus whose elimination products (p-1)^2 fit in int64:
+# isqrt(2^63 - 1).
+_MAX_MODULUS = 3037000499
 
 
 def is_prime(n: int) -> bool:
@@ -55,6 +59,11 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
+        if self.p > _MAX_MODULUS:
+            raise ValueError(
+                f"modulus {self.p} is above {_MAX_MODULUS}, the largest p for "
+                "which (p-1)^2 fits in a 64-bit integer"
+            )
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""
@@ -63,8 +72,8 @@ class PrimeField:
     @property
     def dtype(self) -> type:
         # Elimination forms a - f*b with a, b, f in [0, p), so the widest
-        # intermediate is (p-1)^2 + (p-1) < p^2.  int32 holds that for
-        # p <= 46340; int64 covers every prime below 3.0e9.
+        # intermediate is f*b <= (p-1)^2 in magnitude.  int32 holds that for
+        # p <= 46340; int64 for p <= _MAX_MODULUS, the largest p accepted.
         return np.int32 if self.p <= 46340 else np.int64
 
 
@@ -87,14 +96,6 @@ class PrimeFieldMatrix:
         self.field = field
         self.array = arr
 
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "PrimeFieldMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=field.dtype))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "PrimeFieldMatrix":
-        return cls(field, np.eye(n, dtype=field.dtype))
-
     @property
     def rows(self) -> int:
         return self.array.shape[0]
@@ -102,9 +103,6 @@ class PrimeFieldMatrix:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    def transpose(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.field, self.array.T.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeFieldMatrix):
@@ -126,11 +124,6 @@ def rank_mod_p(m: PrimeFieldMatrix) -> int:
     if m.array.size == 0:
         return 0
     return _rank_of_array(m.array.copy(), m.field.p)
-
-
-def nullity_mod_p(m: PrimeFieldMatrix) -> int:
-    """Dimension of the kernel, i.e. cols - rank."""
-    return m.cols - rank_mod_p(m)
 
 
 def _rank_of_array(a: np.ndarray, p: int) -> int:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from hklab.colength import IdealSpec, colength, frobenius_power
+from hklab.colength import IdealSpec
 from hklab.curves import CurveGeometry, HNProfile
 from hklab.graded import HypersurfaceRing
+from hklab.store import cached_colength
 
 __all__ = [
     "ConvergenceRow",
@@ -23,18 +24,11 @@ __all__ = [
     "reference_value",
     "convergence_fit",
     "rational_str",
-    "parse_rational",
 ]
-
-Rational = Fraction
 
 
 def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def hk_from_profile(
@@ -50,20 +44,9 @@ def hk_from_profile(
     return Fraction(geom.deg_y, 2) * (quad - sum(d * d for d in degrees))
 
 
-def normalized_colength(
-    ring: HypersurfaceRing,
-    ideal: IdealSpec,
-    p: int,
-    n: int,
-    max_dim: Optional[int] = None,
-) -> Fraction:
-    """ℓ(R/I^[pⁿ]) / pⁿ·ᵈⁱᵐ as an exact rational."""
-    if ring.field.p != p:
-        raise ValueError(f"ring characteristic {ring.field.p} != {p}")
-    q = p**n
-    frob = frobenius_power(ring, ideal, q)
-    record = colength(ring, frob, q=q, n=n, max_dim=max_dim)
-    return record.normalized
+def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fraction:
+    """ℓ(R/I^[pⁿ]) / pⁿ·ᵈⁱᵐ as an exact rational, p the ring's characteristic."""
+    return cached_colength(None, ring, ideal, n).normalized
 
 
 _FAMILY_ALIASES = {

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -54,7 +55,14 @@ class ResultStore:
             return ColengthRecord.from_json_dict(payload)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (
+            json.JSONDecodeError,
+            AttributeError,
+            KeyError,
+            TypeError,
+            ValueError,
+            ZeroDivisionError,
+        ) as exc:
             log.warning("discarding corrupt cache entry %s: %s", path.name, exc)
             return None
 
@@ -71,33 +79,50 @@ class ResultStore:
                 os.unlink(tmp)
 
 
+def _inconsistency(
+    record: ColengthRecord, p: int, n: int, q: int, krull_dim: int
+) -> Optional[str]:
+    """Why a cached record cannot be the colength it is stored under, or
+    None when it passes every check."""
+    if (record.p, record.n, record.q) != (p, n, q):
+        return f"stored (p, n, q) = {(record.p, record.n, record.q)}, expected {(p, n, q)}"
+    if sum(record.dims) != record.total:
+        return f"sum(dims) = {sum(record.dims)} != total = {record.total}"
+    if not record.dims or record.dims[-1] != 0:
+        return "dims do not end in a zero piece"
+    if record.normalized != Fraction(record.total, q**krull_dim):
+        return f"normalized {record.normalized} != total/q^{krull_dim}"
+    return None
+
+
 def cached_colength(
     store: Optional[ResultStore],
     ring: HypersurfaceRing,
     ideal: IdealSpec,
-    p: int,
     n: int,
     max_dim: Optional[int] = None,
-    version: Optional[str] = None,
 ) -> ColengthRecord:
-    """Colength of the n-th Frobenius power, served from the store when a
-    matching entry exists."""
+    """Colength of the n-th Frobenius power of ``ideal``, p being the ring's
+    characteristic.
+
+    Served from the store when it holds an entry under the same key that is
+    consistent with the request; any other entry is discarded with a
+    warning, recomputed and overwritten.
+    """
     from hklab import __version__
 
-    if ring.field.p != p:
-        raise ValueError(f"ring characteristic {ring.field.p} != {p}")
+    p = ring.field.p
+    q = p**n
     key = ResultStore.key(
-        p,
-        n,
-        ring.canonical_string(),
-        ideal.canonical_string(),
-        version or __version__,
+        p, n, ring.canonical_string(), ideal.canonical_string(), __version__
     )
     if store is not None:
         hit = store.get(key)
         if hit is not None:
-            return hit
-    q = p**n
+            problem = _inconsistency(hit, p, n, q, ring.krull_dim)
+            if problem is None:
+                return hit
+            log.warning("discarding inconsistent cache entry %s: %s", key, problem)
     record = colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=max_dim)
     if store is not None:
         store.put(key, record)

@@ -261,23 +261,94 @@ def test_usage_errors_exit_2():
     assert main(["colength", "--bogus-flag"]) == 2
 
 
-def test_size_guard_exits_3(tmp_path):
-    rc = main(
-        [
-            "colength",
-            "--family",
-            "fermat-quartic",
-            "--primes",
-            "5",
-            "--n",
-            "1",
-            "--cap",
-            "10",
-            "--out",
-            str(tmp_path),
-        ]
+def test_negative_m_max_exits_2(tmp_path):
+    base = ["profile", "--family", "fermat-quartic", "--primes", "5"]
+    assert main(base + ["--m-max", "-1", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "profile.csv").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m-max=-1\n", encoding="utf-8")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# Flags each subcommand does not read, and so does not accept.
+DROPPED_FLAGS = [
+    ("colength", "--m-max", "3"),
+    ("convergence", "--m-max", "3"),
+    ("profile", "--cache", "c"),
+    ("hn", "--cache", "c"),
+    ("limits", "--jobs", "2"),
+    ("limits", "--cache", "c"),
+    ("sandwich", "--ring", "fermat:s=3,d=2,p=5"),
+    ("sandwich", "--ideal", "maximal"),
+    ("sandwich", "--m-max", "3"),
+    ("sandwich", "--cache", "c"),
+    ("sandwich", "--cap", "10"),
+    ("gm", "--ring", "fermat:s=3,d=2,p=5"),
+    ("gm", "--ideal", "maximal"),
+    ("gm", "--family", "fermat-quartic"),
+    ("gm", "--primes", "5"),
+    ("gm", "--n", "1"),
+    ("gm", "--m-max", "3"),
+    ("gm", "--cache", "c"),
+    ("gm", "--jobs", "2"),
+    ("gm", "--cap", "10"),
+]
+
+VALID_ARGS = {
+    "colength": ["--family", "fermat-quartic", "--primes", "5"],
+    "convergence": ["--family", "fermat-quartic", "--primes", "3,5,7"],
+    "profile": ["--family", "fermat-quartic", "--primes", "5"],
+    "hn": ["--family", "fermat-quartic", "--primes", "5"],
+    "limits": ["--family", "chang-quartic", "--primes", "5"],
+    "sandwich": ["--family", "diagonal:2,2,2", "--primes", "5"],
+    "gm": ["--d", "4,4,4,4"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS)
+def test_unread_flag_exits_2(command, flag, value, tmp_path):
+    argv = [command, *VALID_ARGS[command], "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + [flag, value]) == 2
+
+
+def test_hn_and_limits_take_generator_count_from_ideal(tmp_path, capsys):
+    four = ["--ring", "fermat:s=3,d=4,p=7", "--ideal", "x^2,y^2,z^2,x*y"]
+    assert main(["hn", *four, "--out", str(tmp_path)]) == 0
+    assert "(8/3,3)" in capsys.readouterr().out
+    limits = ["limits", "--family", "fermat-quartic", "--primes", "7", *four]
+    assert main(limits + ["--out", str(tmp_path)]) == 0
+    row = read_json(tmp_path / "limits.json")["rows"][0]
+    assert row["profile_estimates"] == [{"n": 1, "hk_from_profile": "32/3"}]
+
+
+def test_modulus_above_int64_bound_exits_2(tmp_path):
+    out = ["--out", str(tmp_path)]
+    assert main(["colength", "--ring", "fermat:s=3,d=4,p=4294967311"] + out) == 2
+    assert (
+        main(["colength", "--family", "fermat-quartic", "--primes", "4294967311"] + out)
+        == 2
     )
-    assert rc == 3
+
+
+def test_size_guard_exits_3(tmp_path):
+    for command in ("colength", "profile"):
+        rc = main(
+            [
+                command,
+                "--family",
+                "fermat-quartic",
+                "--primes",
+                "5",
+                "--n",
+                "1",
+                "--cap",
+                "10",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 3, command
 
 
 def test_math_errors_exit_1(tmp_path):
@@ -341,4 +412,10 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["colength", "--config", str(cfg)]) == 2
     cfg.write_text("family fermat-quartic\n", encoding="utf-8")
     assert main(["colength", "--config", str(cfg)]) == 2
+    # a valid run plus a key for a flag profile does not take
+    cfg.write_text(
+        f"family=fermat-quartic\nprimes=5\nout={tmp_path}\ncache=c\n",
+        encoding="utf-8",
+    )
+    assert main(["profile", "--config", str(cfg)]) == 2
     assert main(["colength", "--config", str(tmp_path / "missing.cfg")]) == 2
