@@ -64,7 +64,7 @@ _FLAGS = {
     "m-max": ("m_max", int, None, "profile twist cutoff, >= 0"),
     "out": ("out", Path, Path("."), "output directory (default .)"),
     "cache": ("cache", Path, None, "colength cache directory"),
-    "jobs": ("jobs", int, 1, "parallel (p,n) jobs (default 1)"),
+    "jobs": ("jobs", int, 1, "parallel (p,n) jobs, >= 1 (default 1)"),
     "cap": ("cap", int, 5000, "matrix-size guard (default 5000)"),
     "d": ("d", str, None, "diagonal exponents, e.g. '4,4,4,4'"),
 }
@@ -139,6 +139,8 @@ def _finalize(args: argparse.Namespace) -> None:
             setattr(args, dest, fallback)
     if getattr(args, "m_max", None) is not None and args.m_max < 0:
         raise SpecParseError(f"--m-max must be >= 0, got {args.m_max}")
+    if getattr(args, "jobs", 1) < 1:
+        raise SpecParseError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def parse_primes(text: str) -> List[int]:

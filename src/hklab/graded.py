@@ -1,11 +1,16 @@
 """Graded pieces of hypersurface rings F_p[x_1..x_s]/(f).
 
 A single homogeneous relation keeps everything elementary: {f} is already a
-Groebner basis of (f), so normal forms are plain division by f, and the
-standard monomials of degree m are the degree-m monomials not divisible by
-the leading term of f.  The monomial order is graded reverse lexicographic
-with x_1 > x_2 > ... > x_s throughout; nothing here is meaningful for any
-other order, so it is not configurable.
+Groebner basis of (f), so the standard monomials of degree m are the
+degree-m monomials not divisible by the leading term of f, and a normal form
+is the remainder of division by f.  Divisibility by LT(f) depends only on
+the exponents on S = supp(LT(f)), so NF(mu_S * nu) = nu * NF(mu_S) for a
+monomial mu_S in the variables of S and any monomial nu in the others.  Each
+ring keeps a memo of NF(mu_S), filled on demand, and builds its graded
+multiplication matrices as gathers from it; only ``normal_form`` and that
+memo run the division itself.  The monomial order is graded reverse
+lexicographic with x_1 > x_2 > ... > x_s throughout; nothing here is
+meaningful for any other order, so it is not configurable.
 
 ``relation=None`` gives the ambient polynomial ring itself; the smoothness
 check on curves needs quotients of that ring, and everything degreewise
@@ -272,13 +277,18 @@ class HypersurfaceRing:
             self._lt = None
             self._tail = None
             self._lc_inv = None
+            self._support = ()
         else:
             lt = relation.leading_monomial()
             self._lt = lt
             self._lc_inv = field.inv(relation.terms[lt])
             self._tail = {m: c for m, c in relation.terms.items() if m != lt}
+            self._support = tuple(i for i, e in enumerate(lt) if e)
         self._basis_cache = {}
-        self._index_cache = {}
+        self._exps_cache = {}
+        self._binomials = np.zeros((0, s + 1), dtype=np.int64)
+        self._rank_cache = {}
+        self._nf_memo = {}
 
     @property
     def d(self) -> Optional[int]:
@@ -315,14 +325,13 @@ class HypersurfaceRing:
         if cached is not None:
             return cached
         lt = self._lt
+        support = self._support
         caps = [None] * self.s
         filter_lt = None
-        if lt is not None:
-            support = [i for i, e in enumerate(lt) if e]
-            if len(support) == 1:
-                caps[support[0]] = lt[support[0]] - 1
-            else:
-                filter_lt = lt
+        if len(support) == 1:
+            caps[support[0]] = lt[support[0]] - 1
+        elif support:
+            filter_lt = lt
         basis = []
         for mono in _bounded_monomials(self.s, m, caps):
             if filter_lt is not None and all(
@@ -334,12 +343,39 @@ class HypersurfaceRing:
         self._basis_cache[m] = result
         return result
 
-    def basis_index(self, m: int) -> dict:
-        cached = self._index_cache.get(m)
+    def _basis_exponents(self, m: int) -> np.ndarray:
+        """monomial_basis(m) as a read-only int64 array, one row each."""
+        cached = self._exps_cache.get(m)
         if cached is None:
-            cached = {mono: i for i, mono in enumerate(self.monomial_basis(m))}
-            self._index_cache[m] = cached
+            cached = np.array(self.monomial_basis(m), dtype=np.int64)
+            cached = cached.reshape(-1, self.s)
+            cached.setflags(write=False)
+            self._exps_cache[m] = cached
         return cached
+
+    def _rank_data(self, m: int):
+        """(table, ranks) for degree m: ``table[r, k] = C(r + k, k)`` for at
+        least r <= m and k <= s, and the ``_lex_ranks`` of monomial_basis(m).
+
+        The basis is in descending grevlex order, so its ranks increase and
+        a binary search finds any standard monomial's row.  One table per
+        ring grows with m; extending it raises OverflowError rather than
+        wrap if an entry exceeds int64.
+        """
+        table = self._binomials
+        if len(table) <= m:
+            new = [
+                [math.comb(r + k, k) for k in range(self.s + 1)]
+                for r in range(len(table), m + 1)
+            ]
+            table = np.concatenate([table, np.array(new, dtype=np.int64)])
+            table.setflags(write=False)
+            self._binomials = table
+        ranks = self._rank_cache.get(m)
+        if ranks is None:
+            ranks = _lex_ranks(self._basis_exponents(m), m, table)
+            self._rank_cache[m] = ranks
+        return table, ranks
 
     # -- normal forms ----------------------------------------------------------
 
@@ -386,6 +422,54 @@ class HypersurfaceRing:
                 out[mono] = c
         return out
 
+    def _nf_of_support_part(self, key: tuple):
+        """NF of the monomial with exponents ``key`` on S = supp(LT(f)) and 0
+        elsewhere, as (int64 exponent rows, int64 coefficients); memoised."""
+        hit = self._nf_memo.get(key)
+        if hit is None:
+            mono = [0] * self.s
+            for i, e in zip(self._support, key):
+                mono[i] = e
+            terms = self._nf_terms({tuple(mono): 1})
+            exps = np.array(list(terms), dtype=np.int64).reshape(-1, self.s)
+            coeffs = np.array(list(terms.values()), dtype=np.int64)
+            exps.setflags(write=False)
+            coeffs.setflags(write=False)
+            hit = (exps, coeffs)
+            self._nf_memo[key] = hit
+        return hit
+
+    def _nf_gather(self, monos: np.ndarray, m: int):
+        """Normal forms of the degree-m monomials in the rows of ``monos``.
+
+        Returns (src, rows, coeffs): NF(monos[src[k]]) has coefficient
+        coeffs[k] at monomial_basis(m)[rows[k]], and each (src, rows) pair
+        occurs once.  Uses NF(mu_S * nu) = nu * NF(mu_S), so only the
+        distinct S-parts mu_S are looked up in the memo.
+        """
+        table, basis_ranks = self._rank_data(m)
+        support = list(self._support)
+        parts = monos[:, support]
+        # (mu_S, m - |mu_S|) is a degree-m monomial in |S| + 1 variables; its
+        # rank is an exact integer code of mu_S.
+        codes = _lex_ranks(np.column_stack([parts, m - parts.sum(axis=1)]), m, table)
+        _, pick, which = np.unique(codes, return_index=True, return_inverse=True)
+        nfs = [self._nf_of_support_part(tuple(k)) for k in parts[pick].tolist()]
+        exps = np.concatenate([e for e, _ in nfs])
+        coeffs = np.concatenate([c for _, c in nfs])
+        lens = np.array([len(c) for _, c in nfs], dtype=np.int64)
+        counts = lens[which]
+        src = np.repeat(np.arange(len(monos)), counts)
+        # Entry j belongs to monomial src[j]; it is term j - (first entry of
+        # that monomial) of its NF, which starts at offset[which] in exps.
+        offset = np.cumsum(lens) - lens
+        shift = np.repeat(offset[which] - (np.cumsum(counts) - counts), counts)
+        term = shift + np.arange(len(src))
+        nu = monos.copy()
+        nu[:, support] = 0
+        rows = np.searchsorted(basis_ranks, _lex_ranks(exps[term] + nu[src], m, table))
+        return src, rows, coeffs[term]
+
     def normal_form(self, g: Polynomial) -> Polynomial:
         """Remainder of g under division by the relation: no term divisible
         by LT(f), congruent to g mod (f), idempotent."""
@@ -396,6 +480,24 @@ class HypersurfaceRing:
         return Polynomial(self.field, self.s, self._nf_terms(g.terms))
 
 
+def _lex_ranks(monos: np.ndarray, m: int, table: np.ndarray) -> np.ndarray:
+    """Rank of each degree-m row of ``monos`` among all degree-m monomials in
+    as many variables, in descending grevlex order, which is ascending lex
+    order on the reversed exponents; ``table[r, k] = C(r + k, k)``.
+
+    Reading the exponents reversed, a_1..a_s, the monomials before a are
+    those that agree with it up to some position i and are smaller there:
+    C(r_i + k, k) - C(r_i - a_i + k, k) of them, with r_i = m - a_1 - ...
+    - a_{i-1} left over and k = s - i variables after position i.  Each
+    term is at most the count of degree-m monomials, and so is their sum,
+    so the rank is exact whenever that count fits int64.
+    """
+    a = monos[:, ::-1]
+    left = m - np.cumsum(a, axis=1) + a
+    k = np.arange(monos.shape[1] - 1, -1, -1)
+    return (table[left, k] - table[left - a, k]).sum(axis=1)
+
+
 def graded_map_matrix(
     ring: HypersurfaceRing, gens: Sequence, m: int
 ) -> PrimeFieldMatrix:
@@ -404,32 +506,46 @@ def graded_map_matrix(
     Columns run over the generators in order and, within one generator, over
     monomial_basis(ring, m - e_i); rows over monomial_basis(ring, m).
     Generators of degree > m contribute empty blocks.
+
+    No column is reduced on its own.  Writing each term of g_i as c_t*mu_t
+    and each column monomial as u, the column of g_i*u is
+    sum_t c_t * NF(mu_t*u), and NF(mu_t*u) = nu * NF(mu_S) where mu_S is the
+    part of mu_t*u on the variables of LT(f) and nu the rest; NF(mu_S) comes
+    from the ring's memo.  Generators need not be reduced first.
     """
-    degrees = []
-    reduced = []
     for g in gens:
+        if g.field.p != ring.field.p or g.nvars != ring.s:
+            raise ValueError("polynomial lives in a different ring")
         if g.is_zero or not g.is_homogeneous:
             raise ValueError("generators must be nonzero homogeneous")
-        degrees.append(g.degree)
-        reduced.append(ring.normal_form(g))
-    rows = ring.basis_index(m)
-    blocks = [
-        ring.monomial_basis(m - e) if e <= m else ()
-        for e in degrees
-    ]
-    ncols = sum(len(b) for b in blocks)
-    arr = np.zeros((len(rows), ncols), dtype=ring.field.dtype)
-    j = 0
-    for g, block in zip(reduced, blocks):
-        gterms = g.terms
-        for u in block:
-            shifted = {
-                tuple(a + b for a, b in zip(mono, u)): c
-                for mono, c in gterms.items()
-            }
-            for mono, c in ring._nf_terms(shifted).items():
-                arr[rows[mono], j] = c
-            j += 1
+    p = ring.field.p
+    blocks = [ring._basis_exponents(m - g.degree) for g in gens]
+    arr = np.zeros(
+        (len(ring._basis_exponents(m)), sum(len(b) for b in blocks)),
+        dtype=ring.field.dtype,
+    )
+    if not arr.shape[1]:
+        return PrimeFieldMatrix(ring.field, arr)
+    products = []
+    terms = []  # (first column of the block, coefficient) per product array
+    start = 0
+    for g, block in zip(gens, blocks):
+        for mono, c in g.terms.items():
+            products.append(block + mono)
+            terms.append((start, c))
+        start += len(block)
+    src, rows, coeffs = ring._nf_gather(np.concatenate(products), m)
+    # The products of one term are consecutive rows, and src is sorted, so
+    # their entries form one slice; within it each (row, col) occurs once.
+    # c*coeff < p^2 fits int64 for every accepted p, so the add is exact.
+    sizes = np.array([len(b) for b in products])
+    ends = np.cumsum(sizes)
+    lo = 0
+    for (start, c), first, hi in zip(terms, ends - sizes, np.searchsorted(src, ends)):
+        r = rows[lo:hi]
+        col = src[lo:hi] - first + start
+        arr[r, col] = (arr[r, col] + c * coeffs[lo:hi] % p) % p
+        lo = hi
     return PrimeFieldMatrix(ring.field, arr)
 
 

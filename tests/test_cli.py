@@ -270,6 +270,16 @@ def test_negative_m_max_exits_2(tmp_path):
     assert main(base + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(tmp_path, jobs):
+    base = ["colength", "--family", "fermat-quartic", "--primes", "5"]
+    assert main(base + ["--jobs", jobs, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "colength.csv").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"jobs={jobs}\n", encoding="utf-8")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 # Flags each subcommand does not read, and so does not accept.
 DROPPED_FLAGS = [
     ("colength", "--m-max", "3"),

@@ -1,7 +1,11 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hklab.colength import graded_rank
 from hklab.fp_linalg import PrimeField, rank_mod_p
 from hklab.graded import (
     HypersurfaceRing,
@@ -235,3 +239,106 @@ def test_monomial_enumeration_matches_reference():
     R = parse_ring_spec("polyring:s=3,p=5")
     for m in range(6):
         assert sorted(R.monomial_basis(m)) == sorted(ref_monomials(3, m))
+
+
+# ------------------------------------------- matrix build against a reference
+
+
+def ref_map_matrix(ring, gens, m):
+    """graded_map_matrix built column by column from ring.normal_form."""
+    rows = {mono: i for i, mono in enumerate(ring.monomial_basis(m))}
+    cols = []
+    for g in gens:
+        for u in ring.monomial_basis(m - g.degree):
+            col = [0] * len(rows)
+            shift = Polynomial.monomial(ring.field, ring.s, u)
+            for mono, c in ring.normal_form(g * shift).terms.items():
+                col[rows[mono]] = c
+            cols.append(col)
+    return np.array(cols, dtype=np.int64).reshape(len(cols), len(rows)).T
+
+
+# Leading terms: pure powers (x^4, x^3, x^2), multi-support (xy, x^2y) and
+# none at all.
+RELATIONS = [
+    (3, "x^4+y^4+z^4"),
+    (3, "x^3+2*x*y*z+y^3+z^3"),
+    (3, "x*y-z^2"),
+    (4, "x^2*y+3*x*z^2+y*w^2+z^3"),
+    (4, "x^2+y*z+w^2"),
+    (2, None),
+    (3, None),
+]
+# Small primes use int32 matrices; 65537 > 46340 uses int64.
+PRIMES = [2, 3, 5, 7, 13, 65537]
+
+
+@st.composite
+def ring_and_generators(draw):
+    s, f = draw(st.sampled_from(RELATIONS))
+    p = draw(st.sampled_from(PRIMES))
+    if f is None:
+        ring = parse_ring_spec(f"polyring:s={s},p={p}")
+    else:
+        ring = parse_ring_spec(f"hypersurface:s={s},p={p},f={f}")
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.integers(1, 3))
+        monos = draw(
+            st.lists(st.sampled_from(ref_monomials(s, e)), min_size=2, max_size=5, unique=True)
+        )
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial(ring.field, s, dict(zip(monos, coeffs))))
+    return ring, gens, draw(st.integers(0, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_and_generators())
+def test_graded_map_matrix_matches_column_reference(case):
+    ring, gens, m = case
+    got = graded_map_matrix(ring, gens, m)
+    assert got.array.dtype == ring.field.dtype
+    assert np.array_equal(got.array, ref_map_matrix(ring, gens, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_and_generators())
+def test_graded_rank_matches_reference_piece_dim(case):
+    ring, gens, m = case
+    relation = [] if ring.relation is None else [(ring.d, ring.relation.terms)]
+    want = ref_graded_piece_dim(
+        ring.field.p, ring.s, relation + [(g.degree, g.terms) for g in gens], m
+    )
+    assert ring.hilbert_dim(m) - graded_rank(ring, gens, m) == want
+
+
+@pytest.mark.parametrize("spec", ["polyring:s=64,p=7", "hypersurface:s=64,p=7,f=x1*x2-x3^2"])
+def test_graded_map_matrix_with_64_variables(spec):
+    # At m = 2 there are C(65, 2) monomials; a key in base m + 1 = 3 per
+    # variable would need 3^63 > 2^63 and make rows collide.
+    ring = parse_ring_spec(spec)
+    gens = [
+        parse_polynomial(ring.field, 64, "x1+2*x64"),
+        parse_polynomial(ring.field, 64, "x2-x3+x40+5*x63"),
+        parse_polynomial(ring.field, 64, "x1*x2+x63*x64-x3^2+x17*x40"),
+    ]
+    got = graded_map_matrix(ring, gens, 2)
+    assert got.array.shape == (ring.hilbert_dim(2), 2 * 64 + 1)
+    assert np.array_equal(got.array, ref_map_matrix(ring, gens, 2))
+
+
+def test_graded_map_matrix_at_largest_accepted_prime():
+    # Modulo x^2+y^2+z^2, NF(x^4), NF(x^2*y^2) and NF(x^2*z^2) all have a
+    # y^2*z^2 term, with coefficients 2, -1 and -1.  With every coefficient
+    # of g equal to -1, two of the products c*coeff are (p-1)^2 each, and
+    # their sum exceeds 2^63: each product must be reduced before the add.
+    p = 3037000493
+    ring = parse_ring_spec(f"hypersurface:s=3,p={p},f=x^2+y^2+z^2")
+    gens = [
+        parse_polynomial(ring.field, 3, f"{p - 1}*x^4+{p - 1}*x^2*y^2+{p - 1}*x^2*z^2"),
+        parse_polynomial(ring.field, 3, f"{p - 1}*x^2+{p - 3}*x*y+{p - 2}*z^2"),
+    ]
+    for m in range(2, 8):
+        got = graded_map_matrix(ring, gens, m)
+        assert got.array.dtype == np.int64
+        assert np.array_equal(got.array, ref_map_matrix(ring, gens, m))
