@@ -23,7 +23,6 @@ from hklab.colength import (
 )
 from hklab.curves import (
     cohomology_profile,
-    curve_geometry,
     estimate_hn_profile,
     vanishing_report,
 )
@@ -306,11 +305,10 @@ def cmd_colength(args: argparse.Namespace) -> int:
 def _curve_profile(args, p: int, n: int):
     ring = resolve_ring(args, p)
     ideal = parse_ideal_spec(ring, args.ideal)
-    geom = curve_geometry(ring)
     prof = cohomology_profile(
         ring, ideal, p**n, m_max=args.m_max, max_dim=args.cap
     )
-    return ideal, geom, prof
+    return ideal, prof.geom, prof
 
 
 def cmd_profile(args: argparse.Namespace) -> int:

@@ -180,18 +180,17 @@ def colength(
     """
     d = ring.d or 0
     cap = sum(ideal.degrees) + d + 1
-    try:
-        reduced = IdealSpec.from_polynomials(
-            [ring.normal_form(g) for g in ideal.generators]
-        )
-    except ValueError:
+    # Generators in (f) add only zero columns.  The others go in unreduced:
+    # graded_map_matrix reduces each product, which gives the same matrix.
+    gens = [g for g in ideal.generators if not ring.normal_form(g).is_zero]
+    if not gens:
         raise NotPrimaryError(
             "not primary: every generator lies in the relation ideal"
-        ) from None
+        )
     dims = []
     total = 0
     for m in range(cap + 1):
-        dim = ring.hilbert_dim(m) - graded_rank(ring, reduced.generators, m, max_dim)
+        dim = ring.hilbert_dim(m) - graded_rank(ring, gens, m, max_dim)
         dims.append(dim)
         if dim == 0:
             normalized = Fraction(total, q ** ring.krull_dim)

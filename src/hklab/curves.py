@@ -80,13 +80,15 @@ class SyzygyData:
 
 @dataclass(frozen=True)
 class CohomologyProfile:
-    """Per-twist section counts of S^q(m) for m = 0..m_max."""
+    """Per-twist section counts of S^q(m) for m = 0..m_max, and the curve
+    geometry they were computed with."""
 
     q: int
     m_max: int
     h0: tuple
     chi: tuple
     h1: tuple
+    geom: CurveGeometry
 
 
 @dataclass(frozen=True)
@@ -193,23 +195,19 @@ def cohomology_profile(
     if m_max is None:
         m_max = default_m_max(q, ideal.degrees)
     frob = frobenius_power(ring, ideal, q)
-    reduced = []
-    for g in frob.generators:
-        r = ring.normal_form(g)
-        if r.is_zero:
-            raise ValueError("a generator power vanishes on the curve")
-        reduced.append(r)
+    if any(ring.normal_form(g).is_zero for g in frob.generators):
+        raise ValueError("a generator power vanishes on the curve")
     h0 = []
     chi = []
     for m in range(m_max + 1):
         domain = sum(ring.hilbert_dim(m - e) for e in frob.degrees)
-        h0.append(domain - graded_rank(ring, reduced, m, max_dim))
+        h0.append(domain - graded_rank(ring, frob.generators, m, max_dim))
         chi.append(syzygy_euler_char(geom, ideal.degrees, q, m))
     h1 = tuple(a - b for a, b in zip(h0, chi))
     if any(v < 0 for v in h1):
         raise RuntimeError("h1 negative: rank computation is inconsistent")
     return CohomologyProfile(
-        q=q, m_max=m_max, h0=tuple(h0), chi=tuple(chi), h1=h1
+        q=q, m_max=m_max, h0=tuple(h0), chi=tuple(chi), h1=h1, geom=geom
     )
 
 

@@ -3,14 +3,22 @@
 A single homogeneous relation keeps everything elementary: {f} is already a
 Groebner basis of (f), so the standard monomials of degree m are the
 degree-m monomials not divisible by the leading term of f, and a normal form
-is the remainder of division by f.  Divisibility by LT(f) depends only on
-the exponents on S = supp(LT(f)), so NF(mu_S * nu) = nu * NF(mu_S) for a
-monomial mu_S in the variables of S and any monomial nu in the others.  Each
-ring keeps a memo of NF(mu_S), filled on demand, and builds its graded
-multiplication matrices as gathers from it; only ``normal_form`` and that
-memo run the division itself.  The monomial order is graded reverse
-lexicographic with x_1 > x_2 > ... > x_s throughout; nothing here is
-meaningful for any other order, so it is not configurable.
+is the remainder of division by f.
+
+Every divisor of a standard monomial is standard, so each ring builds its
+bases degree by degree and keeps one read-only array per degree: basis(m)
+is {x_i * b : b in basis(m-1)} minus the rows divisible by LT(f), sorted
+and deduplicated through exact combinatorial ranks.  The same step serves
+every shape of LT(f); the polynomial ring skips the filter.
+
+Divisibility by LT(f) depends only on the exponents on S = supp(LT(f)), so
+NF(mu_S * nu) = nu * NF(mu_S) for a monomial mu_S in the variables of S and
+any monomial nu in the others.  Each ring keeps a memo of NF(mu_S), filled
+on demand, and builds its graded multiplication matrices as gathers from
+it; only ``normal_form`` and that memo run the division itself.  The
+monomial order is graded reverse lexicographic with x_1 > x_2 > ... > x_s
+throughout; nothing here is meaningful for any other order, so it is not
+configurable.
 
 ``relation=None`` gives the ambient polynomial ring itself; the smoothness
 check on curves needs quotients of that ring, and everything degreewise
@@ -22,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -228,30 +236,6 @@ def _binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _bounded_monomials(nvars: int, m: int, caps: Sequence) -> Iterator:
-    """Degree-m exponent tuples with per-variable inclusive caps (None =
-    unbounded), generated in descending grevlex order."""
-    if m < 0:
-        return
-    if nvars == 0:
-        if m == 0:
-            yield ()
-        return
-    head = caps[:-1]
-    budget = 0
-    for c in head:
-        if c is None:
-            budget = m
-            break
-        budget += c
-    last_cap = caps[-1]
-    hi = m if last_cap is None else min(m, last_cap)
-    lo = max(0, m - budget)
-    for last in range(lo, hi + 1):
-        for rest in _bounded_monomials(nvars - 1, m - last, head):
-            yield rest + (last,)
-
-
 class HypersurfaceRing:
     """F_p[x_1..x_s]/(f) for one homogeneous f, or the plain polynomial ring
     when ``relation`` is None."""
@@ -284,10 +268,12 @@ class HypersurfaceRing:
             self._lc_inv = field.inv(relation.terms[lt])
             self._tail = {m: c for m, c in relation.terms.items() if m != lt}
             self._support = tuple(i for i, e in enumerate(lt) if e)
-        self._basis_cache = {}
-        self._exps_cache = {}
+        # Degree m -> (degree-m standard monomials, their increasing
+        # _lex_ranks); 1 is standard because deg f >= 1.
+        self._bases = {0: (np.zeros((1, s), dtype=np.int64), np.zeros(1, dtype=np.int64))}
+        for a in self._bases[0]:
+            a.setflags(write=False)
         self._binomials = np.zeros((0, s + 1), dtype=np.int64)
-        self._rank_cache = {}
         self._nf_memo = {}
 
     @property
@@ -317,50 +303,43 @@ class HypersurfaceRing:
             return full
         return full - _binomial(m - self.relation.degree + s - 1, s - 1)
 
-    def monomial_basis(self, m: int):
-        """Degree-m standard monomials, descending grevlex, as a tuple."""
+    def monomial_basis(self, m: int) -> np.ndarray:
+        """Degree-m standard monomials as a read-only int64 array, one row
+        each, in descending grevlex order."""
+        return self._basis(m)[0]
+
+    def _basis(self, m: int):
+        """(monomial_basis(m), their ``_lex_ranks``).
+
+        The ranks increase, so a binary search finds any standard monomial's
+        row.  Degrees below m are built on the way, each from the previous
+        one in one numpy step.
+        """
+        bases = self._bases
         if m < 0:
-            return ()
-        cached = self._basis_cache.get(m)
-        if cached is not None:
-            return cached
-        lt = self._lt
-        support = self._support
-        caps = [None] * self.s
-        filter_lt = None
-        if len(support) == 1:
-            caps[support[0]] = lt[support[0]] - 1
-        elif support:
-            filter_lt = lt
-        basis = []
-        for mono in _bounded_monomials(self.s, m, caps):
-            if filter_lt is not None and all(
-                a >= b for a, b in zip(mono, filter_lt)
-            ):
-                continue
-            basis.append(mono)
-        result = tuple(basis)
-        self._basis_cache[m] = result
-        return result
+            exps, ranks = bases[0]
+            return exps[:0], ranks[:0]
+        # Entries are stored by degree, never appended, so threads that
+        # extend one ring at once only store equal entries twice.
+        for k in range(len(bases), m + 1):
+            step = np.eye(self.s, dtype=np.int64)
+            cand = (bases[k - 1][0][:, None, :] + step).reshape(-1, self.s)
+            if self._lt is not None:
+                cand = cand[~np.all(cand >= self._lt, axis=1)]
+            ranks, first = np.unique(
+                _lex_ranks(cand, k, self._table(k)), return_index=True
+            )
+            exps = cand[first]
+            exps.setflags(write=False)
+            ranks.setflags(write=False)
+            bases[k] = (exps, ranks)
+        return bases[m]
 
-    def _basis_exponents(self, m: int) -> np.ndarray:
-        """monomial_basis(m) as a read-only int64 array, one row each."""
-        cached = self._exps_cache.get(m)
-        if cached is None:
-            cached = np.array(self.monomial_basis(m), dtype=np.int64)
-            cached = cached.reshape(-1, self.s)
-            cached.setflags(write=False)
-            self._exps_cache[m] = cached
-        return cached
+    def _table(self, m: int) -> np.ndarray:
+        """``table[r, k] = C(r + k, k)`` for at least r <= m and k <= s.
 
-    def _rank_data(self, m: int):
-        """(table, ranks) for degree m: ``table[r, k] = C(r + k, k)`` for at
-        least r <= m and k <= s, and the ``_lex_ranks`` of monomial_basis(m).
-
-        The basis is in descending grevlex order, so its ranks increase and
-        a binary search finds any standard monomial's row.  One table per
-        ring grows with m; extending it raises OverflowError rather than
-        wrap if an entry exceeds int64.
+        One table per ring grows with m; extending it raises OverflowError
+        rather than wrap if an entry exceeds int64.
         """
         table = self._binomials
         if len(table) <= m:
@@ -371,11 +350,7 @@ class HypersurfaceRing:
             table = np.concatenate([table, np.array(new, dtype=np.int64)])
             table.setflags(write=False)
             self._binomials = table
-        ranks = self._rank_cache.get(m)
-        if ranks is None:
-            ranks = _lex_ranks(self._basis_exponents(m), m, table)
-            self._rank_cache[m] = ranks
-        return table, ranks
+        return table
 
     # -- normal forms ----------------------------------------------------------
 
@@ -447,7 +422,8 @@ class HypersurfaceRing:
         occurs once.  Uses NF(mu_S * nu) = nu * NF(mu_S), so only the
         distinct S-parts mu_S are looked up in the memo.
         """
-        table, basis_ranks = self._rank_data(m)
+        table = self._table(m)
+        basis_ranks = self._basis(m)[1]
         support = list(self._support)
         parts = monos[:, support]
         # (mu_S, m - |mu_S|) is a degree-m monomial in |S| + 1 variables; its
@@ -519,9 +495,9 @@ def graded_map_matrix(
         if g.is_zero or not g.is_homogeneous:
             raise ValueError("generators must be nonzero homogeneous")
     p = ring.field.p
-    blocks = [ring._basis_exponents(m - g.degree) for g in gens]
+    blocks = [ring.monomial_basis(m - g.degree) for g in gens]
     arr = np.zeros(
-        (len(ring._basis_exponents(m)), sum(len(b) for b in blocks)),
+        (len(ring.monomial_basis(m)), sum(len(b) for b in blocks)),
         dtype=ring.field.dtype,
     )
     if not arr.shape[1]:

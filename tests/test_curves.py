@@ -156,24 +156,24 @@ def test_profile_too_short_before_top_plateau():
 
 def test_top_plateau_requires_h1_zero():
     h0 = tuple(8 * m for m in range(6))
-    fake = CohomologyProfile(q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6)
     geom = curve_geometry(fermat(7))
+    fake = CohomologyProfile(q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6, geom=geom)
     with pytest.raises(ProfileTooShortError):
         estimate_hn_profile(fake, geom, 3, 3)
 
 
 def test_stable_slope_off_lattice_is_ambiguous():
     h0 = tuple(5 * m for m in range(9))
-    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9)
     geom = curve_geometry(fermat(7))
+    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="not a multiple"):
         estimate_hn_profile(fake, geom, 3, 3)
 
 
 def test_excess_cumulative_rank_is_ambiguous():
     h0 = tuple(12 * m for m in range(9))
-    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9)
     geom = curve_geometry(fermat(7))
+    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="exceeds"):
         estimate_hn_profile(fake, geom, 3, 3)
 
@@ -181,8 +181,8 @@ def test_excess_cumulative_rank_is_ambiguous():
 def test_broken_degree_conservation_is_ambiguous():
     # a top plateau on the wrong line: slope fine, intercept off
     h0 = tuple(max(0, 8 * m - 84) for m in range(21))
-    fake = CohomologyProfile(q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21)
     geom = curve_geometry(fermat(7))
+    fake = CohomologyProfile(q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="cumulative degree"):
         estimate_hn_profile(fake, geom, 3, 3)
 
@@ -193,14 +193,15 @@ def test_out_of_order_plateaus_are_ambiguous():
     for d in deltas:
         h0.append(h0[-1] + d)
     h1 = (1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1)
+    geom = curve_geometry(fermat(7))
     fake = CohomologyProfile(
         q=5,
         m_max=12,
         h0=tuple(h0),
         chi=tuple(a - b for a, b in zip(h0, h1)),
         h1=h1,
+        geom=geom,
     )
-    geom = curve_geometry(fermat(7))
     with pytest.raises(AmbiguousPlateauError, match="overlapping"):
         estimate_hn_profile(fake, geom, 3, 3)
 

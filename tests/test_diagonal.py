@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklab.diagonal import (
     DiagonalLimits,
@@ -15,6 +17,8 @@ from hklab.diagonal import (
     g_value,
     sandwich_check,
 )
+
+from oracles import ref_truncation_dim
 
 HALF = Fraction(1, 2)
 
@@ -56,6 +60,16 @@ def test_monotone_in_each_slot():
     for i in range(3):
         grown = tuple(k + 1 if j == i else k for j, k in enumerate(base))
         assert d_f(7, *grown) >= d_f(7, *base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 8),
+)
+def test_d_f_matches_reference_truncation_dim(p, caps, k):
+    assert d_f(p, *caps, k) == ref_truncation_dim(p, caps, k)
 
 
 def test_d_f_input_validation():

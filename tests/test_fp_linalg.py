@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklab.fp_linalg import (
     PrimeField,
@@ -150,3 +152,33 @@ def test_rank_at_largest_accepted_prime():
         a, b = rng.randrange(p), rng.randrange(p)
         data.append([(a * x + b * y) % p for x, y in zip(data[0], data[1])])
         assert rank_mod_p(PrimeFieldMatrix(F, data)) == ref_rank(data, p)
+
+
+@st.composite
+def matrices_with_planted_columns(draw):
+    """(p, rows): a random sparse matrix with up to four extra columns of a
+    single nonzero entry, columns shuffled."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 65537]))
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    cols = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows), min_size=ncols, max_size=ncols))
+    for row, value in draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(1, p - 1)), max_size=4)):
+        cols.append([value if i == row else 0 for i in range(nrows)])
+    if not cols:
+        cols.append([0] * nrows)
+    cols = draw(st.permutations(cols))
+    return p, [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices_with_planted_columns())
+def test_rank_matches_reference_property(case):
+    # 65537 is above 46340, so it runs in int64; the others in int32.
+    p, data = case
+    F = PrimeField(p)
+    m = PrimeFieldMatrix(F, data)
+    assert m.array.dtype == (np.int64 if p > 46340 else np.int32)
+    expected = ref_rank(data, p)
+    assert rank_mod_p(m) == expected
+    assert rank_mod_p(PrimeFieldMatrix(F, m.array.T)) == expected

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hklab.colength import graded_rank
@@ -22,6 +22,11 @@ from oracles import ref_graded_piece_dim, ref_monomials
 
 def fermat_ring(p, s=3, d=4):
     return parse_ring_spec(f"fermat:s={s},d={d},p={p}")
+
+
+def basis(ring, m):
+    """ring.monomial_basis(m) as a tuple of exponent tuples."""
+    return tuple(map(tuple, ring.monomial_basis(m).tolist()))
 
 
 def random_poly(rng, field, nvars, max_deg=3, nterms=4):
@@ -59,12 +64,12 @@ def test_hilbert_dim_values():
 
 def test_monomial_basis_small_cases():
     R = fermat_ring(7)
-    assert R.monomial_basis(1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    m4 = R.monomial_basis(4)
+    assert basis(R, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    m4 = basis(R, 4)
     assert len(m4) == 14
     assert (4, 0, 0) not in m4
     conic = parse_ring_spec("hypersurface:s=2,p=5,f=x^2+y^2")
-    assert conic.monomial_basis(3) == ((1, 2), (0, 3))
+    assert basis(conic, 3) == ((1, 2), (0, 3))
 
 
 @pytest.mark.parametrize("spec", ["fermat:s=3,d=4,p=7", "hypersurface:s=2,p=5,f=x^2+y^2", "fermat:s=4,d=2,p=3", "hypersurface:s=3,p=5,f=x+y+z"])
@@ -72,12 +77,12 @@ def test_basis_size_matches_hilbert_dim(spec):
     R = parse_ring_spec(spec)
     top = 4 * (R.relation.degree if R.relation else 1)
     for m in range(top + 1):
-        basis = R.monomial_basis(m)
-        assert len(basis) == R.hilbert_dim(m)
-        assert len(set(basis)) == len(basis)
-        assert all(sum(mono) == m for mono in basis)
+        monos = basis(R, m)
+        assert len(monos) == R.hilbert_dim(m)
+        assert len(set(monos)) == len(monos)
+        assert all(sum(mono) == m for mono in monos)
         # descending grevlex
-        keys = [grevlex_key(mono) for mono in basis]
+        keys = [grevlex_key(mono) for mono in monos]
         assert keys == sorted(keys, reverse=True)
 
 
@@ -235,10 +240,40 @@ def test_parse_ring_spec_errors(bad):
         parse_ring_spec(bad)
 
 
-def test_monomial_enumeration_matches_reference():
-    R = parse_ring_spec("polyring:s=3,p=5")
-    for m in range(6):
-        assert sorted(R.monomial_basis(m)) == sorted(ref_monomials(3, m))
+@st.composite
+def ring_with_leading_term(draw):
+    """(ring, LT(f) or None, degrees): a relation whose leading term is a
+    pure power, has several variables, or is absent, in 1-6 variables."""
+    shape = draw(st.sampled_from(["pure-power", "multi-support", "none"]))
+    multi = shape == "multi-support"
+    s = draw(st.integers(2 if multi else 1, 6))
+    degrees = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    if shape == "none":
+        return parse_ring_spec(f"polyring:s={s},p=5"), None, degrees
+    d = draw(st.integers(2 if multi else 1, 4))
+    monos = ref_monomials(s, d)
+    lead = draw(st.sampled_from([u for u in monos if (sum(e > 0 for e in u) > 1) == multi]))
+    tail = draw(st.lists(st.sampled_from(monos), max_size=4, unique=True))
+    terms = {u: draw(st.integers(1, 4)) for u in tail if grevlex_key(u) < grevlex_key(lead)}
+    terms[lead] = draw(st.integers(1, 4))
+    field = PrimeField(5)
+    return HypersurfaceRing(field, s, Polynomial(field, s, terms)), lead, degrees
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_with_leading_term())
+@example((parse_ring_spec("polyring:s=3,p=5"), None, list(range(6))))
+def test_monomial_enumeration_matches_reference(case):
+    ring, lead, degrees = case
+    if lead is not None:
+        assert ring.relation.leading_monomial() == lead
+    for m in degrees:
+        want = [
+            u
+            for u in ref_monomials(ring.s, m)
+            if lead is None or not all(a >= b for a, b in zip(u, lead))
+        ]
+        assert basis(ring, m) == tuple(sorted(want, key=grevlex_key, reverse=True))
 
 
 # ------------------------------------------- matrix build against a reference
@@ -246,10 +281,10 @@ def test_monomial_enumeration_matches_reference():
 
 def ref_map_matrix(ring, gens, m):
     """graded_map_matrix built column by column from ring.normal_form."""
-    rows = {mono: i for i, mono in enumerate(ring.monomial_basis(m))}
+    rows = {mono: i for i, mono in enumerate(basis(ring, m))}
     cols = []
     for g in gens:
-        for u in ring.monomial_basis(m - g.degree):
+        for u in basis(ring, m - g.degree):
             col = [0] * len(rows)
             shift = Polynomial.monomial(ring.field, ring.s, u)
             for mono, c in ring.normal_form(g * shift).terms.items():
