@@ -1,20 +1,30 @@
 """Diagonal-hypersurface toolkit: truncated power-of-sum dimensions over
 prime fields, their characteristic-zero stabilization, the sign-vector
-g-sums, limit values, and the sandwich bounds tying them to actual
-Frobenius colengths.
+g-sums, limit values, the sandwich bounds tying them to actual Frobenius
+colengths, and those colengths themselves by block decomposition.
+
+Han-Monsky block identity: for R = F_p[x_1..x_s]/(sum c_i x_i^d), every
+c_i nonzero, R/m^[q] is A/(f) with A the tensor product of the
+F_p[x_i]/(x_i^q).  Over F_p[T_i] with T_i = x_i^d, each F_p[x_i]/(x_i^q)
+splits into the blocks x_i^{r_i} F_p[T_i]/(T_i^{k_i}), r_i in [0, d) and
+k_i = ceil((q - r_i)/d), and f acts on the block of a residue tuple r as
+sum c_i T_i.  So the degree-m piece of R/m^[q] is the sum, over r, of the
+degree-j pieces of F_p[T]/(T_i^{k_i}, sum T_i) with |r| + d*j = m: the
+graded d_f.  A residue r_i >= q has no block (k_i <= 0), so its tuples
+contribute nothing; that happens only when q < d.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hklab.colength import IdealSpec
+from hklab.colength import ColengthRecord, IdealSpec, SizeGuardError
 from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, is_prime, rank_mod_p
 from hklab.graded import HypersurfaceRing, Polynomial
 from hklab.limits import normalized_colength
@@ -25,6 +35,8 @@ __all__ = [
     "DiagonalLimits",
     "SandwichReport",
     "d_f",
+    "han_monsky_applies",
+    "han_monsky_colength",
     "d_char0",
     "g_lambda",
     "g_value",
@@ -92,15 +104,6 @@ class SandwichReport:
     gap_p: Fraction
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _multinomial(n: int, parts: Sequence[int]) -> int:
     out = math.factorial(n)
     for a in parts:
@@ -108,30 +111,51 @@ def _multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-def _power_matrix(field: PrimeField, caps: Sequence[int], power: int) -> PrimeFieldMatrix:
-    """Multiplication by (x_1+..+x_k)^power on F[x_i]/(x_i^{caps_i}),
-    monomial basis flattened row-major."""
-    p = field.p
-    strides = []
-    acc = 1
-    for c in reversed(caps):
-        strides.append(acc)
-        acc *= c
-    strides.reverse()
-    total = acc
-    mat = np.zeros((total, total), dtype=field.dtype)
-    for comp in _compositions(power, len(caps)):
-        coeff = _multinomial(power, comp) % p
-        if coeff == 0:
-            continue
-        spans = [c - a for c, a in zip(caps, comp)]
-        if any(v <= 0 for v in spans):
-            continue
-        axes = [np.arange(v) * st for v, st in zip(spans, strides)]
-        src = reduce(np.add.outer, axes).ravel() if len(axes) > 1 else axes[0]
-        offset = sum(a * st for a, st in zip(comp, strides))
-        mat[src + offset, src] = coeff
-    return PrimeFieldMatrix(field, mat)
+def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) -> List[int]:
+    """Hilbert function of F_p[T_1..T_s]/(T_1^{k_1}, .., T_s^{k_s}, T_1+..+T_s)
+    in degrees 0..top (default: every degree where it can be nonzero).
+
+    The quotient is symmetric in the k_i, so the largest is taken as k_s.
+    Eliminating T_s leaves B = F_p[T_1..T_{s-1}]/(T_i^{k_i}) modulo
+    (T_1+..+T_{s-1})^{k_s}; B is graded and the power maps B_{j-k_s} into
+    B_j, so degree j contributes dim B_j minus the rank of one small block.
+    """
+    field = PrimeField(p)
+    *caps, power = sorted(ks)
+    caps = np.array(caps, dtype=np.int64)
+    strides = np.cumprod(np.append(1, caps[:0:-1]))[::-1]  # row-major
+    box_top = int((caps - 1).sum())
+    top = box_top if top is None else min(top, box_top)
+    # B_j as the sorted mixed-radix indices of its monomials
+    pieces = [np.zeros(1, dtype=np.int64)]
+    for _ in range(top):
+        prev = pieces[-1]
+        grows = prev[:, None] // strides % caps + 1 < caps
+        pieces.append(np.unique((prev[:, None] + strides)[grows]))
+    if power <= top:
+        # exponent vectors c of the power's terms, |c| = power, and their
+        # multinomial coefficients
+        terms = pieces[power]
+        term_exps = terms[:, None] // strides % caps
+        coeffs = np.array(
+            [_multinomial(power, c) % p for c in term_exps.tolist()], dtype=np.int64
+        )
+    dims = []
+    for j, rows in enumerate(pieces):
+        rank = 0
+        if j >= power:
+            cols = pieces[j - power]
+            col_exps = cols[:, None] // strides % caps
+            fits = np.ones((cols.size, terms.size), dtype=bool)
+            for i, cap in enumerate(caps.tolist()):
+                fits &= col_exps[:, i, None] + term_exps[None, :, i] < cap
+            col_pos, term_pos = np.nonzero(fits)
+            row_pos = np.searchsorted(rows, cols[col_pos] + terms[term_pos])
+            block = np.zeros((rows.size, cols.size), dtype=field.dtype)
+            block[row_pos, col_pos] = coeffs[term_pos]
+            rank = rank_mod_p(PrimeFieldMatrix(field, block))
+        dims.append(rows.size - rank)
+    return dims
 
 
 def d_f(p: int, *ks: int) -> int:
@@ -139,17 +163,76 @@ def d_f(p: int, *ks: int) -> int:
     multiplication by (x_1+..+x_{s-1})^{k_s}.
 
     Symmetric in all s arguments, power slot included: it is the colength
-    of (x_1^{k_1}, .., x_s^{k_s}) in F_p[x_1..x_s]/(x_1+..+x_s).
+    of (x_1^{k_1}, .., x_s^{k_s}) in F_p[x_1..x_s]/(x_1+..+x_s).  Computed
+    degree by degree, one block per degree (``_truncation_hilbert``).
     """
     if len(ks) < 2:
         raise ValueError("need at least two exponents")
     if any(k < 1 for k in ks):
         raise ValueError("exponents must be positive")
-    field = PrimeField(p)
-    caps, power = ks[:-1], ks[-1]
-    dim_a = math.prod(caps)
-    rank = rank_mod_p(_power_matrix(field, caps, power))
-    return dim_a - rank
+    return sum(_truncation_hilbert(p, ks))
+
+
+def han_monsky_applies(ring: HypersurfaceRing, ideal: IdealSpec) -> bool:
+    """Whether ``han_monsky_colength`` serves this ring and ideal: the
+    relation is sum c_i x_i^d with all s >= 2 variables present (every c_i
+    nonzero), and the ideal is generated by one single-term c*x_i per
+    variable (so it is the maximal ideal)."""
+    f, s = ring.relation, ring.s
+    if f is None or s < 2 or any(len(g.terms) != 1 for g in ideal.generators):
+        return False
+    powers = sorted(tuple(ring.d * (j == i) for j in range(s)) for i in range(s))
+    units = sorted(tuple(int(j == i) for j in range(s)) for i in range(s))
+    monos = sorted(mono for g in ideal.generators for mono in g.terms)
+    return sorted(f.terms) == powers and monos == units
+
+
+def han_monsky_colength(
+    ring: HypersurfaceRing, ideal: IdealSpec, n: int, max_dim: Optional[int] = None
+) -> ColengthRecord:
+    """The record ``colength(ring, frobenius_power(ring, ideal, p**n))``
+    gives, by the block identity of the module docstring; the ring and
+    ideal must pass ``han_monsky_applies``.
+
+    Residue tuples with some k_i <= 0 are skipped, and the graded d_f is
+    computed once per sorted k-tuple (at most s+1 of them).  Raises the
+    generic engine's SizeGuardError (same m, rows, cols) when ``max_dim``
+    is set: its shapes come from ``hilbert_dim``, and only the degrees below
+    the one that trips are computed, to see whether a zero piece ends the
+    run first.
+    """
+    if not han_monsky_applies(ring, ideal):
+        raise ValueError("needs sum c_i x_i^d in every variable and the maximal ideal")
+    p, s, d = ring.field.p, ring.s, ring.d
+    q = p**n
+    last = s * (q - 1)  # top degree of A
+    trip = None
+    if max_dim is not None:
+        for m in range(last + 2):
+            rows, cols = ring.hilbert_dim(m), s * ring.hilbert_dim(m - q)
+            if max(rows, cols) > max_dim:
+                trip = SizeGuardError(m, rows, cols, max_dim)
+                last = m - 1
+                break
+    dims = [0] * (last + 1)
+    memo = {}
+    for r in itertools.product(range(d), repeat=s):
+        ks = tuple(sorted(-((r_i - q) // d) for r_i in r))
+        if ks[0] <= 0:
+            continue
+        if ks not in memo:
+            memo[ks] = _truncation_hilbert(p, ks, last // d)
+        for m, dim in zip(range(sum(r), last + 1, d), memo[ks]):
+            dims[m] += dim
+    if 0 not in dims:
+        if trip is not None:
+            raise trip
+        dims.append(0)
+    dims = tuple(dims[: dims.index(0) + 1])
+    total = sum(dims)
+    return ColengthRecord(
+        p=p, n=n, q=q, dims=dims, total=total, normalized=Fraction(total, q**ring.krull_dim)
+    )
 
 
 def d_char0(*ks: int, max_samples: int = 16) -> int:

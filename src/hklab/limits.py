@@ -12,10 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from hklab.colength import IdealSpec
+from hklab.colength import IdealSpec, colength, frobenius_power
 from hklab.curves import CurveGeometry, HNProfile
 from hklab.graded import HypersurfaceRing
-from hklab.store import cached_colength
 
 __all__ = [
     "ConvergenceRow",
@@ -45,8 +44,14 @@ def hk_from_profile(
 
 
 def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fraction:
-    """ℓ(R/I^[pⁿ]) / pⁿ·ᵈⁱᵐ as an exact rational, p the ring's characteristic."""
-    return cached_colength(None, ring, ideal, n).normalized
+    """ℓ(R/I^[pⁿ]) / pⁿ·ᵈⁱᵐ as an exact rational, p the ring's characteristic.
+
+    Always the generic engine, never the diagonal block decomposition, so
+    ``diagonal.sandwich_check`` compares its d_f bounds with an independent
+    value.
+    """
+    q = ring.field.p**n
+    return colength(ring, frobenius_power(ring, ideal, q), q=q, n=n).normalized
 
 
 _FAMILY_ALIASES = {

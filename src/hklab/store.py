@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from hklab.colength import ColengthRecord, IdealSpec, colength, frobenius_power
+from hklab.diagonal import han_monsky_applies, han_monsky_colength
 from hklab.graded import HypersurfaceRing
 
 __all__ = ["ResultStore", "cached_colength"]
@@ -105,6 +106,14 @@ def cached_colength(
     """Colength of the n-th Frobenius power of ``ideal``, p being the ring's
     characteristic.
 
+    The maximal ideal of F_p[x]/(sum c_i x_i^d), every variable present, goes
+    to ``diagonal.han_monsky_colength``: the degree-m piece is the sum, over
+    residue tuples r in [0, d)^s, of the degree-j pieces of
+    F_p[T]/(T_i^{k_i}, sum T_i), k_i = ceil((q - r_i)/d) and |r| + d*j = m,
+    tuples with some k_i <= 0 contributing nothing.  Every other ring and
+    ideal goes to ``colength(frobenius_power(...))``.  Both give the same
+    record and raise the same SizeGuardError.
+
     Served from the store when it holds an entry under the same key that is
     consistent with the request; any other entry is discarded with a
     warning, recomputed and overwritten.
@@ -123,7 +132,10 @@ def cached_colength(
             if problem is None:
                 return hit
             log.warning("discarding inconsistent cache entry %s: %s", key, problem)
-    record = colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=max_dim)
+    if han_monsky_applies(ring, ideal):
+        record = han_monsky_colength(ring, ideal, n, max_dim)
+    else:
+        record = colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=max_dim)
     if store is not None:
         store.put(key, record)
     return record

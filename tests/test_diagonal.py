@@ -3,9 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hklab.colength import (
+    IdealSpec,
+    SizeGuardError,
+    colength,
+    frobenius_power,
+    parse_ideal_spec,
+)
 from hklab.diagonal import (
     DiagonalLimits,
     DiagonalSpec,
@@ -15,8 +22,13 @@ from hklab.diagonal import (
     diagonal_ring,
     g_lambda,
     g_value,
+    han_monsky_applies,
+    han_monsky_colength,
     sandwich_check,
 )
+from hklab.fp_linalg import PrimeField
+from hklab.graded import HypersurfaceRing, Polynomial, parse_ring_spec
+from hklab.store import cached_colength
 
 from oracles import ref_truncation_dim
 
@@ -252,3 +264,103 @@ def test_diagonal_ring_shape():
     ring = diagonal_ring(DiagonalSpec((4, 4, 4)), 7)
     assert ring.krull_dim == 2
     assert str(ring.relation) == "x^4+y^4+z^4"
+
+
+# ------------------------------------------------------- Han-Monsky path
+
+# Largest q^(s-1)*d drawn, which keeps the generic engine fast.
+HM_SIZE = 1500
+
+
+def _unit(s, i, e=1):
+    return tuple(e if j == i else 0 for j in range(s))
+
+
+def _outcome(compute):
+    """The record, or the error with the fields both paths must agree on."""
+    try:
+        return compute()
+    except SizeGuardError as exc:
+        return ("size guard", exc.m, exc.rows, exc.cols, exc.cap)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """A relation sum c_i x_i^d with random nonzero c_i, the maximal ideal
+    as scaled variables in random order, a Frobenius exponent and a cap."""
+    s = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    p, n = draw(
+        st.sampled_from(
+            [(p, n) for p in (2, 3, 5, 7) for n in (1, 2) if p ** (n * (s - 1)) * d <= HM_SIZE]
+        )
+    )
+    field = PrimeField(p)
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=2 * s, max_size=2 * s))
+    relation = Polynomial(field, s, {_unit(s, i, d): coeffs[i] for i in range(s)})
+    order = draw(st.permutations(range(s)))
+    ideal = IdealSpec.from_polynomials(
+        [Polynomial.monomial(field, s, _unit(s, i), coeffs[s + i]) for i in order]
+    )
+    ring = HypersurfaceRing(field, s, relation)
+    widest = max(ring.hilbert_dim(m) for m in range(s * p**n + 2))
+    cap = draw(st.integers(0, widest + 1))
+    return ring, ideal, n, cap
+
+
+def _fermat_case(s, d, p, n, cap):
+    ring = diagonal_ring(DiagonalSpec((d,) * s), p)
+    return ring, IdealSpec.maximal_ideal(ring), n, cap
+
+
+def _generic(ring, ideal, n, cap=None):
+    q = ring.field.p**n
+    return colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(diagonal_cases())
+# q < d: blocks with k_i <= 0 drop out
+@example(_fermat_case(3, 4, 3, 1, 10))
+@example(_fermat_case(2, 3, 2, 1, 3))
+@example(_fermat_case(4, 4, 2, 2, 30))
+def test_han_monsky_matches_generic_engine(case):
+    ring, ideal, n, cap = case
+    assert han_monsky_applies(ring, ideal)
+    assert han_monsky_colength(ring, ideal, n) == _generic(ring, ideal, n)
+    assert _outcome(lambda: han_monsky_colength(ring, ideal, n, cap)) == _outcome(
+        lambda: _generic(ring, ideal, n, cap)
+    )
+
+
+def test_han_monsky_dispatch_shapes():
+    chang = parse_ring_spec("fermat:s=4,d=4,p=7")
+    cases = [
+        (chang, "maximal", True),
+        (chang, "w,3*z,y,x", True),
+        (chang, "x,y,z,w^2", False),
+        (chang, "x,y,z,w,w", False),
+        (chang, "x,y,z,w+x", False),
+        # multi-term generators whose terms still read as the s unit vectors
+        (chang, "x+y,z,w", False),
+        (chang, "x+y,z+w", False),
+        (parse_ring_spec("hypersurface:s=4,p=7,f=x^4+y^4+z^4+w^4+x*y*z*w"), "maximal", False),
+        (parse_ring_spec("hypersurface:s=4,p=7,f=x^4+y^4+z^4"), "maximal", False),
+        (parse_ring_spec("hypersurface:s=2,p=7,f=x^2+3*y^2"), "maximal", True),
+        (parse_ring_spec("hypersurface:s=2,p=7,f=x^2+3*y^2"), "x+y", False),
+        (parse_ring_spec("fermat:s=1,d=3,p=7"), "maximal", False),
+        (parse_ring_spec("polyring:s=3,p=7"), "maximal", False),
+    ]
+    for ring, text, applies in cases:
+        ideal = parse_ideal_spec(ring, text)
+        assert han_monsky_applies(ring, ideal) == applies, (ring, text)
+        if not applies:
+            with pytest.raises(ValueError):
+                han_monsky_colength(ring, ideal, 1)
+        # both paths of cached_colength end as the generic engine does
+        # (F_7[x]/(x^3) fails: x^7 lies in the relation ideal)
+        assert _outcome(lambda: cached_colength(None, ring, ideal, 1)) == _outcome(
+            lambda: _generic(ring, ideal, 1)
+        ), (ring, text)
