@@ -18,7 +18,6 @@ from hklab.colength import (
     SizeGuardError,
     colength,
     frobenius_power,
-    graded_rank,
     parse_ideal_spec,
 )
 from hklab.curves import (
@@ -73,7 +72,6 @@ __all__ = [
     "SizeGuardError",
     "colength",
     "frobenius_power",
-    "graded_rank",
     "parse_ideal_spec",
     "AmbiguousPlateauError",
     "CohomologyProfile",

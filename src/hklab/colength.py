@@ -1,10 +1,10 @@
-"""Frobenius powers, the graded-rank kernel and total colengths.
+"""Frobenius powers and total colengths.
 
-Everything is one rank computation per degree, ``graded_rank``: the degree-m
-piece of R/J is the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m,
-and the degree-m syzygies of the generators (``curves.cohomology_profile``)
-are its kernel.  Standard grading makes vanishing hereditary, so the
-colength loop stops at the first zero piece.
+Everything is one rank computation per degree: the degree-m piece of R/J is
+the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m, so its kernel,
+the degree-m syzygies of the generators (``curves.cohomology_profile``), has
+dimension Σ_i dim R_{m-e_i} - dim R_m + dim (R/J)_m.  Standard grading makes
+vanishing hereditary, so the colength loop stops at the first zero piece.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "NotPrimaryError",
     "SizeGuardError",
     "frobenius_power",
-    "graded_rank",
     "colength",
     "parse_ideal_spec",
 ]
@@ -148,22 +147,6 @@ def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, q: int) -> IdealSp
     return IdealSpec(tuple(gens), tuple(e * q for e in ideal.degrees))
 
 
-def graded_rank(
-    ring: HypersurfaceRing, gens: Sequence, m: int, max_dim: Optional[int] = None
-) -> int:
-    """Rank over F_p of the degree-m multiplication map ⊕_i R_{m-e_i} -> R_m.
-
-    Raises SizeGuardError instead of building a matrix with more than
-    ``max_dim`` rows or columns.
-    """
-    if max_dim is not None:
-        rows = ring.hilbert_dim(m)
-        cols = sum(ring.hilbert_dim(m - g.degree) for g in gens)
-        if max(rows, cols) > max_dim:
-            raise SizeGuardError(m, rows, cols, max_dim)
-    return rank_mod_p(graded_map_matrix(ring, gens, m))
-
-
 def colength(
     ring: HypersurfaceRing,
     ideal: IdealSpec,
@@ -176,21 +159,29 @@ def colength(
     Stops at the first zero piece (with standard grading all later pieces
     vanish too); if none occurs up to sum(deg g_i) + d + 1, the ideal is not
     primary to the irrelevant maximal ideal.  ``q`` is only a normalization
-    scale here: ``normalized = total / q^krull_dim``.
+    scale here: ``normalized = total / q^krull_dim``.  Each degree's rank is
+    that of ``graded_map_matrix``; SizeGuardError is raised instead of
+    building one with more than ``max_dim`` rows or columns.
     """
     d = ring.d or 0
     cap = sum(ideal.degrees) + d + 1
     # Generators in (f) add only zero columns.  The others go in unreduced:
     # graded_map_matrix reduces each product, which gives the same matrix.
+    # With none left, R/J = R, which has finite length only in Krull
+    # dimension 0; there the map has no columns and rank 0.
     gens = [g for g in ideal.generators if not ring.normal_form(g).is_zero]
-    if not gens:
+    if not gens and ring.krull_dim > 0:
         raise NotPrimaryError(
             "not primary: every generator lies in the relation ideal"
         )
     dims = []
     total = 0
     for m in range(cap + 1):
-        dim = ring.hilbert_dim(m) - graded_rank(ring, gens, m, max_dim)
+        rows = ring.hilbert_dim(m)
+        cols = sum(ring.hilbert_dim(m - g.degree) for g in gens)
+        if max_dim is not None and max(rows, cols) > max_dim:
+            raise SizeGuardError(m, rows, cols, max_dim)
+        dim = rows - rank_mod_p(graded_map_matrix(ring, gens, m))
         dims.append(dim)
         if dim == 0:
             normalized = Fraction(total, q ** ring.krull_dim)

@@ -2,8 +2,8 @@
 plane curves, and slope-profile extraction from the section counts.
 
 For Y ⊂ P² smooth of degree d and S = Syz(f_1..f_s), the section counts
-h⁰(S^q(m)) come from the colength engine, χ from Riemann-Roch, and
-h¹ = h⁰ - χ.  Between consecutive breakpoints of the slope filtration the
+h⁰(S^q(m)) come from one colength record of R/I^[q], χ from Riemann-Roch,
+and h¹ = h⁰ - χ.  Between consecutive breakpoints of the slope filtration the
 difference sequence Δh⁰ sits on a plateau at degY·R with R the cumulative
 rank, and on each plateau h⁰ lies on an exact line whose rational intercept
 recovers the cumulative degree D_k = Σ_{i≤k} r_i ν_i; that is the whole
@@ -20,11 +20,12 @@ from typing import Optional, Sequence
 from hklab.colength import (
     IdealSpec,
     NotPrimaryError,
+    _power_of_p,
     colength,
     frobenius_power,
-    graded_rank,
 )
 from hklab.graded import HypersurfaceRing
+from hklab.store import cached_colength
 
 __all__ = [
     "CurveGeometry",
@@ -190,25 +191,33 @@ def cohomology_profile(
     m_max: Optional[int] = None,
     max_dim: Optional[int] = None,
 ) -> CohomologyProfile:
-    """h⁰, χ and h¹ = h⁰ - χ of S^q(m) for m = 0..m_max."""
+    """h⁰, χ and h¹ = h⁰ - χ of S^q(m) for m = 0..m_max.
+
+    h⁰(S^q(m)) is the kernel of ⊕_i R_{m-q·e_i} -> R_m, whose cokernel is
+    (R/I^[q])_m, so h⁰ = Σ_i dim R_{m-q·e_i} - dim R_m + dim (R/I^[q])_m.
+    One ``cached_colength`` record gives every twist: its pieces past the
+    record are zero.  ``max_dim`` guards only the colength's matrices.
+    """
     geom = curve_geometry(ring)
     if m_max is None:
         m_max = default_m_max(q, ideal.degrees)
     frob = frobenius_power(ring, ideal, q)
     if any(ring.normal_form(g).is_zero for g in frob.generators):
         raise ValueError("a generator power vanishes on the curve")
-    h0 = []
-    chi = []
-    for m in range(m_max + 1):
-        domain = sum(ring.hilbert_dim(m - e) for e in frob.degrees)
-        h0.append(domain - graded_rank(ring, frob.generators, m, max_dim))
-        chi.append(syzygy_euler_char(geom, ideal.degrees, q, m))
+    twists = range(m_max + 1)
+    chi = tuple(syzygy_euler_char(geom, ideal.degrees, q, m) for m in twists)
+    n = _power_of_p(q, ring.field.p)
+    dims = cached_colength(None, ring, ideal, n, max_dim).dims
+    h0 = tuple(
+        sum(ring.hilbert_dim(m - e) for e in frob.degrees)
+        - ring.hilbert_dim(m)
+        + (dims[m] if m < len(dims) else 0)
+        for m in twists
+    )
     h1 = tuple(a - b for a, b in zip(h0, chi))
     if any(v < 0 for v in h1):
         raise RuntimeError("h1 negative: rank computation is inconsistent")
-    return CohomologyProfile(
-        q=q, m_max=m_max, h0=tuple(h0), chi=tuple(chi), h1=h1, geom=geom
-    )
+    return CohomologyProfile(q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom)
 
 
 def _constant_runs(values, start_index):

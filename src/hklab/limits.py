@@ -8,13 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from hklab.colength import IdealSpec, colength, frobenius_power
-from hklab.curves import CurveGeometry, HNProfile
 from hklab.graded import HypersurfaceRing
+
+if TYPE_CHECKING:  # curves imports store, which imports diagonal and so limits
+    from hklab.curves import CurveGeometry, HNProfile
 
 __all__ = [
     "ConvergenceRow",

@@ -361,6 +361,29 @@ def test_size_guard_exits_3(tmp_path):
         assert rc == 3, command
 
 
+def test_profile_cap_guards_only_the_colength_matrices(tmp_path):
+    # the largest twists of q=37 (degree 80: 318x510) lie above the top of
+    # R/m^[37] and need no matrix, so a cap of 500 no longer trips
+    args = ["profile", "--family", "fermat-quartic", "--primes", "37"]
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    assert main(args + ["--cap", "500", "--out", str(tmp_path / "capped")]) == 0
+    for name in ("profile.json", "profile.csv"):
+        want = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "capped" / name).read_bytes() == want
+
+
+def test_colength_of_artinian_ring_with_every_generator_in_the_relation(
+    tmp_path, capsys
+):
+    # x^7 lies in (x^3), so R/m^[7] = R = F_7[x]/(x^3), of length 3
+    out = ["--out", str(tmp_path)]
+    assert main(["colength", "--ring", "fermat:s=1,d=3,p=7"] + out) == 0
+    assert "total=3" in capsys.readouterr().out
+    # x^2 is not in (x^3): R/m^[2] = F_2[x]/(x^2)
+    assert main(["colength", "--ring", "fermat:s=1,d=3,p=2"] + out) == 0
+    assert "total=2" in capsys.readouterr().out
+
+
 def test_math_errors_exit_1(tmp_path):
     out = ["--out", str(tmp_path)]
     # principal ideal: not primary

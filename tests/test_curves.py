@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hklab.colength import IdealSpec
+from hklab.colength import IdealSpec, frobenius_power, parse_ideal_spec
 from hklab.curves import (
     AmbiguousPlateauError,
     CohomologyProfile,
@@ -16,8 +16,13 @@ from hklab.curves import (
     syzygy_euler_char,
     vanishing_report,
 )
-from hklab.graded import HypersurfaceRing, parse_polynomial, parse_ring_spec
-from hklab.fp_linalg import PrimeField
+from hklab.graded import (
+    HypersurfaceRing,
+    graded_map_matrix,
+    parse_polynomial,
+    parse_ring_spec,
+)
+from hklab.fp_linalg import PrimeField, rank_mod_p
 
 
 def fermat(p, d=4, s=3):
@@ -101,6 +106,45 @@ def test_profile_q9_interlocking_counts():
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 9)
     assert prof.h0[11:19] == (0, 1, 3, 6, 11, 17, 24, 32)
     assert prof.h1[17:] == (0,) * (prof.m_max - 16)
+
+
+def per_twist_h0(ring, ideal, q, m_max):
+    """h0 twist by twist: the domain dimension Σ_i dim R_{m-q·e_i} minus the
+    rank of the degree-m multiplication map, one matrix per twist."""
+    frob = frobenius_power(ring, ideal, q)
+    return tuple(
+        sum(ring.hilbert_dim(m - e) for e in frob.degrees)
+        - rank_mod_p(graded_map_matrix(ring, frob.generators, m))
+        for m in range(m_max + 1)
+    )
+
+
+KLEIN = "hypersurface:s=3,p={p},f=x^3*y+y^3*z+z^3*x"
+QUARTIC_XYZ2 = "hypersurface:s=3,p={p},f=x^4+y^4+z^4+x*y*z^2"
+
+
+@pytest.mark.parametrize(
+    "spec,ideal,q",
+    [
+        ("fermat:s=3,d=4,p=3", "maximal", 3),
+        ("fermat:s=3,d=4,p=3", "maximal", 9),
+        ("fermat:s=3,d=4,p=5", "maximal", 5),
+        ("fermat:s=3,d=4,p=5", "maximal", 25),
+        ("fermat:s=3,d=5,p=7", "maximal", 7),
+        (KLEIN.format(p=5), "maximal", 5),
+        (KLEIN.format(p=11), "maximal", 11),
+        (QUARTIC_XYZ2.format(p=11), "maximal", 11),
+        (QUARTIC_XYZ2.format(p=13), "maximal", 13),
+        ("fermat:s=3,d=4,p=7", "x^2,y^2,z^2,x*y", 7),
+    ],
+)
+def test_profile_h0_matches_per_twist_ranks(spec, ideal, q):
+    # the profile reads h0 off one colength record; the reference ranks
+    # every twist's matrix, past the top of R/I^[q] too
+    ring = parse_ring_spec(spec)
+    I = parse_ideal_spec(ring, ideal)
+    prof = cohomology_profile(ring, I, q)
+    assert prof.h0 == per_twist_h0(ring, I, q, prof.m_max)
 
 
 # -------------------------------------------------------------- HN estimation
