@@ -35,7 +35,6 @@ from hklab.curves import (
     vanishing_report,
 )
 from hklab.limits import (
-    ConvergenceRow,
     convergence_fit,
     hk_from_profile,
     normalized_colength,
@@ -85,7 +84,6 @@ __all__ = [
     "syzygy_data",
     "syzygy_euler_char",
     "vanishing_report",
-    "ConvergenceRow",
     "convergence_fit",
     "hk_from_profile",
     "normalized_colength",

@@ -35,13 +35,7 @@ from hklab.diagonal import (
 )
 from hklab.fp_linalg import is_prime
 from hklab.graded import HypersurfaceRing, SpecParseError, parse_ring_spec
-from hklab.limits import (
-    ConvergenceRow,
-    convergence_fit,
-    hk_from_profile,
-    rational_str,
-    reference_value,
-)
+from hklab.limits import convergence_fit, hk_from_profile, reference_value
 from hklab.store import ResultStore, cached_colength
 
 # One row per flag: dest, value type, default, help.  Flags register with
@@ -254,6 +248,10 @@ def write_csv(path: Path, rows: Sequence[dict]) -> None:
         writer.writerows(rows)
 
 
+def rational_str(value: Fraction) -> str:
+    return "{}/{}".format(*value.as_integer_ratio())
+
+
 def _family_label(args: argparse.Namespace) -> str:
     return args.family if args.family else "custom"
 
@@ -308,7 +306,7 @@ def _curve_profile(args, p: int, n: int):
     prof = cohomology_profile(
         ring, ideal, p**n, m_max=args.m_max, max_dim=args.cap
     )
-    return ideal, prof.geom, prof
+    return ideal, prof
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -317,7 +315,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     label = _family_label(args)
     rows = []
     payload = []
-    for (p, n), (_, geom, prof) in results:
+    for (p, n), (_, prof) in results:
         for m in range(prof.m_max + 1):
             rows.append(
                 {
@@ -338,9 +336,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
                 "q": prof.q,
                 "m_max": prof.m_max,
                 "geometry": {
-                    "deg_y": geom.deg_y,
-                    "genus": geom.genus,
-                    "theta": geom.theta,
+                    "deg_y": prof.geom.deg_y,
+                    "genus": prof.geom.genus,
+                    "theta": prof.geom.theta,
                 },
                 "h0": list(prof.h0),
                 "chi": list(prof.chi),
@@ -349,7 +347,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     write_csv(args.out / "profile.csv", rows)
     write_json(args.out / "profile.json", {"family": label, "profiles": payload})
-    for (p, n), (_, _, prof) in results:
+    for (p, n), (_, prof) in results:
         print(f"p={p} n={n} q={prof.q} m_max={prof.m_max}")
     return 0
 
@@ -358,11 +356,9 @@ def cmd_hn(args: argparse.Namespace) -> int:
     pairs = grid_pairs(args)
 
     def worker(pn):
-        p, n = pn
-        ideal, geom, prof = _curve_profile(args, p, n)
-        hn = estimate_hn_profile(prof, geom, len(ideal.degrees), sum(ideal.degrees))
-        report = vanishing_report(prof, hn, geom, p**n)
-        return pn, hn, report
+        ideal, prof = _curve_profile(args, *pn)
+        hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
+        return pn, hn, vanishing_report(prof, hn)
 
     results = run_grid(pairs, worker, args.jobs)
     label = _family_label(args)
@@ -386,7 +382,13 @@ def cmd_hn(args: argparse.Namespace) -> int:
                 "p": p,
                 "n": n,
                 "q": p**n,
-                "hn": hn.to_json_dict(),
+                "hn": {
+                    "nu": [rational_str(nu) for nu, _ in hn.pairs],
+                    "r": [r for _, r in hn.pairs],
+                    "residual": hn.residual,
+                    "uncertainty": hn.uncertainty,
+                    "first_nonzero": hn.first_nonzero,
+                },
                 "vanishing": {
                     "below_violations": list(report.below_violations),
                     "above_violations": list(report.above_violations),
@@ -417,11 +419,9 @@ def cmd_limits(args: argparse.Namespace) -> int:
         if args.family == "fermat-quartic":
             estimates = []
             for n in ns:
-                ideal, geom, prof = _curve_profile(args, p, n)
-                hn = estimate_hn_profile(
-                    prof, geom, len(ideal.degrees), sum(ideal.degrees)
-                )
-                value = hk_from_profile(geom, hn, ideal.degrees)
+                ideal, prof = _curve_profile(args, p, n)
+                hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
+                value = hk_from_profile(prof.geom, hn, ideal.degrees)
                 estimates.append(
                     {"n": n, "hk_from_profile": rational_str(value)}
                 )
@@ -486,29 +486,32 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         ring = resolve_ring(args, p)
         ideal = parse_ideal_spec(ring, args.ideal)
         record = cached_colength(store, ring, ideal, n, max_dim=args.cap)
-        return ConvergenceRow.build(
-            p, n, record.normalized, reference_value(args.family, p)
-        )
+        return record, reference_value(args.family, p)
 
-    rows = run_grid(pairs, worker, args.jobs)
-    fit = convergence_fit(rows)
-    write_csv(
-        args.out / "convergence.csv",
-        [
+    results = run_grid(pairs, worker, args.jobs)
+    fit = convergence_fit([rec for rec, _ in results])
+    rows = []
+    for rec, reference in results:
+        residual = rec.normalized - reference
+        rows.append(
             {
-                **row.to_csv_dict(),
-                "normalized_float": float(row.normalized),
-                "residual_float": float(row.residual),
+                "p": rec.p,
+                "n": rec.n,
+                "q": rec.q,
+                "normalized": rational_str(rec.normalized),
+                "reference": rational_str(reference),
+                "residual": rational_str(residual),
+                "residual_p": rational_str(residual * rec.p),
+                "normalized_float": float(rec.normalized),
+                "residual_float": float(residual),
             }
-            for row in rows
-        ],
-    )
+        )
+    write_csv(args.out / "convergence.csv", rows)
     write_json(args.out / "convergence_fit.json", fit)
     for row in rows:
         print(
-            f"p={row.p} n={row.n} normalized={rational_str(row.normalized)} "
-            f"reference={rational_str(row.reference)} "
-            f"residual_p={rational_str(row.residual_p)}"
+            f"p={row['p']} n={row['n']} normalized={row['normalized']} "
+            f"reference={row['reference']} residual_p={row['residual_p']}"
         )
     print(f"e_hat={fit['e_hat']:.6f}")
     return 0
@@ -527,7 +530,13 @@ def cmd_gm(args: argparse.Namespace) -> int:
         "exponents": list(spec.exponents),
         "e_hk_infinity": rational_str(limits.e_hk_infinity),
         "e_naive": rational_str(limits.e_naive),
-        "g": gv.to_json_dict(),
+        "g": {
+            "prefactor": rational_str(gv.prefactor),
+            "lambda_terms": {
+                str(lam): rational_str(v) for lam, v in gv.lambda_terms.items()
+            },
+            "total": rational_str(gv.total),
+        },
     }
     write_json(args.out / "gm.json", payload)
     print(

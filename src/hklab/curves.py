@@ -81,9 +81,10 @@ class SyzygyData:
 
 @dataclass(frozen=True)
 class CohomologyProfile:
-    """Per-twist section counts of S^q(m) for m = 0..m_max, and the curve
-    geometry they were computed with."""
+    """Per-twist section counts of S^q(m) for m = 0..m_max, q a power of
+    the characteristic p, and the curve geometry they were computed with."""
 
+    p: int
     q: int
     m_max: int
     h0: tuple
@@ -105,19 +106,6 @@ class HNProfile:
     @property
     def nu(self) -> tuple:
         return tuple(nu for nu, _ in self.pairs)
-
-    @property
-    def r(self) -> tuple:
-        return tuple(r for _, r in self.pairs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nu": [f"{v.numerator}/{v.denominator}" for v in self.nu],
-            "r": list(self.r),
-            "residual": self.residual,
-            "uncertainty": self.uncertainty,
-            "first_nonzero": self.first_nonzero,
-        }
 
 
 @dataclass(frozen=True)
@@ -217,7 +205,9 @@ def cohomology_profile(
     h1 = tuple(a - b for a, b in zip(h0, chi))
     if any(v < 0 for v in h1):
         raise RuntimeError("h1 negative: rank computation is inconsistent")
-    return CohomologyProfile(q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom)
+    return CohomologyProfile(
+        p=ring.field.p, q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom
+    )
 
 
 def _constant_runs(values, start_index):
@@ -235,12 +225,7 @@ def _constant_runs(values, start_index):
     return runs
 
 
-def estimate_hn_profile(
-    profile: CohomologyProfile,
-    geom: CurveGeometry,
-    s: int,
-    sum_d: int,
-) -> HNProfile:
+def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNProfile:
     """Read the slope profile off the plateau structure of Δh⁰.
 
     A plateau is at least max(3, theta+2) consecutive equal differences at a
@@ -250,6 +235,7 @@ def estimate_hn_profile(
     h⁰(m) = degY(m·R_k - q·D_k) + R_k(1-g) evaluated at the right end of
     each plateau; the first-nonzero twist is reported only as a diagnostic.
     """
+    geom = profile.geom
     degy = geom.deg_y
     g = geom.genus
     q = profile.q
@@ -328,32 +314,18 @@ def estimate_hn_profile(
     )
 
 
-def _prime_factor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
-def vanishing_report(
-    profile: CohomologyProfile,
-    hn: HNProfile,
-    geom: CurveGeometry,
-    q: int,
-) -> VanishingReport:
+def vanishing_report(profile: CohomologyProfile, hn: HNProfile) -> VanishingReport:
     """Check the two vanishing windows at the estimated slopes.
 
     Below floor(q·nu_1) all h⁰ should vanish; above ceil(q·nu_t + theta)
     all h¹ should vanish; the h¹ tail from ceil(q·nu_t) on is summed and
-    compared against q²/p (q a prime power, so p is recoverable from q).
+    compared against q²/p.  q, p and theta come from the profile.
     """
-    p = _prime_factor(q)
+    p, q, theta = profile.p, profile.q, profile.geom.theta
     nu_first = hn.nu[0]
     nu_last = hn.nu[-1]
     below_cut = math.floor(q * nu_first)
-    above_cut = math.ceil(q * nu_last + geom.theta)
+    above_cut = math.ceil(q * nu_last + theta)
     below = tuple(
         m for m in range(0, min(below_cut, profile.m_max + 1)) if profile.h0[m] > 0
     )

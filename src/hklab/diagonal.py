@@ -1,5 +1,5 @@
 """Diagonal-hypersurface toolkit: truncated power-of-sum dimensions over
-prime fields, their characteristic-zero stabilization, the sign-vector
+prime fields, their exact characteristic-zero values, the sign-vector
 g-sums, limit values, the sandwich bounds tying them to actual Frobenius
 colengths, and those colengths themselves by block decomposition.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from hklab.colength import ColengthRecord, IdealSpec, SizeGuardError
-from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, is_prime, rank_mod_p
+from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, rank_mod_p
 from hklab.graded import HypersurfaceRing, Polynomial
 from hklab.limits import normalized_colength
 
@@ -76,16 +77,6 @@ class GValue:
     prefactor: Fraction
     lambda_terms: Dict[int, Fraction]
     total: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prefactor": f"{self.prefactor.numerator}/{self.prefactor.denominator}",
-            "lambda_terms": {
-                str(lam): f"{v.numerator}/{v.denominator}"
-                for lam, v in sorted(self.lambda_terms.items())
-            },
-            "total": f"{self.total.numerator}/{self.total.denominator}",
-        }
 
 
 class DiagonalLimits(NamedTuple):
@@ -235,25 +226,27 @@ def han_monsky_colength(
     )
 
 
-def d_char0(*ks: int, max_samples: int = 16) -> int:
-    """Characteristic-zero value of d_f by prime sampling.
+def d_char0(*ks: int) -> int:
+    """Characteristic-zero value of d_f, by Clebsch-Gordan.
 
-    Ranks can only drop modulo p, so the minimum over primes is the
-    rational value once the sample escapes the bad set; two consecutive
-    agreeing primes > sum(ks) are taken as stabilization.
+    Over Q, multiplication by x_1+..+x_s on the tensor product of the
+    Q[x_i]/(x_i^{k_i}) is the sl_2 lowering operator on V_{k_1} ⊗ .. ⊗
+    V_{k_s}, V_k the irreducible of dimension k, and d_f is the number of
+    its Jordan blocks.  V_a ⊗ V_b = ⊕_{j < min(a,b)} V_{a+b-1-2j}, folded
+    over the k_i on a count of block sizes.
     """
-    threshold = sum(ks)
-    values = []
-    candidate = threshold
-    for _ in range(max_samples):
-        candidate += 1
-        while not is_prime(candidate):
-            candidate += 1
-        value = d_f(candidate, *ks)
-        if values and values[-1] == value:
-            return min(values + [value])
-        values.append(value)
-    raise RuntimeError(f"no stabilization after {max_samples} primes")
+    if len(ks) < 2:
+        raise ValueError("need at least two exponents")
+    if any(k < 1 for k in ks):
+        raise ValueError("exponents must be positive")
+    blocks = Counter([ks[0]])
+    for b in ks[1:]:
+        folded = Counter()
+        for a, count in blocks.items():
+            for j in range(min(a, b)):
+                folded[a + b - 1 - 2 * j] += count
+        blocks = folded
+    return sum(blocks.values())
 
 
 def g_lambda(xs: Sequence, lam: int) -> Fraction:

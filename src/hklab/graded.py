@@ -97,14 +97,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, field: PrimeField, nvars: int) -> "Polynomial":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def constant(cls, field: PrimeField, nvars: int, c: int) -> "Polynomial":
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, field: PrimeField, nvars: int, i: int) -> "Polynomial":
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
@@ -170,11 +162,6 @@ class Polynomial:
                 m = tuple(a + b for a, b in zip(m1, m2))
                 out[m] = (out.get(m, 0) + c1 * c2) % p
         return Polynomial(self.field, self.nvars, out)
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(
-            self.field, self.nvars, {m: c * v for m, v in self.terms.items()}
-        )
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}

@@ -6,7 +6,6 @@ least-squares step, which is double precision by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -19,17 +18,11 @@ if TYPE_CHECKING:  # curves imports store, which imports diagonal and so limits
     from hklab.curves import CurveGeometry, HNProfile
 
 __all__ = [
-    "ConvergenceRow",
     "hk_from_profile",
     "normalized_colength",
     "reference_value",
     "convergence_fit",
-    "rational_str",
 ]
-
-
-def rational_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def hk_from_profile(
@@ -56,29 +49,18 @@ def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fra
     return colength(ring, frobenius_power(ring, ideal, q), q=q, n=n).normalized
 
 
-_FAMILY_ALIASES = {
-    "fermat_quartic": "fermat_quartic",
-    "fermat-quartic": "fermat_quartic",
-    "chang_quartic_4vars": "chang_quartic_4vars",
-    "chang_quartic": "chang_quartic_4vars",
-    "chang-quartic": "chang_quartic_4vars",
-    "chang": "chang_quartic_4vars",
-}
-
-
 def reference_value(family: str, p: int) -> Fraction:
-    """Known exact multiplicity of the family at the prime p.
+    """Known exact multiplicity of the CLI family at the prime p.
 
-    fermat_quartic: 3 + 1/p² when p ≡ 3,5 (mod 8), else 3 (p odd).
-    chang_quartic_4vars: (8/3)(2p² ± 2p + 3)/(2p² ± 2p + 1), sign +
+    fermat-quartic: 3 + 1/p² when p ≡ 3,5 (mod 8), else 3 (p odd).
+    chang-quartic: (8/3)(2p² ± 2p + 3)/(2p² ± 2p + 1), sign +
     for p ≡ 1 (mod 4), − for p ≡ 3 (mod 4).
     """
-    key = _FAMILY_ALIASES.get(family)
-    if key is None:
+    if family not in ("fermat-quartic", "chang-quartic"):
         raise ValueError(f"unknown family: {family!r}")
     if p == 2:
-        raise ValueError(f"{key} needs an odd prime")
-    if key == "fermat_quartic":
+        raise ValueError(f"{family} needs an odd prime")
+    if family == "fermat-quartic":
         if p % 8 in (3, 5):
             return 3 + Fraction(1, p * p)
         return Fraction(3)
@@ -87,45 +69,9 @@ def reference_value(family: str, p: int) -> Fraction:
     return Fraction(8, 3) * Fraction(body + 3, body + 1)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    p: int
-    n: int
-    q: int
-    normalized: Fraction
-    reference: Fraction
-    residual: Fraction
-    residual_p: Fraction
-
-    @classmethod
-    def build(
-        cls, p: int, n: int, normalized: Fraction, reference: Fraction
-    ) -> "ConvergenceRow":
-        residual = normalized - reference
-        return cls(
-            p=p,
-            n=n,
-            q=p**n,
-            normalized=normalized,
-            reference=reference,
-            residual=residual,
-            residual_p=residual * p,
-        )
-
-    def to_csv_dict(self) -> dict:
-        return {
-            "p": str(self.p),
-            "n": str(self.n),
-            "q": str(self.q),
-            "normalized": rational_str(self.normalized),
-            "reference": rational_str(self.reference),
-            "residual": rational_str(self.residual),
-            "residual_p": rational_str(self.residual_p),
-        }
-
-
 def convergence_fit(rows: Sequence) -> dict:
-    """Least squares of normalized against 1, 1/p, 1/p².
+    """Least squares of normalized against 1, 1/p, 1/p², over rows that
+    carry ``p``, ``n`` and ``normalized`` (colength records).
 
     Needs at least three distinct primes at a common n; reports the
     constant-term estimate plus sup|fit residual|·p and ·p² as rate

@@ -41,7 +41,7 @@ def fermat_runs():
         geom = curve_geometry(ring)
         record = colength(ring, frobenius_power(ring, ideal, p), q=p, n=1)
         prof = cohomology_profile(ring, ideal, p)
-        hn = estimate_hn_profile(prof, geom, 3, 3)
+        hn = estimate_hn_profile(prof, 3, 3)
         runs[p] = (geom, record, prof, hn)
     return runs
 
@@ -147,7 +147,7 @@ def test_c5_sandwich_inequality():
 def test_c6_quartic_convergence_and_profiles(fermat_runs):
     worst_trend = Fraction(0)
     for p, (geom, record, prof, hn) in fermat_runs.items():
-        reference = reference_value("fermat_quartic", p)
+        reference = reference_value("fermat-quartic", p)
         residual = record.normalized - reference
         assert abs(residual) <= Fraction(8, p), p
         worst_trend = max(worst_trend, abs(residual) * p)
@@ -165,7 +165,7 @@ def test_c7_profile_formula_round_trip(fermat_runs):
 def test_c8_four_variable_family_reduced_scale():
     ring = fermat_ring(3, s=4)
     ideal = IdealSpec.maximal_ideal(ring)
-    target = reference_value("chang_quartic_4vars", 3)
+    target = reference_value("chang-quartic", 3)
     assert target == Fraction(40, 13)
     tolerances = {1: Fraction(1, 2), 2: Fraction(1, 5)}
     for n, tol in tolerances.items():
@@ -183,7 +183,7 @@ def test_c8_four_variable_family_reduced_scale():
 def test_c9_vanishing_reports(fermat_runs):
     for p in (7, 23):
         geom, record, prof, hn = fermat_runs[p]
-        rep = vanishing_report(prof, hn, geom, p)
+        rep = vanishing_report(prof, hn)
         assert rep.below_violations == (), p
         assert rep.above_violations == (), p
         assert isinstance(rep.tail_sum, int) and rep.tail_sum >= 0

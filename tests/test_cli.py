@@ -1,9 +1,10 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
-from hklab.cli import main, parse_primes
+from hklab.cli import main, parse_primes, rational_str
 from hklab.graded import SpecParseError
 
 
@@ -36,6 +37,11 @@ def test_parse_prime_rejects_composites_and_junk():
         parse_primes("a,b")
     with pytest.raises(SpecParseError, match="empty"):
         parse_primes("24..28")
+
+
+def test_rational_round_trip():
+    assert rational_str(Fraction(-2, 49)) == "-2/49"
+    assert Fraction(rational_str(Fraction(3))) == 3
 
 
 # ------------------------------------------------------------------ commands
@@ -171,6 +177,24 @@ def test_hn_report(tmp_path):
     assert run["vanishing"]["below_violations"] == []
     rows = read_csv(tmp_path / "hn.csv")
     assert rows[0]["nu"] == "3/2" and rows[0]["r"] == "2"
+
+
+def test_hn_json_of_a_two_step_profile(tmp_path):
+    argv = ["hn", "--family", "fermat-quartic", "--primes", "3", "--n", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    run = read_json(tmp_path / "hn.json")["runs"][0]
+    assert (run["p"], run["n"], run["q"]) == (3, 3, 27)
+    assert run["hn"] == {
+        "nu": ["4/3", "5/3"],
+        "r": [1, 1],
+        "residual": 0.0,
+        "uncertainty": pytest.approx(4 / 27),
+        "first_nonzero": 36,
+    }
+    assert [(r["k"], r["nu"], r["r"]) for r in read_csv(tmp_path / "hn.csv")] == [
+        ("1", "4/3", "1"),
+        ("2", "5/3", "1"),
+    ]
 
 
 def test_profile_rows(tmp_path):

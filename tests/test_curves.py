@@ -154,8 +154,7 @@ def test_single_plateau_for_residues_one_and_seven_mod_eight():
     for p in (7, 17, 23):
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p)
-        geom = curve_geometry(ring)
-        hn = estimate_hn_profile(prof, geom, 3, 3)
+        hn = estimate_hn_profile(prof, 3, 3)
         assert hn.pairs == ((Fraction(3, 2), 2),)
         assert hn.residual == 0.0
 
@@ -166,16 +165,14 @@ def test_single_plateau_masks_small_destabilization_at_first_power():
     for p in (5, 11, 13):
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p)
-        geom = curve_geometry(ring)
-        hn = estimate_hn_profile(prof, geom, 3, 3)
+        hn = estimate_hn_profile(prof, 3, 3)
         assert hn.pairs == ((Fraction(3, 2), 2),)
 
 
 def test_two_step_profile_emerges_at_q27():
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 27)
-    geom = curve_geometry(ring)
-    hn = estimate_hn_profile(prof, geom, 3, 3)
+    hn = estimate_hn_profile(prof, 3, 3)
     assert hn.pairs == ((Fraction(4, 3), 1), (Fraction(5, 3), 1))
     assert hn.residual == 0.0
     assert hn.first_nonzero == 36
@@ -187,7 +184,7 @@ def test_degree_conservation_on_every_estimate():
     for p, n in [(3, 2), (3, 3), (5, 1), (7, 1)]:
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p**n)
-        hn = estimate_hn_profile(prof, curve_geometry(ring), 3, 3)
+        hn = estimate_hn_profile(prof, 3, 3)
         assert sum(nu * r for nu, r in hn.pairs) == Fraction(3)
 
 
@@ -195,40 +192,40 @@ def test_profile_too_short_before_top_plateau():
     ring = fermat(7)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 7, m_max=12)
     with pytest.raises(ProfileTooShortError, match="profile too short"):
-        estimate_hn_profile(prof, curve_geometry(ring), 3, 3)
+        estimate_hn_profile(prof, 3, 3)
 
 
 def test_top_plateau_requires_h1_zero():
     h0 = tuple(8 * m for m in range(6))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6, geom=geom)
+    fake = CohomologyProfile(p=7, q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6, geom=geom)
     with pytest.raises(ProfileTooShortError):
-        estimate_hn_profile(fake, geom, 3, 3)
+        estimate_hn_profile(fake, 3, 3)
 
 
 def test_stable_slope_off_lattice_is_ambiguous():
     h0 = tuple(5 * m for m in range(9))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
+    fake = CohomologyProfile(p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="not a multiple"):
-        estimate_hn_profile(fake, geom, 3, 3)
+        estimate_hn_profile(fake, 3, 3)
 
 
 def test_excess_cumulative_rank_is_ambiguous():
     h0 = tuple(12 * m for m in range(9))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
+    fake = CohomologyProfile(p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="exceeds"):
-        estimate_hn_profile(fake, geom, 3, 3)
+        estimate_hn_profile(fake, 3, 3)
 
 
 def test_broken_degree_conservation_is_ambiguous():
     # a top plateau on the wrong line: slope fine, intercept off
     h0 = tuple(max(0, 8 * m - 84) for m in range(21))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21, geom=geom)
+    fake = CohomologyProfile(p=7, q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21, geom=geom)
     with pytest.raises(AmbiguousPlateauError, match="cumulative degree"):
-        estimate_hn_profile(fake, geom, 3, 3)
+        estimate_hn_profile(fake, 3, 3)
 
 
 def test_out_of_order_plateaus_are_ambiguous():
@@ -239,6 +236,7 @@ def test_out_of_order_plateaus_are_ambiguous():
     h1 = (1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1)
     geom = curve_geometry(fermat(7))
     fake = CohomologyProfile(
+        p=5,
         q=5,
         m_max=12,
         h0=tuple(h0),
@@ -247,7 +245,7 @@ def test_out_of_order_plateaus_are_ambiguous():
         geom=geom,
     )
     with pytest.raises(AmbiguousPlateauError, match="overlapping"):
-        estimate_hn_profile(fake, geom, 3, 3)
+        estimate_hn_profile(fake, 3, 3)
 
 
 # ------------------------------------------------------------------ vanishing
@@ -256,9 +254,8 @@ def test_out_of_order_plateaus_are_ambiguous():
 def test_vanishing_windows_clean_for_q7():
     ring = fermat(7)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 7)
-    geom = curve_geometry(ring)
-    hn = estimate_hn_profile(prof, geom, 3, 3)
-    rep = vanishing_report(prof, hn, geom, 7)
+    hn = estimate_hn_profile(prof, 3, 3)
+    rep = vanishing_report(prof, hn)
     assert rep.clean
     assert rep.below_violations == ()
     assert rep.above_violations == ()
@@ -273,9 +270,8 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
     # footprint of the two-step structure that q = 9 cannot resolve
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 9)
-    geom = curve_geometry(ring)
-    hn = estimate_hn_profile(prof, geom, 3, 3)
-    rep = vanishing_report(prof, hn, geom, 9)
+    hn = estimate_hn_profile(prof, 3, 3)
+    rep = vanishing_report(prof, hn)
     assert hn.pairs == ((Fraction(3, 2), 2),)
     assert rep.below_violations == (12,)
     assert rep.above_violations == (16,)
@@ -286,20 +282,10 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
 def test_vanishing_clean_at_q27_with_true_slopes():
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 27)
-    geom = curve_geometry(ring)
-    hn = estimate_hn_profile(prof, geom, 3, 3)
-    rep = vanishing_report(prof, hn, geom, 27)
+    hn = estimate_hn_profile(prof, 3, 3)
+    rep = vanishing_report(prof, hn)
     assert rep.clean
     assert rep.tail_start == 45
     assert rep.tail_sum == 4
     assert rep.tail_ratio == pytest.approx(4 * 3 / 729)
 
-
-def test_hn_profile_json_shape():
-    ring = fermat(3)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 27)
-    hn = estimate_hn_profile(prof, curve_geometry(ring), 3, 3)
-    d = hn.to_json_dict()
-    assert d["nu"] == ["4/3", "5/3"]
-    assert d["r"] == [1, 1]
-    assert d["residual"] == 0.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hklab.cli import main
 from hklab.colength import (
     IdealSpec,
     SizeGuardError,
@@ -26,7 +28,7 @@ from hklab.diagonal import (
     han_monsky_colength,
     sandwich_check,
 )
-from hklab.fp_linalg import PrimeField
+from hklab.fp_linalg import PrimeField, is_prime
 from hklab.graded import HypersurfaceRing, Polynomial, parse_ring_spec
 from hklab.store import cached_colength
 
@@ -108,9 +110,15 @@ def test_char0_equal_cubes_density(N):
     assert d_char0(N, N, N) == -(-3 * N * N // 4)
 
 
-def test_char0_sampling_cap():
-    with pytest.raises(RuntimeError, match="no stabilization"):
-        d_char0(3, 3, 3, max_samples=1)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+def test_char0_matches_d_f_above_every_block_size(ks):
+    # each fold V_a (x) V_b has a + b - 1 <= sum(ks) < p, and below p the
+    # Jordan type of a tensor product of two blocks is Clebsch-Gordan's
+    p = sum(ks) + 1
+    while not is_prime(p):
+        p += 1
+    assert d_char0(*ks) == d_f(p, *ks)
 
 
 # ------------------------------------------------------------------ g sums
@@ -164,8 +172,11 @@ def test_g_value_permutation_invariant():
     assert len(totals) == 1
 
 
-def test_g_value_json_shape():
-    d = g_value((1, 1, 1)).to_json_dict()
+def test_g_value_json_shape(tmp_path):
+    # the g object of gm.json is laid out by the gm command in cli.py
+    assert main(["gm", "--d", "1,1,1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "gm.json", encoding="utf-8") as fh:
+        d = json.load(fh)["g"]
     assert d["prefactor"] == "1/8"
     assert d["total"] == "1/1"
     assert d["lambda_terms"] == {"-1": "1/1", "0": "6/1", "1": "1/1"}
