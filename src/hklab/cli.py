@@ -134,6 +134,13 @@ def _finalize(args: argparse.Namespace) -> None:
         raise SpecParseError(f"--m-max must be >= 0, got {args.m_max}")
     if getattr(args, "jobs", 1) < 1:
         raise SpecParseError(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "ring", None) and args.family:
+        ring = parse_ring_spec(args.ring)
+        family = family_ring(args.family, ring.field.p)
+        if ring.canonical_string() != family.canonical_string():
+            raise SpecParseError(
+                f"--ring {args.ring} is not the {args.family} ring at p={ring.field.p}"
+            )
 
 
 def parse_primes(text: str) -> List[int]:
@@ -303,9 +310,7 @@ def cmd_colength(args: argparse.Namespace) -> int:
 def _curve_profile(args, p: int, n: int):
     ring = resolve_ring(args, p)
     ideal = parse_ideal_spec(ring, args.ideal)
-    prof = cohomology_profile(
-        ring, ideal, p**n, m_max=args.m_max, max_dim=args.cap
-    )
+    prof = cohomology_profile(ring, ideal, n, m_max=args.m_max, max_dim=args.cap)
     return ideal, prof
 
 

@@ -5,6 +5,8 @@ the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m, so its kernel,
 the degree-m syzygies of the generators (``curves.cohomology_profile``), has
 dimension Σ_i dim R_{m-e_i} - dim R_m + dim (R/J)_m.  Standard grading makes
 vanishing hereditary, so the colength loop stops at the first zero piece.
+Every colength is that of a Frobenius power J = I^[p^n], indexed by the
+exponent n as in the limit ℓ(R/I^[p^n]) / p^(n·dim R).
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ class SizeGuardError(RuntimeError):
         self.cols = cols
         self.cap = cap
 
+    @classmethod
+    def for_degree(
+        cls, ring: HypersurfaceRing, degrees: Sequence, m: int, cap: Optional[int]
+    ) -> Optional["SizeGuardError"]:
+        """The error for degree m of ⊕_i R_{m-e_i} -> R_m, e_i the generator
+        degrees, when its matrix has more than ``cap`` rows or columns;
+        None when it fits or there is no cap."""
+        if cap is None:
+            return None
+        rows = ring.hilbert_dim(m)
+        cols = sum(ring.hilbert_dim(m - e) for e in degrees)
+        return cls(m, rows, cols, cap) if max(rows, cols) > cap else None
+
 
 @dataclass(frozen=True)
 class IdealSpec:
@@ -85,18 +100,20 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class ColengthRecord:
-    """Per-degree dimensions of R/J and the q-normalized total.
-
-    ``n`` is the Frobenius exponent when ``q = p^n``; records produced at a
-    non-Frobenius scale (q any positive integer) carry ``n = None``.
-    """
+    """Per-degree dimensions of R/I^[q], q = p^n, and the q-normalized
+    total; ``from_dims`` derives every field but ``dims``."""
 
     p: int
-    n: Optional[int]
+    n: int
     q: int
     dims: tuple
     total: int
     normalized: Fraction
+
+    @classmethod
+    def from_dims(cls, p: int, n: int, dims: Sequence, krull_dim: int) -> "ColengthRecord":
+        q, total = p**n, sum(dims)
+        return cls(p, n, q, tuple(dims), total, Fraction(total, q**krull_dim))
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,7 +130,7 @@ class ColengthRecord:
         num, _, den = data["normalized"].partition("/")
         return cls(
             p=int(data["p"]),
-            n=None if data["n"] is None else int(data["n"]),
+            n=int(data["n"]),
             q=int(data["q"]),
             dims=tuple(int(v) for v in data["dims"]),
             total=int(data["total"]),
@@ -121,79 +138,57 @@ class ColengthRecord:
         )
 
 
-def _power_of_p(q: int, p: int) -> int:
-    """Exponent n with q = p^n, or raise."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    n = 0
-    while q > 1:
-        if q % p:
-            raise ValueError(f"q is not a power of the characteristic {p}")
-        q //= p
-        n += 1
-    return n
-
-
-def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, q: int) -> IdealSpec:
-    """(f_1, ..., f_s) -> (f_1^q, ..., f_s^q) for q = p^n.
+def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> IdealSpec:
+    """(f_1, ..., f_s) -> (f_1^q, ..., f_s^q) for q = p^n, p the ring's
+    characteristic.
 
     Computed by n-fold p-th powering: in characteristic p the p-th power is
     additive, so each step just multiplies exponents by p.
     """
-    n = _power_of_p(q, ring.field.p)
+    if n < 0:
+        raise ValueError(f"Frobenius exponent must be >= 0, got {n}")
     gens = list(ideal.generators)
     for _ in range(n):
         gens = [g.pth_power() for g in gens]
+    q = ring.field.p**n
     return IdealSpec(tuple(gens), tuple(e * q for e in ideal.degrees))
 
 
 def colength(
     ring: HypersurfaceRing,
     ideal: IdealSpec,
-    q: int = 1,
-    n: Optional[int] = None,
+    n: int = 0,
     max_dim: Optional[int] = None,
 ) -> ColengthRecord:
-    """Total dimension of R/J, summed degree by degree.
+    """Total dimension of R/I^[p^n], summed degree by degree.
 
     Stops at the first zero piece (with standard grading all later pieces
-    vanish too); if none occurs up to sum(deg g_i) + d + 1, the ideal is not
-    primary to the irrelevant maximal ideal.  ``q`` is only a normalization
-    scale here: ``normalized = total / q^krull_dim``.  Each degree's rank is
-    that of ``graded_map_matrix``; SizeGuardError is raised instead of
-    building one with more than ``max_dim`` rows or columns.
+    vanish too); if none occurs up to sum(deg g_i) + d + 1, g_i the
+    generators of I^[p^n], the ideal is not primary to the irrelevant
+    maximal ideal.  Each degree's rank is that of ``graded_map_matrix``;
+    SizeGuardError is raised instead of building one with more than
+    ``max_dim`` rows or columns.
     """
-    d = ring.d or 0
-    cap = sum(ideal.degrees) + d + 1
+    frob = frobenius_power(ring, ideal, n)
+    top = sum(frob.degrees) + (ring.d or 0) + 1
     # Generators in (f) add only zero columns.  The others go in unreduced:
     # graded_map_matrix reduces each product, which gives the same matrix.
     # With none left, R/J = R, which has finite length only in Krull
     # dimension 0; there the map has no columns and rank 0.
-    gens = [g for g in ideal.generators if not ring.normal_form(g).is_zero]
+    gens = [g for g in frob.generators if not ring.normal_form(g).is_zero]
     if not gens and ring.krull_dim > 0:
         raise NotPrimaryError(
             "not primary: every generator lies in the relation ideal"
         )
+    degrees = [g.degree for g in gens]
     dims = []
-    total = 0
-    for m in range(cap + 1):
-        rows = ring.hilbert_dim(m)
-        cols = sum(ring.hilbert_dim(m - g.degree) for g in gens)
-        if max_dim is not None and max(rows, cols) > max_dim:
-            raise SizeGuardError(m, rows, cols, max_dim)
-        dim = rows - rank_mod_p(graded_map_matrix(ring, gens, m))
-        dims.append(dim)
-        if dim == 0:
-            normalized = Fraction(total, q ** ring.krull_dim)
-            return ColengthRecord(
-                p=ring.field.p,
-                n=n,
-                q=q,
-                dims=tuple(dims),
-                total=total,
-                normalized=normalized,
-            )
-        total += dim
+    for m in range(top + 1):
+        trip = SizeGuardError.for_degree(ring, degrees, m, max_dim)
+        if trip is not None:
+            raise trip
+        dims.append(ring.hilbert_dim(m) - rank_mod_p(graded_map_matrix(ring, gens, m)))
+        if dims[-1] == 0:
+            return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
     raise NotPrimaryError("not primary: no graded piece vanished by the cap")
 
 

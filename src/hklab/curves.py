@@ -2,12 +2,12 @@
 plane curves, and slope-profile extraction from the section counts.
 
 For Y ⊂ P² smooth of degree d and S = Syz(f_1..f_s), the section counts
-h⁰(S^q(m)) come from one colength record of R/I^[q], χ from Riemann-Roch,
-and h¹ = h⁰ - χ.  Between consecutive breakpoints of the slope filtration the
-difference sequence Δh⁰ sits on a plateau at degY·R with R the cumulative
-rank, and on each plateau h⁰ lies on an exact line whose rational intercept
-recovers the cumulative degree D_k = Σ_{i≤k} r_i ν_i; that is the whole
-estimation strategy.
+h⁰(S^q(m)), q = p^n, come from one colength record of R/I^[q], χ from
+Riemann-Roch, and h¹ = h⁰ - χ.  Between consecutive breakpoints of the
+slope filtration the difference sequence Δh⁰ sits on a plateau at degY·R
+with R the cumulative rank, and on each plateau h⁰ lies on an exact line
+whose rational intercept recovers the cumulative degree D_k = Σ_{i≤k} r_i ν_i;
+that is the whole estimation strategy.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hklab.colength import (
-    IdealSpec,
-    NotPrimaryError,
-    _power_of_p,
-    colength,
-    frobenius_power,
-)
+from hklab.colength import IdealSpec, NotPrimaryError, colength
 from hklab.graded import HypersurfaceRing
 from hklab.store import cached_colength
 
@@ -165,21 +159,25 @@ def syzygy_euler_char(
     return q * data.deg_s + data.rank * m * geom.deg_y + data.rank * (1 - geom.genus)
 
 
-def default_m_max(q: int, degrees: Sequence) -> int:
-    # twice the mean normalized slope, so the profile always clears the last
-    # breakpoint plus the genus-sized transient
+def default_m_max(q: int, degrees: Sequence, theta: int) -> int:
+    # h1 vanishes above q*nu_t + theta, and every slope is at least min(d),
+    # so nu_t <= sum(d) - (rank-1)*min(d); the top plateau then needs
+    # max(3, theta+2) more twists.  Twice the mean normalized slope is kept
+    # where it is longer, so tables that already reached the top plateau
+    # keep their length.
     rank = len(degrees) - 1
-    return math.ceil(Fraction(2 * q * sum(degrees), rank))
+    top = q * (sum(degrees) - (rank - 1) * min(degrees)) + theta
+    return max(math.ceil(Fraction(2 * q * sum(degrees), rank)), top + max(3, theta + 2))
 
 
 def cohomology_profile(
     ring: HypersurfaceRing,
     ideal: IdealSpec,
-    q: int,
+    n: int,
     m_max: Optional[int] = None,
     max_dim: Optional[int] = None,
 ) -> CohomologyProfile:
-    """h⁰, χ and h¹ = h⁰ - χ of S^q(m) for m = 0..m_max.
+    """h⁰, χ and h¹ = h⁰ - χ of S^q(m), q = p^n, for m = 0..m_max.
 
     h⁰(S^q(m)) is the kernel of ⊕_i R_{m-q·e_i} -> R_m, whose cokernel is
     (R/I^[q])_m, so h⁰ = Σ_i dim R_{m-q·e_i} - dim R_m + dim (R/I^[q])_m.
@@ -187,17 +185,18 @@ def cohomology_profile(
     record are zero.  ``max_dim`` guards only the colength's matrices.
     """
     geom = curve_geometry(ring)
+    q = ring.field.p**n
     if m_max is None:
-        m_max = default_m_max(q, ideal.degrees)
-    frob = frobenius_power(ring, ideal, q)
-    if any(ring.normal_form(g).is_zero for g in frob.generators):
+        m_max = default_m_max(q, ideal.degrees, geom.theta)
+    # a smooth plane curve is irreducible, so R is a domain and g^q
+    # vanishes on the curve exactly when g does
+    if any(ring.normal_form(g).is_zero for g in ideal.generators):
         raise ValueError("a generator power vanishes on the curve")
     twists = range(m_max + 1)
     chi = tuple(syzygy_euler_char(geom, ideal.degrees, q, m) for m in twists)
-    n = _power_of_p(q, ring.field.p)
     dims = cached_colength(None, ring, ideal, n, max_dim).dims
     h0 = tuple(
-        sum(ring.hilbert_dim(m - e) for e in frob.degrees)
+        sum(ring.hilbert_dim(m - q * e) for e in ideal.degrees)
         - ring.hilbert_dim(m)
         + (dims[m] if m < len(dims) else 0)
         for m in twists

@@ -179,18 +179,18 @@ def han_monsky_applies(ring: HypersurfaceRing, ideal: IdealSpec) -> bool:
 
 
 def han_monsky_colength(
-    ring: HypersurfaceRing, ideal: IdealSpec, n: int, max_dim: Optional[int] = None
+    ring: HypersurfaceRing, ideal: IdealSpec, n: int = 0, max_dim: Optional[int] = None
 ) -> ColengthRecord:
-    """The record ``colength(ring, frobenius_power(ring, ideal, p**n))``
-    gives, by the block identity of the module docstring; the ring and
-    ideal must pass ``han_monsky_applies``.
+    """The record ``colength(ring, ideal, n)`` gives, by the block identity
+    of the module docstring; the ring and ideal must pass
+    ``han_monsky_applies``.
 
     Residue tuples with some k_i <= 0 are skipped, and the graded d_f is
     computed once per sorted k-tuple (at most s+1 of them).  Raises the
     generic engine's SizeGuardError (same m, rows, cols) when ``max_dim``
-    is set: its shapes come from ``hilbert_dim``, and only the degrees below
-    the one that trips are computed, to see whether a zero piece ends the
-    run first.
+    is set: ``SizeGuardError.for_degree`` gives the shapes, and only the
+    degrees below the one that trips are computed, to see whether a zero
+    piece ends the run first.
     """
     if not han_monsky_applies(ring, ideal):
         raise ValueError("needs sum c_i x_i^d in every variable and the maximal ideal")
@@ -200,9 +200,8 @@ def han_monsky_colength(
     trip = None
     if max_dim is not None:
         for m in range(last + 2):
-            rows, cols = ring.hilbert_dim(m), s * ring.hilbert_dim(m - q)
-            if max(rows, cols) > max_dim:
-                trip = SizeGuardError(m, rows, cols, max_dim)
+            trip = SizeGuardError.for_degree(ring, (q,) * s, m, max_dim)
+            if trip is not None:
                 last = m - 1
                 break
     dims = [0] * (last + 1)
@@ -219,11 +218,7 @@ def han_monsky_colength(
         if trip is not None:
             raise trip
         dims.append(0)
-    dims = tuple(dims[: dims.index(0) + 1])
-    total = sum(dims)
-    return ColengthRecord(
-        p=p, n=n, q=q, dims=dims, total=total, normalized=Fraction(total, q**ring.krull_dim)
-    )
+    return ColengthRecord.from_dims(p, n, dims[: dims.index(0) + 1], ring.krull_dim)
 
 
 def d_char0(*ks: int) -> int:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from hklab.colength import IdealSpec, colength, frobenius_power
+from hklab.colength import IdealSpec, colength
 from hklab.graded import HypersurfaceRing
 
 if TYPE_CHECKING:  # curves imports store, which imports diagonal and so limits
@@ -45,8 +45,7 @@ def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fra
     ``diagonal.sandwich_check`` compares its d_f bounds with an independent
     value.
     """
-    q = ring.field.p**n
-    return colength(ring, frobenius_power(ring, ideal, q), q=q, n=n).normalized
+    return colength(ring, ideal, n).normalized
 
 
 def reference_value(family: str, p: int) -> Fraction:

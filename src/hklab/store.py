@@ -14,11 +14,10 @@ import json
 import logging
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from hklab.colength import ColengthRecord, IdealSpec, colength, frobenius_power
+from hklab.colength import ColengthRecord, IdealSpec, colength
 from hklab.diagonal import han_monsky_applies, han_monsky_colength
 from hklab.graded import HypersurfaceRing
 
@@ -81,19 +80,19 @@ class ResultStore:
 
 
 def _inconsistency(
-    record: ColengthRecord, p: int, n: int, q: int, krull_dim: int
+    record: ColengthRecord, p: int, n: int, krull_dim: int
 ) -> Optional[str]:
     """Why a cached record cannot be the colength it is stored under, or
     None when it passes every check."""
-    if (record.p, record.n, record.q) != (p, n, q):
-        return f"stored (p, n, q) = {(record.p, record.n, record.q)}, expected {(p, n, q)}"
-    if sum(record.dims) != record.total:
-        return f"sum(dims) = {sum(record.dims)} != total = {record.total}"
     if not record.dims or record.dims[-1] != 0:
         return "dims do not end in a zero piece"
-    if record.normalized != Fraction(record.total, q**krull_dim):
-        return f"normalized {record.normalized} != total/q^{krull_dim}"
-    return None
+    expected = ColengthRecord.from_dims(p, n, record.dims, krull_dim)
+    wrong = [
+        f"{field} = {value!r}, expected {getattr(expected, field)!r}"
+        for field, value in vars(record).items()
+        if value != getattr(expected, field)
+    ]
+    return "; ".join(wrong) or None
 
 
 def cached_colength(
@@ -111,8 +110,8 @@ def cached_colength(
     residue tuples r in [0, d)^s, of the degree-j pieces of
     F_p[T]/(T_i^{k_i}, sum T_i), k_i = ceil((q - r_i)/d) and |r| + d*j = m,
     tuples with some k_i <= 0 contributing nothing.  Every other ring and
-    ideal goes to ``colength(frobenius_power(...))``.  Both give the same
-    record and raise the same SizeGuardError.
+    ideal goes to the generic ``colength``.  Both take the same arguments,
+    give the same record and raise the same SizeGuardError.
 
     Served from the store when it holds an entry under the same key that is
     consistent with the request; any other entry is discarded with a
@@ -121,21 +120,18 @@ def cached_colength(
     from hklab import __version__
 
     p = ring.field.p
-    q = p**n
     key = ResultStore.key(
         p, n, ring.canonical_string(), ideal.canonical_string(), __version__
     )
     if store is not None:
         hit = store.get(key)
         if hit is not None:
-            problem = _inconsistency(hit, p, n, q, ring.krull_dim)
+            problem = _inconsistency(hit, p, n, ring.krull_dim)
             if problem is None:
                 return hit
             log.warning("discarding inconsistent cache entry %s: %s", key, problem)
-    if han_monsky_applies(ring, ideal):
-        record = han_monsky_colength(ring, ideal, n, max_dim)
-    else:
-        record = colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=max_dim)
+    engine = han_monsky_colength if han_monsky_applies(ring, ideal) else colength
+    record = engine(ring, ideal, n, max_dim)
     if store is not None:
         store.put(key, record)
     return record

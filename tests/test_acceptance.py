@@ -39,8 +39,8 @@ def fermat_runs():
         ring = fermat_ring(p)
         ideal = IdealSpec.maximal_ideal(ring)
         geom = curve_geometry(ring)
-        record = colength(ring, frobenius_power(ring, ideal, p), q=p, n=1)
-        prof = cohomology_profile(ring, ideal, p)
+        record = colength(ring, ideal, 1)
+        prof = cohomology_profile(ring, ideal, 1)
         hn = estimate_hn_profile(prof, 3, 3)
         runs[p] = (geom, record, prof, hn)
     return runs
@@ -48,16 +48,17 @@ def fermat_runs():
 
 def test_c1_exactness_identity():
     # quotient piece dimension minus the free-resolution count equals the
-    # section count, exactly, for every twist up to 3q; the colength dims
-    # stop at the first zero piece and every later piece is zero
+    # section count, exactly, for every twist up to the default cutoff,
+    # max(3q, 2q + 4) for the quartic (theta = 1); the colength dims stop at
+    # the first zero piece and every later piece is zero
     for p in (3, 5, 7):
         ring = fermat_ring(p)
         ideal = IdealSpec.maximal_ideal(ring)
-        frob = frobenius_power(ring, ideal, p)
-        dims = colength(ring, frob, q=p).dims
-        prof = cohomology_profile(ring, ideal, p)
-        assert prof.m_max == 3 * p
-        for m in range(3 * p + 1):
+        frob = frobenius_power(ring, ideal, 1)
+        dims = colength(ring, ideal, 1).dims
+        prof = cohomology_profile(ring, ideal, 1)
+        assert prof.m_max == max(3 * p, 2 * p + 4)
+        for m in range(prof.m_max + 1):
             quotient = dims[m] if m < len(dims) else 0
             free_count = ring.hilbert_dim(m) - sum(
                 ring.hilbert_dim(m - e) for e in frob.degrees
@@ -82,13 +83,13 @@ def test_c2_frobenius_collapse():
         ring = parse_ring_spec(f"hypersurface:s=3,p={p},f=x+y+z")
         for n in (1, 2, 3):
             N = p**n
-            record = colength(ring, power_ideal(ring, N), q=N, n=n)
-            assert record.normalized == 1, (p, n)
+            record = colength(ring, power_ideal(ring, N))
+            assert Fraction(record.total, N * N) == 1, (p, n)
     ring5 = parse_ring_spec("hypersurface:s=3,p=5,f=x+y+z")
     for n in (1, 2):
         N = 2 * 5**n
-        record = colength(ring5, power_ideal(ring5, N), q=N)
-        assert abs(record.normalized - Fraction(3, 4)) <= Fraction(2, 100), n
+        record = colength(ring5, power_ideal(ring5, N))
+        assert abs(Fraction(record.total, N * N) - Fraction(3, 4)) <= Fraction(2, 100), n
 
 
 def test_c3_g_function_exact_values():
@@ -169,15 +170,10 @@ def test_c8_four_variable_family_reduced_scale():
     assert target == Fraction(40, 13)
     tolerances = {1: Fraction(1, 2), 2: Fraction(1, 5)}
     for n, tol in tolerances.items():
-        q = 3**n
-        record = colength(
-            ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=5000
-        )
+        record = colength(ring, ideal, n, max_dim=5000)
         assert abs(record.normalized - target) <= tol, n
     with pytest.raises(SizeGuardError):
-        colength(
-            ring, frobenius_power(ring, ideal, 9), q=9, n=2, max_dim=100
-        )
+        colength(ring, ideal, 2, max_dim=100)
 
 
 def test_c9_vanishing_reports(fermat_runs):

@@ -356,6 +356,37 @@ def test_hn_and_limits_take_generator_count_from_ideal(tmp_path, capsys):
     assert row["profile_estimates"] == [{"n": 1, "hk_from_profile": "32/3"}]
 
 
+def test_ring_contradicting_family_exits_2(tmp_path):
+    out = ["--out", str(tmp_path)]
+    quintic = ["limits", "--family", "fermat-quartic", "--ring", "fermat:s=3,d=5,p=7"]
+    assert main(quintic + ["--primes", "7"] + out) == 2
+    assert not (tmp_path / "limits.json").exists()
+    chang = ["colength", "--family", "chang-quartic", "--ring", "fermat:s=3,d=4,p=7"]
+    assert main(chang + out) == 2
+    assert not (tmp_path / "colength.csv").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=chang-quartic\n", encoding="utf-8")
+    assert main(["colength", "--config", str(cfg), "--ring", "fermat:s=3,d=4,p=7"] + out) == 2
+    assert main(["colength", "--config", str(cfg), "--ring", "fermat:s=4,d=4,p=7"] + out) == 0
+
+
+def test_default_profile_reaches_top_plateau_at_q3(tmp_path, capsys):
+    # 3q twists end before the top plateau at q = 3; the default cutoff now
+    # also covers q*nu_t + theta plus the plateau length
+    out = ["--out", str(tmp_path)]
+    assert main(["hn", "--family", "fermat-quartic", "--primes", "3"] + out) == 0
+    assert "p=3 n=1 profile: (3/2,2) clean=True" in capsys.readouterr().out
+    limits = ["limits", "--family", "fermat-quartic", "--primes", "3..13", "--n", "1,2"]
+    assert main(limits + out) == 0
+    rows = read_json(tmp_path / "limits.json")["rows"]
+    assert [len(row["profile_estimates"]) for row in rows] == [2] * 5
+    klein = "hypersurface:s=3,p=3,f=x^3*y+y^3*z+z^3*x"
+    for ring, m_max in ((klein, 10), ("fermat:s=3,d=5,p=3", 12)):
+        assert main(["hn", "--ring", ring] + out) == 0
+        assert main(["profile", "--ring", ring] + out) == 0
+        assert read_json(tmp_path / "profile.json")["profiles"][0]["m_max"] == m_max
+
+
 def test_modulus_above_int64_bound_exits_2(tmp_path):
     out = ["--out", str(tmp_path)]
     assert main(["colength", "--ring", "fermat:s=3,d=4,p=4294967311"] + out) == 2

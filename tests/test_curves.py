@@ -82,7 +82,12 @@ def test_euler_characteristic_values():
 
 
 def test_default_window_clears_last_breakpoint():
-    assert default_m_max(7, (1, 1, 1)) == 21
+    assert default_m_max(7, (1, 1, 1), 1) == 21
+    # at q = 3 the top plateau of the quartic needs 2q + theta + 3 twists,
+    # and that of the quintic (theta = 2) 2q + theta + 4
+    assert default_m_max(3, (1, 1, 1), 1) == 10
+    assert default_m_max(3, (1, 1, 1), 2) == 12
+    assert default_m_max(7, (1, 1, 1), 2) == 21
 
 
 # ------------------------------------------------------------------ profiles
@@ -90,7 +95,7 @@ def test_default_window_clears_last_breakpoint():
 
 def test_profile_on_quartic_q7():
     ring = fermat(7)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 7)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
     assert prof.m_max == 21
     assert prof.h0[:13] == (0,) * 11 + (3, 8)
     assert prof.h0[13:] == tuple(8 * m - 88 for m in range(13, 22))
@@ -103,15 +108,15 @@ def test_profile_on_quartic_q7():
 
 def test_profile_q9_interlocking_counts():
     ring = fermat(3)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 9)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2)
     assert prof.h0[11:19] == (0, 1, 3, 6, 11, 17, 24, 32)
     assert prof.h1[17:] == (0,) * (prof.m_max - 16)
 
 
-def per_twist_h0(ring, ideal, q, m_max):
+def per_twist_h0(ring, ideal, n, m_max):
     """h0 twist by twist: the domain dimension Σ_i dim R_{m-q·e_i} minus the
     rank of the degree-m multiplication map, one matrix per twist."""
-    frob = frobenius_power(ring, ideal, q)
+    frob = frobenius_power(ring, ideal, n)
     return tuple(
         sum(ring.hilbert_dim(m - e) for e in frob.degrees)
         - rank_mod_p(graded_map_matrix(ring, frob.generators, m))
@@ -143,8 +148,9 @@ def test_profile_h0_matches_per_twist_ranks(spec, ideal, q):
     # every twist's matrix, past the top of R/I^[q] too
     ring = parse_ring_spec(spec)
     I = parse_ideal_spec(ring, ideal)
-    prof = cohomology_profile(ring, I, q)
-    assert prof.h0 == per_twist_h0(ring, I, q, prof.m_max)
+    n = next(n for n in range(q) if ring.field.p**n == q)
+    prof = cohomology_profile(ring, I, n)
+    assert prof.h0 == per_twist_h0(ring, I, n, prof.m_max)
 
 
 # -------------------------------------------------------------- HN estimation
@@ -153,7 +159,7 @@ def test_profile_h0_matches_per_twist_ranks(spec, ideal, q):
 def test_single_plateau_for_residues_one_and_seven_mod_eight():
     for p in (7, 17, 23):
         ring = fermat(p)
-        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p)
+        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
         hn = estimate_hn_profile(prof, 3, 3)
         assert hn.pairs == ((Fraction(3, 2), 2),)
         assert hn.residual == 0.0
@@ -164,14 +170,14 @@ def test_single_plateau_masks_small_destabilization_at_first_power():
     # genus-sized transient, so only the coarse profile is recoverable
     for p in (5, 11, 13):
         ring = fermat(p)
-        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p)
+        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
         hn = estimate_hn_profile(prof, 3, 3)
         assert hn.pairs == ((Fraction(3, 2), 2),)
 
 
 def test_two_step_profile_emerges_at_q27():
     ring = fermat(3)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 27)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 3)
     hn = estimate_hn_profile(prof, 3, 3)
     assert hn.pairs == ((Fraction(4, 3), 1), (Fraction(5, 3), 1))
     assert hn.residual == 0.0
@@ -183,14 +189,14 @@ def test_two_step_profile_emerges_at_q27():
 def test_degree_conservation_on_every_estimate():
     for p, n in [(3, 2), (3, 3), (5, 1), (7, 1)]:
         ring = fermat(p)
-        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p**n)
+        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), n)
         hn = estimate_hn_profile(prof, 3, 3)
         assert sum(nu * r for nu, r in hn.pairs) == Fraction(3)
 
 
 def test_profile_too_short_before_top_plateau():
     ring = fermat(7)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 7, m_max=12)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1, m_max=12)
     with pytest.raises(ProfileTooShortError, match="profile too short"):
         estimate_hn_profile(prof, 3, 3)
 
@@ -253,7 +259,7 @@ def test_out_of_order_plateaus_are_ambiguous():
 
 def test_vanishing_windows_clean_for_q7():
     ring = fermat(7)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 7)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
     hn = estimate_hn_profile(prof, 3, 3)
     rep = vanishing_report(prof, hn)
     assert rep.clean
@@ -269,7 +275,7 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
     # already lives at m = 12: the below-window violation is the visible
     # footprint of the two-step structure that q = 9 cannot resolve
     ring = fermat(3)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 9)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2)
     hn = estimate_hn_profile(prof, 3, 3)
     rep = vanishing_report(prof, hn)
     assert hn.pairs == ((Fraction(3, 2), 2),)
@@ -281,7 +287,7 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
 
 def test_vanishing_clean_at_q27_with_true_slopes():
     ring = fermat(3)
-    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 27)
+    prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 3)
     hn = estimate_hn_profile(prof, 3, 3)
     rep = vanishing_report(prof, hn)
     assert rep.clean

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from hklab.cli import main
 from hklab.colength import (
+    ColengthRecord,
     IdealSpec,
     SizeGuardError,
     colength,
-    frobenius_power,
     parse_ideal_spec,
 )
 from hklab.diagonal import (
@@ -30,6 +30,7 @@ from hklab.diagonal import (
 )
 from hklab.fp_linalg import PrimeField, is_prime
 from hklab.graded import HypersurfaceRing, Polynomial, parse_ring_spec
+from hklab.limits import normalized_colength
 from hklab.store import cached_colength
 
 from oracles import ref_truncation_dim
@@ -327,8 +328,7 @@ def _fermat_case(s, d, p, n, cap):
 
 
 def _generic(ring, ideal, n, cap=None):
-    q = ring.field.p**n
-    return colength(ring, frobenius_power(ring, ideal, q), q=q, n=n, max_dim=cap)
+    return colength(ring, ideal, n, max_dim=cap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,3 +375,63 @@ def test_han_monsky_dispatch_shapes():
         assert _outcome(lambda: cached_colength(None, ring, ideal, 1)) == _outcome(
             lambda: _generic(ring, ideal, 1)
         ), (ring, text)
+
+
+# Largest q^(s-1)*d drawn for arbitrary relations and ideals, whose
+# colengths grow with the generator degrees too.
+DISPATCH_SIZE = 200
+
+
+@st.composite
+def relation_cases(draw):
+    """A relation with 2-5 random terms of one degree, or sum c_i x_i^d; an
+    ideal of pure powers (maybe with one more monomial), of scaled
+    variables, or of random linear forms; a Frobenius exponent and a cap."""
+    s = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 3))
+    p, n = draw(
+        st.sampled_from(
+            [
+                (p, n)
+                for p in (2, 3, 5)
+                for n in (0, 1, 2)
+                if p ** (n * (s - 1)) * d <= DISPATCH_SIZE
+            ]
+        )
+    )
+    field = PrimeField(p)
+    coefficient = st.integers(1, p - 1)
+    if draw(st.booleans()):
+        monos = [m for m in itertools.product(range(d + 1), repeat=s) if sum(m) == d]
+        most = min(5, len(monos))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=most, unique=True))
+    else:
+        terms = [_unit(s, i, d) for i in range(s)]
+    ring = HypersurfaceRing(field, s, Polynomial(field, s, {m: draw(coefficient) for m in terms}))
+    kind = draw(st.sampled_from(("variables", "monomial", "linear")))
+    if kind == "variables":
+        gens = [Polynomial.monomial(field, s, _unit(s, i), draw(coefficient)) for i in range(s)]
+    elif kind == "monomial":
+        powers = draw(st.lists(st.integers(1, 2), min_size=s, max_size=s))
+        gens = [Polynomial.monomial(field, s, _unit(s, i, e)) for i, e in enumerate(powers)]
+        if draw(st.booleans()):
+            extra = draw(st.lists(st.integers(0, 1), min_size=s, max_size=s).filter(any))
+            gens.append(Polynomial.monomial(field, s, tuple(extra)))
+    else:
+        row = st.lists(st.integers(0, p - 1), min_size=s, max_size=s).filter(any)
+        rows = draw(st.lists(row, min_size=s - 1, max_size=s))
+        gens = [Polynomial(field, s, {_unit(s, i): c for i, c in enumerate(r) if c}) for r in rows]
+    ideal = IdealSpec.from_polynomials(gens)
+    widest = max(ring.hilbert_dim(m) for m in range(2 * s * p**n + d + 2))
+    cap = draw(st.one_of(st.none(), st.integers(0, widest + 1)))
+    return ring, ideal, n, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(relation_cases())
+def test_cached_colength_dispatch_matches_generic_engine(case):
+    ring, ideal, n, cap = case
+    outcome = _outcome(lambda: cached_colength(None, ring, ideal, n, cap))
+    assert outcome == _outcome(lambda: colength(ring, ideal, n, cap))
+    if isinstance(outcome, ColengthRecord):
+        assert normalized_colength(ring, ideal, n) == outcome.normalized

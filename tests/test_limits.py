@@ -73,7 +73,7 @@ def test_positive_on_observed_profiles():
     for p in (3, 7):
         ring = parse_ring_spec(f"fermat:s=3,d=4,p={p}")
         geom = curve_geometry(ring)
-        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), p**2)
+        prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2)
         hn = estimate_hn_profile(prof, 3, 3)
         assert hk_from_profile(geom, hn, (1, 1, 1)) > 0
 
