@@ -38,10 +38,9 @@ from hklab.graded import HypersurfaceRing, SpecParseError, parse_ring_spec
 from hklab.limits import convergence_fit, hk_from_profile, reference_value
 from hklab.store import ResultStore, cached_colength
 
-# One row per flag: dest, value type, default, help.  Flags register with
-# default None so a config file can tell "flag omitted" from "flag set to the
-# default value"; _finalize fills the gaps.  Every flag except --config is
-# also a config key.
+# One row per flag: dest, value type, default, help.  Every flag except
+# --config is also a config key; a config file's values replace these
+# defaults, so the command line wins over the file and the file over them.
 _FLAGS = {
     "config": ("config", Path, None, "key=value file mirroring the flags"),
     "ring": ("ring", str, None, "explicit ring spec, e.g. fermat:s=3,d=4,p=7"),
@@ -53,12 +52,12 @@ _FLAGS = {
         "fermat-quartic | chang-quartic | diagonal:d1,..,ds | buchweitz-chen",
     ),
     "primes": ("primes", str, None, "list '3,5,7', range '3..23', or '3..23%%8=1,7'"),
-    "n": ("n_list", str, "1", "Frobenius exponents, e.g. '1,2' (default 1)"),
+    "n": ("n_list", str, "1", "Frobenius exponents, e.g. '1,2' (default %(default)s)"),
     "m-max": ("m_max", int, None, "profile twist cutoff, >= 0"),
-    "out": ("out", Path, Path("."), "output directory (default .)"),
+    "out": ("out", Path, Path("."), "output directory (default %(default)s)"),
     "cache": ("cache", Path, None, "colength cache directory"),
-    "jobs": ("jobs", int, 1, "parallel (p,n) jobs, >= 1 (default 1)"),
-    "cap": ("cap", int, 5000, "matrix-size guard (default 5000)"),
+    "jobs": ("jobs", int, 1, "parallel (p,n) jobs, >= 1 (default %(default)s)"),
+    "cap": ("cap", int, 5000, "matrix-size guard (default %(default)s)"),
     "d": ("d", str, None, "diagonal exponents, e.g. '4,4,4,4'"),
 }
 
@@ -78,21 +77,25 @@ _COMMAND_FLAGS = {
 COMMANDS = tuple(_COMMAND_FLAGS)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The hk-lab parser; ``config`` values (flag -> string) replace the defaults."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="hk-lab",
         description="Frobenius colengths, syzygy cohomology, and limit multiplicities",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
-        sub = subs.add_parser(name)
+        add = subs.add_parser(name).add_argument
         for flag in flags:
-            dest, kind, _, text = _FLAGS[flag]
-            sub.add_argument(f"--{flag}", dest=dest, type=kind, help=text)
+            dest, kind, default, text = _FLAGS[flag]
+            default = config.get(flag, default)
+            add(f"--{flag}", dest=dest, type=kind, default=default, help=text)
     return parser
 
 
-def load_config(path: Path) -> dict:
+def load_config(path: Path, command: str) -> dict:
+    """Flag name -> value string, each key a flag of ``command``."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -108,28 +111,14 @@ def load_config(path: Path) -> dict:
         key = key.strip()
         if key not in _FLAGS or key == "config":
             raise SpecParseError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _COMMAND_FLAGS[command]:
+            dest = _FLAGS[key][0]
+            raise SpecParseError(f"config key not valid for this command: {dest}")
         mapping[key] = value.strip()
     return mapping
 
 
-def apply_config(args: argparse.Namespace, mapping: dict) -> None:
-    """Config values fill in flags the command line left unset."""
-    for key, raw in mapping.items():
-        dest, kind, _, _ = _FLAGS[key]
-        if not hasattr(args, dest):
-            raise SpecParseError(f"config key not valid for this command: {dest}")
-        if getattr(args, dest) is not None:
-            continue
-        try:
-            setattr(args, dest, kind(raw))
-        except ValueError:
-            raise SpecParseError(f"config {dest}: expected integer, got {raw!r}") from None
-
-
-def _finalize(args: argparse.Namespace) -> None:
-    for dest, _, fallback, _ in _FLAGS.values():
-        if hasattr(args, dest) and getattr(args, dest) is None and fallback is not None:
-            setattr(args, dest, fallback)
+def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "m_max", None) is not None and args.m_max < 0:
         raise SpecParseError(f"--m-max must be >= 0, got {args.m_max}")
     if getattr(args, "jobs", 1) < 1:
@@ -188,7 +177,8 @@ def parse_n_list(text: str) -> List[int]:
 
 
 def parse_diagonal_family(text: str) -> DiagonalSpec:
-    body = text.split(":", 1)[1]
+    """A ``diagonal:d1,..,ds`` family, or gm's bare ``d1,..,ds``."""
+    body = text.removeprefix("diagonal:")
     try:
         return DiagonalSpec(tuple(int(tok) for tok in body.split(",")))
     except ValueError as exc:
@@ -207,36 +197,36 @@ def family_ring(family: str, p: int) -> HypersurfaceRing:
     raise SpecParseError(f"unknown family {family!r}")
 
 
-def resolve_ring(args: argparse.Namespace, p: int) -> HypersurfaceRing:
+def _ring_ideal(args, p: int) -> Tuple[HypersurfaceRing, IdealSpec]:
+    """The --ring or --family ring at p, and --ideal in it."""
     if args.ring:
         ring = parse_ring_spec(args.ring)
         if ring.field.p != p:
             raise SpecParseError(
                 f"--ring has characteristic {ring.field.p}, grid asked for {p}"
             )
-        return ring
-    if args.family:
-        return family_ring(args.family, p)
-    raise SpecParseError("need --ring or --family")
+    elif args.family:
+        ring = family_ring(args.family, p)
+    else:
+        raise SpecParseError("need --ring or --family")
+    return ring, parse_ideal_spec(ring, args.ideal)
 
 
-def grid_pairs(args: argparse.Namespace) -> List[Tuple[int, int]]:
-    ring = getattr(args, "ring", None)  # sandwich has no --ring
+def run_grid(args: argparse.Namespace, job) -> list:
+    """(p, n, job(p, n)) in grid order over --primes x --n, or over the
+    prime of --ring when --primes is absent; --jobs threads run the jobs."""
     if args.primes:
         primes = parse_primes(args.primes)
-    elif ring:
-        primes = [parse_ring_spec(ring).field.p]
+    elif getattr(args, "ring", None):  # sandwich has no --ring
+        primes = [parse_ring_spec(args.ring).field.p]
     else:
         raise SpecParseError("need --primes (or an explicit --ring)")
-    ns = parse_n_list(args.n_list)
-    return [(p, n) for p in primes for n in ns]
-
-
-def run_grid(pairs: Sequence, worker, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(pair) for pair in pairs]
+    pairs = [(p, n) for p in primes for n in parse_n_list(args.n_list)]
+    jobs = getattr(args, "jobs", 1)  # limits has no --jobs
+    if jobs == 1:
+        return [(p, n, job(p, n)) for p, n in pairs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, pairs))
+        return list(pool.map(lambda pn: (*pn, job(*pn)), pairs))
 
 
 def write_json(path: Path, obj) -> None:
@@ -259,29 +249,17 @@ def rational_str(value: Fraction) -> str:
     return "{}/{}".format(*value.as_integer_ratio())
 
 
-def _family_label(args: argparse.Namespace) -> str:
-    return args.family if args.family else "custom"
-
-
-def _store(args: argparse.Namespace) -> Optional[ResultStore]:
-    return ResultStore(args.cache) if args.cache else None
-
-
 # ------------------------------------------------------------------ commands
 
 
 def cmd_colength(args: argparse.Namespace) -> int:
-    pairs = grid_pairs(args)
-    store = _store(args)
+    store = ResultStore(args.cache) if args.cache else None
 
-    def worker(pn):
-        p, n = pn
-        ring = resolve_ring(args, p)
-        ideal = parse_ideal_spec(ring, args.ideal)
-        return cached_colength(store, ring, ideal, n, max_dim=args.cap)
+    def job(p, n):
+        return cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
 
-    records = run_grid(pairs, worker, args.jobs)
-    label = _family_label(args)
+    records = [rec for _, _, rec in run_grid(args, job)]
+    label = args.family or "custom"
     rows = [
         {
             "family": label,
@@ -308,19 +286,17 @@ def cmd_colength(args: argparse.Namespace) -> int:
 
 
 def _curve_profile(args, p: int, n: int):
-    ring = resolve_ring(args, p)
-    ideal = parse_ideal_spec(ring, args.ideal)
+    ring, ideal = _ring_ideal(args, p)
     prof = cohomology_profile(ring, ideal, n, m_max=args.m_max, max_dim=args.cap)
     return ideal, prof
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    pairs = grid_pairs(args)
-    results = run_grid(pairs, lambda pn: (pn, _curve_profile(args, *pn)), args.jobs)
-    label = _family_label(args)
+    results = run_grid(args, lambda p, n: _curve_profile(args, p, n)[1])
+    label = args.family or "custom"
     rows = []
     payload = []
-    for (p, n), (_, prof) in results:
+    for p, n, prof in results:
         for m in range(prof.m_max + 1):
             rows.append(
                 {
@@ -352,24 +328,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     write_csv(args.out / "profile.csv", rows)
     write_json(args.out / "profile.json", {"family": label, "profiles": payload})
-    for (p, n), (_, prof) in results:
+    for p, n, prof in results:
         print(f"p={p} n={n} q={prof.q} m_max={prof.m_max}")
     return 0
 
 
 def cmd_hn(args: argparse.Namespace) -> int:
-    pairs = grid_pairs(args)
-
-    def worker(pn):
-        ideal, prof = _curve_profile(args, *pn)
+    def job(p, n):
+        ideal, prof = _curve_profile(args, p, n)
         hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
-        return pn, hn, vanishing_report(prof, hn)
+        return hn, vanishing_report(prof, hn)
 
-    results = run_grid(pairs, worker, args.jobs)
-    label = _family_label(args)
+    results = run_grid(args, job)
+    label = args.family or "custom"
     rows = []
     payload = []
-    for (p, n), hn, report in results:
+    for p, n, (hn, report) in results:
         for k, (nu, r) in enumerate(hn.pairs, start=1):
             rows.append(
                 {
@@ -405,7 +379,7 @@ def cmd_hn(args: argparse.Namespace) -> int:
         )
     write_csv(args.out / "hn.csv", rows)
     write_json(args.out / "hn.json", {"family": label, "runs": payload})
-    for (p, n), hn, report in results:
+    for p, n, (hn, report) in results:
         steps = " ".join(f"({rational_str(nu)},{r})" for nu, r in hn.pairs)
         print(f"p={p} n={n} profile: {steps} clean={report.clean}")
     return 0
@@ -416,22 +390,29 @@ def cmd_limits(args: argparse.Namespace) -> int:
         raise SpecParseError("limits needs --family")
     if args.primes is None:
         raise SpecParseError("limits needs --primes")
-    primes = parse_primes(args.primes)
-    ns = parse_n_list(args.n_list)
+    profiled = args.family == "fermat-quartic"
+    for flag in () if profiled else ("ideal", "m-max", "cap"):
+        dest, _, default, _ = _FLAGS[flag]
+        if getattr(args, dest) != default:
+            raise SpecParseError(f"limits --family {args.family} reads no --{flag}")
+
+    def job(p, n):
+        reference = reference_value(args.family, p)
+        if not profiled:
+            return reference, None
+        ideal, prof = _curve_profile(args, p, n)
+        hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
+        value = rational_str(hk_from_profile(prof.geom, hn, ideal.degrees))
+        return reference, {"n": n, "hk_from_profile": value}
+
+    grid = run_grid(args, job)
+    per_prime = len(parse_n_list(args.n_list))
     rows = []
-    for p in primes:
-        entry = {"p": p, "reference": rational_str(reference_value(args.family, p))}
-        if args.family == "fermat-quartic":
-            estimates = []
-            for n in ns:
-                ideal, prof = _curve_profile(args, p, n)
-                hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
-                value = hk_from_profile(prof.geom, hn, ideal.degrees)
-                estimates.append(
-                    {"n": n, "hk_from_profile": rational_str(value)}
-                )
-            entry["profile_estimates"] = estimates
-        rows.append(entry)
+    for index, (p, _, (reference, estimate)) in enumerate(grid):
+        if index % per_prime == 0:
+            rows.append({"p": p, "reference": rational_str(reference)})
+        if profiled:
+            rows[-1].setdefault("profile_estimates", []).append(estimate)
     write_json(args.out / "limits.json", {"family": args.family, "rows": rows})
     for entry in rows:
         print(f"p={entry['p']} reference={entry['reference']}")
@@ -442,9 +423,8 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     if not args.family or not args.family.startswith("diagonal:"):
         raise SpecParseError("sandwich needs --family diagonal:d1,..,ds")
     spec = parse_diagonal_family(args.family)
-    pairs = grid_pairs(args)
-    reports = run_grid(pairs, lambda pn: sandwich_check(spec, *pn), args.jobs)
-    label = _family_label(args)
+    reports = [r for _, _, r in run_grid(args, lambda p, n: sandwich_check(spec, p, n))]
+    label = args.family or "custom"
     exact = [
         {
             "p": rep.p,
@@ -480,20 +460,15 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     if not args.family:
         raise SpecParseError("convergence needs --family")
-    pairs = grid_pairs(args)
-    ns = {n for _, n in pairs}
-    if len(ns) != 1:
+    if len(set(parse_n_list(args.n_list))) != 1:
         raise SpecParseError("convergence needs a single --n")
-    store = _store(args)
+    store = ResultStore(args.cache) if args.cache else None
 
-    def worker(pn):
-        p, n = pn
-        ring = resolve_ring(args, p)
-        ideal = parse_ideal_spec(ring, args.ideal)
-        record = cached_colength(store, ring, ideal, n, max_dim=args.cap)
+    def job(p, n):
+        record = cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
         return record, reference_value(args.family, p)
 
-    results = run_grid(pairs, worker, args.jobs)
+    results = [result for _, _, result in run_grid(args, job)]
     fit = convergence_fit([rec for rec, _ in results])
     rows = []
     for rec, reference in results:
@@ -525,10 +500,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 def cmd_gm(args: argparse.Namespace) -> int:
     if not args.d:
         raise SpecParseError("gm needs --d, e.g. --d 4,4,4,4")
-    try:
-        spec = DiagonalSpec(tuple(int(tok) for tok in args.d.split(",")))
-    except ValueError as exc:
-        raise SpecParseError(f"bad --d {args.d!r}: {exc}") from None
+    spec = parse_diagonal_family(args.d)
     limits = diagonal_limits(spec)
     gv = g_value([Fraction(1, d) for d in spec.exponents])
     payload = {
@@ -562,16 +534,14 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         if args.config is not None:
-            apply_config(args, load_config(args.config))
-        _finalize(args)
+            args = build_parser(load_config(args.config, args.command)).parse_args(argv)
+        _validate(args)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse: usage errors, bad config values, --help
+        return exc.code if isinstance(exc.code, int) else 2
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -96,14 +96,6 @@ class PrimeFieldMatrix:
         self.field = field
         self.array = arr
 
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeFieldMatrix):
             return NotImplemented

@@ -138,21 +138,6 @@ class Polynomial:
         if self.field.p != other.field.p or self.nvars != other.nvars:
             raise ValueError("mixed rings")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.field, self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.field, self.nvars, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         p = self.field.p

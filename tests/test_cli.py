@@ -265,7 +265,7 @@ def test_limits_reports_reference_and_profile_value(tmp_path):
 # ---------------------------------------------------------------- exit codes
 
 
-def test_parse_errors_exit_2(tmp_path):
+def test_parse_errors_exit_2(tmp_path, capsys):
     out = ["--out", str(tmp_path)]
     assert main(["colength", "--ring", "fermat:s=3", "--primes", "5"] + out) == 2
     assert main(["colength", "--family", "fermat-quartic"] + out) == 2
@@ -278,6 +278,12 @@ def test_parse_errors_exit_2(tmp_path):
         )
         == 2
     )
+    # limits computes no profile for chang-quartic, so it reads no profile flag
+    chang = ["limits", "--family", "chang-quartic", "--primes", "5"]
+    capsys.readouterr()
+    assert main(chang + ["--m-max", "3", "--cap", "1", "--ideal", "x"] + out) == 2
+    assert "--ideal" in capsys.readouterr().err
+    assert not (tmp_path / "limits.json").exists()
 
 
 def test_usage_errors_exit_2():
@@ -507,3 +513,15 @@ def test_bad_config_exits_2(tmp_path):
     )
     assert main(["profile", "--config", str(cfg)]) == 2
     assert main(["colength", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # a value the flag's type rejects
+    cfg.write_text(
+        f"family=fermat-quartic\nprimes=5\nout={tmp_path}\njobs=two\n",
+        encoding="utf-8",
+    )
+    assert main(["colength", "--config", str(cfg)]) == 2
+    # a profile flag for a limits family that computes no profile
+    cfg.write_text(
+        f"family=chang-quartic\nprimes=5\nout={tmp_path}\nm-max=3\n",
+        encoding="utf-8",
+    )
+    assert main(["limits", "--config", str(cfg)]) == 2

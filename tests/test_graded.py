@@ -119,26 +119,26 @@ def test_graded_map_matrix_variables():
     R = fermat_ring(5)
     gens = [Polynomial.variable(R.field, 3, i) for i in range(3)]
     m1 = graded_map_matrix(R, gens, 1)
-    assert (m1.rows, m1.cols) == (3, 3)
+    assert m1.array.shape == (3, 3)
     assert rank_mod_p(m1) == 3
     R7 = fermat_ring(7)
     gens7 = [Polynomial.variable(R7.field, 3, i) for i in range(3)]
     m2 = graded_map_matrix(R7, gens7, 2)
-    assert (m2.rows, m2.cols) == (6, 9)
+    assert m2.array.shape == (6, 9)
     assert rank_mod_p(m2) == 6
 
 
 def test_graded_map_matrix_empty_generator_list():
     R = fermat_ring(5)
     m = graded_map_matrix(R, [], 3)
-    assert m.cols == 0 and m.rows == R.hilbert_dim(3)
+    assert m.array.shape == (R.hilbert_dim(3), 0)
 
 
 def test_graded_map_matrix_degenerate_degrees():
     # generator degree above m gives an empty block
     R = fermat_ring(5)
     m = graded_map_matrix(R, [R.relation], 2)
-    assert m.cols == 0
+    assert m.array.shape[1] == 0
 
 
 def test_multiplication_by_relation_rank():
