@@ -212,16 +212,19 @@ def _ring_ideal(args, p: int) -> Tuple[HypersurfaceRing, IdealSpec]:
     return ring, parse_ideal_spec(ring, args.ideal)
 
 
-def run_grid(args: argparse.Namespace, job) -> list:
-    """(p, n, job(p, n)) in grid order over --primes x --n, or over the
-    prime of --ring when --primes is absent; --jobs threads run the jobs."""
+def grid_primes(args: argparse.Namespace) -> List[int]:
+    """--primes, or the prime of --ring when --primes is absent."""
     if args.primes:
-        primes = parse_primes(args.primes)
-    elif getattr(args, "ring", None):  # sandwich has no --ring
-        primes = [parse_ring_spec(args.ring).field.p]
-    else:
-        raise SpecParseError("need --primes (or an explicit --ring)")
-    pairs = [(p, n) for p in primes for n in parse_n_list(args.n_list)]
+        return parse_primes(args.primes)
+    if getattr(args, "ring", None):  # sandwich has no --ring
+        return [parse_ring_spec(args.ring).field.p]
+    raise SpecParseError("need --primes (or an explicit --ring)")
+
+
+def run_grid(args: argparse.Namespace, job) -> list:
+    """(p, n, job(p, n)) in grid order over ``grid_primes`` x --n; --jobs
+    threads run the jobs."""
+    pairs = [(p, n) for p in grid_primes(args) for n in parse_n_list(args.n_list)]
     jobs = getattr(args, "jobs", 1)  # limits has no --jobs
     if jobs == 1:
         return [(p, n, job(p, n)) for p, n in pairs]
@@ -391,7 +394,7 @@ def cmd_limits(args: argparse.Namespace) -> int:
     if args.primes is None:
         raise SpecParseError("limits needs --primes")
     profiled = args.family == "fermat-quartic"
-    for flag in () if profiled else ("ideal", "m-max", "cap"):
+    for flag in () if profiled else ("ideal", "m-max", "cap", "n"):
         dest, _, default, _ = _FLAGS[flag]
         if getattr(args, dest) != default:
             raise SpecParseError(f"limits --family {args.family} reads no --{flag}")
@@ -462,16 +465,20 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise SpecParseError("convergence needs --family")
     if len(set(parse_n_list(args.n_list))) != 1:
         raise SpecParseError("convergence needs a single --n")
+    references = {}
+    for p in grid_primes(args):  # every reference before the first colength
+        _ring_ideal(args, p)  # an unparseable spec still exits 2 first
+        references[p] = reference_value(args.family, p)
     store = ResultStore(args.cache) if args.cache else None
 
     def job(p, n):
-        record = cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
-        return record, reference_value(args.family, p)
+        return cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
 
-    results = [result for _, _, result in run_grid(args, job)]
-    fit = convergence_fit([rec for rec, _ in results])
+    records = [rec for _, _, rec in run_grid(args, job)]
+    fit = convergence_fit(records)
     rows = []
-    for rec, reference in results:
+    for rec in records:
+        reference = references[rec.p]
         residual = rec.normalized - reference
         rows.append(
             {

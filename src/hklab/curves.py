@@ -185,6 +185,7 @@ def cohomology_profile(
     record are zero.  ``max_dim`` guards only the colength's matrices.
     """
     geom = curve_geometry(ring)
+    syzygy_data(geom, ideal.degrees)  # at least two generators
     q = ring.field.p**n
     if m_max is None:
         m_max = default_m_max(q, ideal.degrees, geom.theta)

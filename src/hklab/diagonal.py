@@ -12,6 +12,19 @@ sum c_i T_i.  So the degree-m piece of R/m^[q] is the sum, over r, of the
 degree-j pieces of F_p[T]/(T_i^{k_i}, sum T_i) with |r| + d*j = m: the
 graded d_f.  A residue r_i >= q has no block (k_i <= 0), so its tuples
 contribute nothing; that happens only when q < d.
+
+Hilbert-Burch shortcut for three arguments: after T_3 = -(T_1+T_2) the
+graded d_f(a, b, c) is the Hilbert function H of S/I, S = F_p[x,y] and
+I = (x^a, y^b, (x+y)^c).  I is m-primary, so the syzygies of its three
+generators form a free module of rank 2, with degrees u <= v and
+u + v = a + b + c (also when (x+y)^c lies in (x^a, y^b)).  With
+t_+ = max(t, 0),
+
+    H(j) = (j+1)_+ - (j-a+1)_+ - (j-b+1)_+ - (j-c+1)_+ + (j-u+1)_+ + (j-v+1)_+.
+
+At j* = ceil((a+b+c)/2) - 1 the v term is 0 and the u term strictly
+decreases in u, so one block rank in degree j* gives u and then every H(j).
+v - u is Han's syzygy gap delta.
 """
 
 from __future__ import annotations
@@ -110,19 +123,24 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
     Eliminating T_s leaves B = F_p[T_1..T_{s-1}]/(T_i^{k_i}) modulo
     (T_1+..+T_{s-1})^{k_s}; B is graded and the power maps B_{j-k_s} into
     B_j, so degree j contributes dim B_j minus the rank of one small block.
+    Three arguments need that block in one degree only (Hilbert-Burch, see
+    the module docstring).
     """
     field = PrimeField(p)
     *caps, power = sorted(ks)
+    box_top = sum(caps) - len(caps)
+    top = box_top if top is None else min(top, box_top)
+    if len(caps) == 2:
+        return _hilbert_burch(field, *caps, power, top)
     caps = np.array(caps, dtype=np.int64)
     strides = np.cumprod(np.append(1, caps[:0:-1]))[::-1]  # row-major
-    box_top = int((caps - 1).sum())
-    top = box_top if top is None else min(top, box_top)
     # B_j as the sorted mixed-radix indices of its monomials
     pieces = [np.zeros(1, dtype=np.int64)]
     for _ in range(top):
         prev = pieces[-1]
         grows = prev[:, None] // strides % caps + 1 < caps
-        pieces.append(np.unique((prev[:, None] + strides)[grows]))
+        grown = np.sort((prev[:, None] + strides)[grows])
+        pieces.append(grown[np.diff(grown, prepend=-1) != 0])
     if power <= top:
         # exponent vectors c of the power's terms, |c| = power, and their
         # multinomial coefficients
@@ -149,13 +167,39 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
     return dims
 
 
+def _hilbert_burch(field: PrimeField, a: int, b: int, c: int, top: int) -> List[int]:
+    """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), a <= b <= c, in
+    degrees 0..top, from one rank in degree j* (module docstring).
+
+    The block maps x^i' y^(j*-c-i') to (x+y)^c times it in B_j*, B =
+    F_p[x,y]/(x^a, y^b): its entry at row x^i y^(j*-i) is C(c, i-i')."""
+    j = (a + b + c + 1) // 2 - 1
+    rows = np.arange(max(0, j - b + 1), min(a - 1, j) + 1)
+    cols = np.arange(max(0, j - c - b + 1), min(a - 1, j - c) + 1)
+    binom = [1]
+    for i in range(c):
+        binom.append(binom[-1] * (c - i) // (i + 1))
+    binom = np.array([v % field.p for v in binom], dtype=np.int64)
+    shift = rows[:, None] - cols[None, :]
+    block = np.where((shift >= 0) & (shift <= c), binom[shift.clip(0, c)], 0)
+    rank = rank_mod_p(PrimeFieldMatrix(field, block))
+
+    def hilbert(t, syzygies=()):
+        ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, *syzygies)]
+        return t + 1 - sum(ramps[:3]) + sum(ramps[3:])
+
+    u = j + 1 - (rows.size - rank - int(hilbert(j)))
+    return hilbert(np.arange(top + 1), (u, a + b + c - u)).tolist()
+
+
 def d_f(p: int, *ks: int) -> int:
     """dim of F_p[x_1..x_{s-1}]/(x_i^{k_i}) modulo the image of
     multiplication by (x_1+..+x_{s-1})^{k_s}.
 
     Symmetric in all s arguments, power slot included: it is the colength
     of (x_1^{k_1}, .., x_s^{k_s}) in F_p[x_1..x_s]/(x_1+..+x_s).  Computed
-    degree by degree, one block per degree (``_truncation_hilbert``).
+    degree by degree (``_truncation_hilbert``): one block per degree, or
+    one block in all for three arguments.
     """
     if len(ks) < 2:
         raise ValueError("need at least two exponents")

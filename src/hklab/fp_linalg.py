@@ -129,10 +129,9 @@ def _rank_of_array(a: np.ndarray, p: int) -> int:
         # row touches no other row, so rank(A) = 1 + rank(A minus the pivot
         # row and column); columns sharing the row lose their only entry and
         # may be dropped with it.
-        pivot_rows = np.unique(nz[:, singles].argmax(axis=0))
-        rank += pivot_rows.size
         row_keep = np.ones(a.shape[0], dtype=bool)
-        row_keep[pivot_rows] = False
+        row_keep[nz[:, singles].argmax(axis=0)] = False
+        rank += a.shape[0] - int(np.count_nonzero(row_keep))
         col_keep = np.ones(a.shape[1], dtype=bool)
         col_keep[singles] = False
         a = a[row_keep][:, col_keep]

@@ -229,6 +229,7 @@ class HypersurfaceRing:
         self.field = field
         self.s = s
         self.relation = relation
+        self._d = None if relation is None else relation.degree
         if relation is None:
             self._lt = None
             self._tail = None
@@ -250,7 +251,7 @@ class HypersurfaceRing:
 
     @property
     def d(self) -> Optional[int]:
-        return None if self.relation is None else self.relation.degree
+        return self._d
 
     @property
     def krull_dim(self) -> int:
@@ -273,7 +274,7 @@ class HypersurfaceRing:
         full = _binomial(m + s - 1, s - 1)
         if self.relation is None:
             return full
-        return full - _binomial(m - self.relation.degree + s - 1, s - 1)
+        return full - _binomial(m - self._d + s - 1, s - 1)
 
     def monomial_basis(self, m: int) -> np.ndarray:
         """Degree-m standard monomials as a read-only int64 array, one row

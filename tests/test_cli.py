@@ -1,6 +1,9 @@
 import csv
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(chang + ["--m-max", "3", "--cap", "1", "--ideal", "x"] + out) == 2
     assert "--ideal" in capsys.readouterr().err
+    assert main(chang + ["--n", "1,2"] + out) == 2
+    assert "--n" in capsys.readouterr().err
     assert not (tmp_path / "limits.json").exists()
 
 
@@ -360,6 +365,41 @@ def test_hn_and_limits_take_generator_count_from_ideal(tmp_path, capsys):
     assert main(limits + ["--out", str(tmp_path)]) == 0
     row = read_json(tmp_path / "limits.json")["rows"][0]
     assert row["profile_estimates"] == [{"n": 1, "hk_from_profile": "32/3"}]
+
+
+NO_MASKED_ARRAYS = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit()
+src, out = sys.argv[1:]
+sys.path.insert(0, src)
+from hklab.cli import main
+runs = [
+    ["hn", "--family", "fermat-quartic", "--primes", "7"],
+    ["colength", "--family", "chang-quartic", "--primes", "7"],
+    ["sandwich", "--family", "diagonal:2,2,2", "--primes", "7"],
+]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    # np.unique without return_index asks np.ma.is_masked, and the first
+    # such call imports numpy.ma into the run
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(src), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_ring_contradicting_family_exits_2(tmp_path):
@@ -445,7 +485,7 @@ def test_colength_of_artinian_ring_with_every_generator_in_the_relation(
     assert "total=2" in capsys.readouterr().out
 
 
-def test_math_errors_exit_1(tmp_path):
+def test_math_errors_exit_1(tmp_path, capsys):
     out = ["--out", str(tmp_path)]
     # principal ideal: not primary
     assert (
@@ -470,6 +510,19 @@ def test_math_errors_exit_1(tmp_path):
         )
         == 1
     )
+    # one generator has no syzygy bundle; the default --m-max divided by its
+    # rank 0
+    capsys.readouterr()
+    for command in ("profile", "hn", "limits"):
+        argv = [command, "--family", "fermat-quartic", "--primes", "7", "--ideal", "x"]
+        assert main(argv + out) == 1
+        assert "need at least two generators" in capsys.readouterr().err
+    # no reference value: rejected before the first colength is computed
+    cache = tmp_path / "cache"
+    argv = ["convergence", "--family", "diagonal:4,4,4", "--primes", "5,7,11"]
+    assert main(argv + ["--cache", str(cache)] + out) == 1
+    assert "unknown family" in capsys.readouterr().err
+    assert not cache.exists() or not list(cache.iterdir())
 
 
 # -------------------------------------------------------------------- config

@@ -18,6 +18,7 @@ from hklab.colength import (
 from hklab.diagonal import (
     DiagonalLimits,
     DiagonalSpec,
+    _truncation_hilbert,
     d_char0,
     d_f,
     diagonal_limits,
@@ -33,7 +34,7 @@ from hklab.graded import HypersurfaceRing, Polynomial, parse_ring_spec
 from hklab.limits import normalized_colength
 from hklab.store import cached_colength
 
-from oracles import ref_truncation_dim
+from oracles import power_of_sum, ref_graded_piece_dim, ref_truncation_dim
 
 HALF = Fraction(1, 2)
 
@@ -85,6 +86,39 @@ def test_monotone_in_each_slot():
 )
 def test_d_f_matches_reference_truncation_dim(p, caps, k):
     assert d_f(p, *caps, k) == ref_truncation_dim(p, caps, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    st.integers(0, 24),
+)
+@example(7, (2, 3, 9), 12)  # (x+y)^9 lies in (x^2, y^3)
+@example(5, (3, 4, 6), 24)  # c = a + b - 1
+@example(3, (1, 7, 5), 8)
+@example(11, (9, 10, 12), 3)  # top below j* = 15
+def test_three_argument_hilbert_matches_reference_pieces(p, ks, top):
+    # the Hilbert-Burch shortcut against F_p[x,y]/(x^a, y^b, (x+y)^c)
+    a, b, c = ks
+    gens = [(a, {(a, 0): 1}), (b, {(0, b): 1}), (c, power_of_sum(2, c, p))]
+    dims = _truncation_hilbert(p, ks, top)
+    assert len(dims) == min(top, sum(sorted(ks)[:2]) - 2) + 1
+    for j in range(top + 1):
+        expected = ref_graded_piece_dim(p, 2, gens, j)
+        assert (dims[j] if j < len(dims) else 0) == expected, (j, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([q for q in range(2, 200) if is_prime(q)]),
+    st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60)),
+    st.one_of(st.none(), st.integers(0, 130)),
+)
+def test_three_argument_hilbert_matches_degree_loop(p, ks, top):
+    # a fourth exponent of 1 changes no piece and sends the tuple through
+    # the per-degree block loop
+    assert _truncation_hilbert(p, ks, top) == _truncation_hilbert(p, (*ks, 1), top)
 
 
 def test_d_f_input_validation():
