@@ -13,7 +13,17 @@ degree-j pieces of F_p[T]/(T_i^{k_i}, sum T_i) with |r| + d*j = m: the
 graded d_f.  A residue r_i >= q has no block (k_i <= 0), so its tuples
 contribute nothing; that happens only when q < d.
 
-Hilbert-Burch shortcut for three arguments: after T_3 = -(T_1+T_2) the
+Jordan-type fold: T = T_1+..+T_s makes the tensor product of the
+[0,k_i] = F_p[T_i]/(T_i^{k_i}) a graded F_p[T]-module, a sum of strings
+[start, length]; the graded d_f counts them by start degree.  The type of
+M ⊗ [0,k] is the sum, over the strings [s0, l] of M, of the type of
+[0,l] ⊗ [0,k] shifted by s0.  [0,a] ⊗ [0,b] has H_c(s+c-1) -
+H_{c-1}(s+c-1) strings that start in degree s and have length >= c, H_c
+the Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c) below (H_0 = 0).
+The last two k_i need no type: each string [s0, l] adds H for
+(l, k_{s-1}, k_s), shifted by s0.
+
+Hilbert-Burch for three arguments: after T_3 = -(T_1+T_2) the
 graded d_f(a, b, c) is the Hilbert function H of S/I, S = F_p[x,y] and
 I = (x^a, y^b, (x+y)^c).  I is m-primary, so the syzygies of its three
 generators form a free module of rank 2, with degrees u <= v and
@@ -29,12 +39,13 @@ v - u is Han's syzygy gap delta.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,62 +119,57 @@ class SandwichReport:
     gap_p: Fraction
 
 
-def _multinomial(n: int, parts: Sequence[int]) -> int:
-    out = math.factorial(n)
-    for a in parts:
-        out //= math.factorial(a)
-    return out
+def _fold(pair_type: Callable[[int, int], Tuple], ks: Sequence[int]) -> Counter:
+    """Graded Jordan type {(start, length): count} of [0,k_1] ⊗ .. ⊗ [0,k_r]
+    (module docstring); ``pair_type(a, b)``, a <= b, gives the strings
+    (start, length) of [0,a] ⊗ [0,b], at most one per start degree."""
+    strings = Counter({(0, 1): 1})
+    for k in ks:
+        folded = Counter()
+        for (s0, length), count in strings.items():
+            for start, size in pair_type(*sorted((length, k))):
+                folded[s0 + start, size] += count
+        strings = folded
+    return strings
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair_type(p: int, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
+    """Strings (start, length) of [0,a] ⊗ [0,b] over F_p, a <= b: the
+    string from degree s has length >= c exactly when H_c(s+c-1) >
+    H_{c-1}(s+c-1) (module docstring), and (x+y)^{a+b-1} kills it all."""
+    if a == 1:
+        return ((0, b),)
+    field = PrimeField(p)
+    lengths = np.zeros(a + b - 1, dtype=np.int64)
+    below = np.zeros(a + b - 1, dtype=np.int64)  # H_{c-1}
+    for c in range(1, a + b):
+        if below.sum() == a * b:
+            break
+        hilbert = np.array(_hilbert_burch(field, *sorted((a, b, c)), a + b - 2))
+        lengths[: a + b - c] += (hilbert - below)[c - 1 :]
+        below = hilbert
+    return tuple((start, size) for start, size in enumerate(lengths.tolist()) if size)
 
 
 def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) -> List[int]:
     """Hilbert function of F_p[T_1..T_s]/(T_1^{k_1}, .., T_s^{k_s}, T_1+..+T_s)
     in degrees 0..top (default: every degree where it can be nonzero).
 
-    The quotient is symmetric in the k_i, so the largest is taken as k_s.
-    Eliminating T_s leaves B = F_p[T_1..T_{s-1}]/(T_i^{k_i}) modulo
-    (T_1+..+T_{s-1})^{k_s}; B is graded and the power maps B_{j-k_s} into
-    B_j, so degree j contributes dim B_j minus the rank of one small block.
-    Three arguments need that block in one degree only (Hilbert-Burch, see
-    the module docstring).
+    The k_i sorted, k_1..k_{s-2} fold into strings [s0, l], and each adds
+    the three-argument H of (l, k_{s-1}, k_s) from degree s0 on (module
+    docstring), so three arguments take one rank.
     """
     field = PrimeField(p)
-    *caps, power = sorted(ks)
-    box_top = sum(caps) - len(caps)
+    *head, a, b = sorted(ks)
+    box_top = sum(head) + a - len(head) - 1
     top = box_top if top is None else min(top, box_top)
-    if len(caps) == 2:
-        return _hilbert_burch(field, *caps, power, top)
-    caps = np.array(caps, dtype=np.int64)
-    strides = np.cumprod(np.append(1, caps[:0:-1]))[::-1]  # row-major
-    # B_j as the sorted mixed-radix indices of its monomials
-    pieces = [np.zeros(1, dtype=np.int64)]
-    for _ in range(top):
-        prev = pieces[-1]
-        grows = prev[:, None] // strides % caps + 1 < caps
-        grown = np.sort((prev[:, None] + strides)[grows])
-        pieces.append(grown[np.diff(grown, prepend=-1) != 0])
-    if power <= top:
-        # exponent vectors c of the power's terms, |c| = power, and their
-        # multinomial coefficients
-        terms = pieces[power]
-        term_exps = terms[:, None] // strides % caps
-        coeffs = np.array(
-            [_multinomial(power, c) % p for c in term_exps.tolist()], dtype=np.int64
-        )
-    dims = []
-    for j, rows in enumerate(pieces):
-        rank = 0
-        if j >= power:
-            cols = pieces[j - power]
-            col_exps = cols[:, None] // strides % caps
-            fits = np.ones((cols.size, terms.size), dtype=bool)
-            for i, cap in enumerate(caps.tolist()):
-                fits &= col_exps[:, i, None] + term_exps[None, :, i] < cap
-            col_pos, term_pos = np.nonzero(fits)
-            row_pos = np.searchsorted(rows, cols[col_pos] + terms[term_pos])
-            block = np.zeros((rows.size, cols.size), dtype=field.dtype)
-            block[row_pos, col_pos] = coeffs[term_pos]
-            rank = rank_mod_p(PrimeFieldMatrix(field, block))
-        dims.append(rows.size - rank)
+    dims = [0] * (top + 1)
+    for (s0, length), count in _fold(functools.partial(_pair_type, p), head).items():
+        if s0 <= top:  # a guarded han_monsky_colength asks for few degrees
+            hilbert = _hilbert_burch(field, *sorted((length, a, b)), top - s0)
+            for j, dim in enumerate(hilbert, s0):
+                dims[j] += count * dim
     return dims
 
 
@@ -176,10 +182,7 @@ def _hilbert_burch(field: PrimeField, a: int, b: int, c: int, top: int) -> List[
     j = (a + b + c + 1) // 2 - 1
     rows = np.arange(max(0, j - b + 1), min(a - 1, j) + 1)
     cols = np.arange(max(0, j - c - b + 1), min(a - 1, j - c) + 1)
-    binom = [1]
-    for i in range(c):
-        binom.append(binom[-1] * (c - i) // (i + 1))
-    binom = np.array([v % field.p for v in binom], dtype=np.int64)
+    binom = np.array([math.comb(c, i) % field.p for i in range(c + 1)], dtype=np.int64)
     shift = rows[:, None] - cols[None, :]
     block = np.where((shift >= 0) & (shift <= c), binom[shift.clip(0, c)], 0)
     rank = rank_mod_p(PrimeFieldMatrix(field, block))
@@ -197,9 +200,8 @@ def d_f(p: int, *ks: int) -> int:
     multiplication by (x_1+..+x_{s-1})^{k_s}.
 
     Symmetric in all s arguments, power slot included: it is the colength
-    of (x_1^{k_1}, .., x_s^{k_s}) in F_p[x_1..x_s]/(x_1+..+x_s).  Computed
-    degree by degree (``_truncation_hilbert``): one block per degree, or
-    one block in all for three arguments.
+    of (x_1^{k_1}, .., x_s^{k_s}) in F_p[x_1..x_s]/(x_1+..+x_s): the
+    number of strings of the Jordan-type fold (module docstring).
     """
     if len(ks) < 2:
         raise ValueError("need at least two exponents")
@@ -266,26 +268,15 @@ def han_monsky_colength(
 
 
 def d_char0(*ks: int) -> int:
-    """Characteristic-zero value of d_f, by Clebsch-Gordan.
-
-    Over Q, multiplication by x_1+..+x_s on the tensor product of the
-    Q[x_i]/(x_i^{k_i}) is the sl_2 lowering operator on V_{k_1} ⊗ .. ⊗
-    V_{k_s}, V_k the irreducible of dimension k, and d_f is the number of
-    its Jordan blocks.  V_a ⊗ V_b = ⊕_{j < min(a,b)} V_{a+b-1-2j}, folded
-    over the k_i on a count of block sizes.
-    """
+    """Characteristic-zero value of d_f: its Jordan-type fold with the
+    Clebsch-Gordan pair rule [0,a] ⊗ [0,b] = ⊕_{j<min(a,b)} [j, a+b-1-2j]
+    in place of H_c, since over Q the sum x_1+..+x_s acts as the sl_2
+    lowering operator on V_{k_1} ⊗ .. ⊗ V_{k_s}."""
     if len(ks) < 2:
         raise ValueError("need at least two exponents")
     if any(k < 1 for k in ks):
         raise ValueError("exponents must be positive")
-    blocks = Counter([ks[0]])
-    for b in ks[1:]:
-        folded = Counter()
-        for a, count in blocks.items():
-            for j in range(min(a, b)):
-                folded[a + b - 1 - 2 * j] += count
-        blocks = folded
-    return sum(blocks.values())
+    return sum(_fold(lambda a, b: [(j, a + b - 1 - 2 * j) for j in range(a)], ks).values())
 
 
 def g_lambda(xs: Sequence, lam: int) -> Fraction:
@@ -359,16 +350,19 @@ def diagonal_ring(spec: DiagonalSpec, p: int) -> HypersurfaceRing:
 
 
 def sandwich_check(spec: DiagonalSpec, p: int, n: int) -> SandwichReport:
-    """L <= normalized colength <= U with L, U from d_f at floor(p/d_i)
-    and floor(p/d_i)+1; violation means a bug, so it raises."""
+    """L <= normalized colength <= U with L, U from d_f at floor(p/d) and
+    floor(p/d)+1, equal exponents d <= p; violation means a bug, so it raises."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    d = spec.exponents[0]
+    if any(e != d for e in spec.exponents) or p < d:
+        family = "diagonal:" + ",".join(map(str, spec.exponents))
+        raise ValueError(f"sandwich needs equal exponents d <= p, not {family} at p={p}")
+    ring = diagonal_ring(spec, p)
     scale = spec.product
     denom = p ** (spec.s - 1)
-    floors = [p // d for d in spec.exponents]
-    lower = Fraction(scale * d_f(p, *floors), denom)
-    upper = Fraction(scale * d_f(p, *[f + 1 for f in floors]), denom)
-    ring = diagonal_ring(spec, p)
+    lower = Fraction(scale * d_f(p, *[p // d] * spec.s), denom)
+    upper = Fraction(scale * d_f(p, *[p // d + 1] * spec.s), denom)
     value = normalized_colength(ring, IdealSpec.maximal_ideal(ring), n)
     if not lower <= value <= upper:
         raise AssertionError(

@@ -523,6 +523,10 @@ def test_math_errors_exit_1(tmp_path, capsys):
     assert main(argv + ["--cache", str(cache)] + out) == 1
     assert "unknown family" in capsys.readouterr().err
     assert not cache.exists() or not list(cache.iterdir())
+    # exponents above p, or unequal: rejected before any d_f bound
+    for family, p in (("diagonal:4,4,4", "3"), ("diagonal:2,3,5", "5")):
+        assert main(["sandwich", "--family", family, "--primes", p] + out) == 1
+        assert f"not {family} at p={p}" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- config

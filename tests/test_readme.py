@@ -32,7 +32,15 @@ def test_readme_lists_typical_runs():
     assert TYPICAL_RUNS
 
 
-@pytest.mark.parametrize("argv", TYPICAL_RUNS, ids=[argv[0] for argv in TYPICAL_RUNS])
+# each run is named by its subcommand; a subcommand's later runs add their
+# position, so adding a run renames no earlier one
+RUN_IDS = [
+    argv[0] if all(run[0] != argv[0] for run in TYPICAL_RUNS[:i]) else f"{argv[0]}-{i}"
+    for i, argv in enumerate(TYPICAL_RUNS)
+]
+
+
+@pytest.mark.parametrize("argv", TYPICAL_RUNS, ids=RUN_IDS)
 def test_readme_typical_run_exits_0(argv, tmp_path):
     out = argv.index("--out")
     assert main([*argv[:out], "--out", str(tmp_path), *argv[out + 2 :]]) == 0
