@@ -28,6 +28,7 @@ from hklab.curves import (
 )
 from hklab.diagonal import (
     DiagonalSpec,
+    _sandwich_ring,
     diagonal_limits,
     diagonal_ring,
     g_value,
@@ -426,6 +427,9 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     if not args.family or not args.family.startswith("diagonal:"):
         raise SpecParseError("sandwich needs --family diagonal:d1,..,ds")
     spec = parse_diagonal_family(args.family)
+    parse_n_list(args.n_list)  # a bad --n still exits 2 before a bad prime exits 1
+    for p in grid_primes(args):  # every prime before the first bound
+        _sandwich_ring(spec, p)
     reports = [r for _, _, r in run_grid(args, lambda p, n: sandwich_check(spec, p, n))]
     label = args.family or "custom"
     exact = [

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hklab.colength import IdealSpec, NotPrimaryError, colength
-from hklab.graded import HypersurfaceRing
+from hklab.colength import IdealSpec
+from hklab.fp_linalg import rank_mod_p
+from hklab.graded import HypersurfaceRing, graded_map_matrix
 from hklab.store import cached_colength
 
 __all__ = [
@@ -120,28 +121,39 @@ class VanishingReport:
 def curve_geometry(ring: HypersurfaceRing) -> CurveGeometry:
     """Degree/genus/theta after checking smoothness via the Jacobian ideal.
 
-    The check asks for finite colength of (f, ∂f/∂x_i) in the ambient
-    polynomial ring, which is emptiness of the singular locus over the
-    algebraic closure.
+    The curve is smooth exactly when J = (f, ∂f/∂x, ∂f/∂y, ∂f/∂z) is
+    primary to the irrelevant ideal m of S = F_p[x,y,z].  With D = deg f,
+    the largest degree among the nonzero generators, that takes one rank:
+    J is m-primary exactly when (S/J)_{3D-2} = 0.  If J is m-primary, so
+    is the ideal its degree-D piece generates; over the algebraic closure
+    that ideal holds a regular sequence of three forms of degree D, whose
+    quotient vanishes from degree 3D-2 on, and ranks do not change under
+    field extension.  Conversely, a zero piece makes every later piece
+    zero, so S/J has finite length.
     """
     if ring.relation is None or ring.s != 3:
         raise ValueError("need a plane curve: three variables, one relation")
     f = ring.relation
-    ambient = HypersurfaceRing(ring.field, 3, None)
-    gens = [f] + [f.derivative(i) for i in range(3)]
-    try:
-        jacobian = IdealSpec.from_polynomials(gens)
-        colength(ambient, jacobian)
-    except (NotPrimaryError, ValueError) as exc:
-        raise SingularCurveError(f"singular curve: {exc}") from None
     d = f.degree
+    ambient = HypersurfaceRing(ring.field, 3, None)
+    gens = [g for g in (f, *(f.derivative(i) for i in range(3))) if not g.is_zero]
+    top = 3 * d - 2
+    if rank_mod_p(graded_map_matrix(ambient, gens, top)) < ambient.hilbert_dim(top):
+        raise SingularCurveError(
+            "singular curve: not primary: no graded piece vanished by the cap"
+        )
     return CurveGeometry(deg_y=d, genus=(d - 1) * (d - 2) // 2, theta=d - 3)
 
 
-def syzygy_data(geom: CurveGeometry, degrees: Sequence) -> SyzygyData:
+def _syzygy_rank(degrees: Sequence) -> int:
     rank = len(degrees) - 1
     if rank < 1:
         raise ValueError("need at least two generators")
+    return rank
+
+
+def syzygy_data(geom: CurveGeometry, degrees: Sequence) -> SyzygyData:
+    rank = _syzygy_rank(degrees)
     deg_s = -sum(degrees) * geom.deg_y
     return SyzygyData(
         rank=rank,
@@ -154,9 +166,10 @@ def syzygy_data(geom: CurveGeometry, degrees: Sequence) -> SyzygyData:
 def syzygy_euler_char(
     geom: CurveGeometry, degrees: Sequence, q: int, m: int
 ) -> int:
-    """chi(S^q(m)) by Riemann-Roch on the curve."""
-    data = syzygy_data(geom, degrees)
-    return q * data.deg_s + data.rank * m * geom.deg_y + data.rank * (1 - geom.genus)
+    """chi(S^q(m)) by Riemann-Roch on the curve: S has rank r = #degrees - 1
+    and degree -degY·Σd, so chi = r·(m·degY + 1 - g) - q·degY·Σd."""
+    rank = _syzygy_rank(degrees)
+    return rank * (m * geom.deg_y + 1 - geom.genus) - q * sum(degrees) * geom.deg_y
 
 
 def default_m_max(q: int, degrees: Sequence, theta: int) -> int:
@@ -182,10 +195,12 @@ def cohomology_profile(
     h⁰(S^q(m)) is the kernel of ⊕_i R_{m-q·e_i} -> R_m, whose cokernel is
     (R/I^[q])_m, so h⁰ = Σ_i dim R_{m-q·e_i} - dim R_m + dim (R/I^[q])_m.
     One ``cached_colength`` record gives every twist: its pieces past the
-    record are zero.  ``max_dim`` guards only the colength's matrices.
+    record are zero.  The dim R terms index one list of Hilbert dimensions
+    and χ is linear in m, so the rest is integer arithmetic.  ``max_dim``
+    guards only the colength's matrices.
     """
     geom = curve_geometry(ring)
-    syzygy_data(geom, ideal.degrees)  # at least two generators
+    _syzygy_rank(ideal.degrees)  # at least two generators
     q = ring.field.p**n
     if m_max is None:
         m_max = default_m_max(q, ideal.degrees, geom.theta)
@@ -196,9 +211,10 @@ def cohomology_profile(
     twists = range(m_max + 1)
     chi = tuple(syzygy_euler_char(geom, ideal.degrees, q, m) for m in twists)
     dims = cached_colength(None, ring, ideal, n, max_dim).dims
+    hilbert = [ring.hilbert_dim(m) for m in twists]
     h0 = tuple(
-        sum(ring.hilbert_dim(m - q * e) for e in ideal.degrees)
-        - ring.hilbert_dim(m)
+        sum(hilbert[m - q * e] for e in ideal.degrees if q * e <= m)
+        - hilbert[m]
         + (dims[m] if m < len(dims) else 0)
         for m in twists
     )
@@ -232,8 +248,10 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
     value degY·R with integer cumulative rank R; the top plateau
     (R = s-1) must additionally have h¹ = 0, which pins total-degree
     conservation exactly.  Cumulative degrees D_k come from the exact line
-    h⁰(m) = degY(m·R_k - q·D_k) + R_k(1-g) evaluated at the right end of
-    each plateau; the first-nonzero twist is reported only as a diagnostic.
+    h⁰(m) = degY(m·R_k - q·D_k) + R_k(1-g) evaluated at the right end b of
+    each plateau.  Solved for D_k, that line is h⁰(b) + degY·R_k·(m - b),
+    so the fit residual needs no Fraction.  The first-nonzero twist is
+    reported only as a diagnostic.
     """
     geom = profile.geom
     degy = geom.deg_y
@@ -291,8 +309,7 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
         nu_k = (d_cum - prev_d) / r_k
         pairs.append((nu_k, r_k))
         for m in range(a - 1, b + 1):
-            line = degy * (m * r_cum - q * d_cum) + r_cum * (1 - g)
-            residual = max(residual, abs(h0[m] - line))
+            residual = max(residual, abs(h0[m] - h0[b] - degy * r_cum * (m - b)))
         prev_rank, prev_d = r_cum, d_cum
     if prev_d != sum_d:
         raise AmbiguousPlateauError(

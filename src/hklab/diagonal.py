@@ -39,6 +39,7 @@ v - u is Han's syzygy gap delta.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -140,13 +141,12 @@ def _pair_type(p: int, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
     H_{c-1}(s+c-1) (module docstring), and (x+y)^{a+b-1} kills it all."""
     if a == 1:
         return ((0, b),)
-    field = PrimeField(p)
     lengths = np.zeros(a + b - 1, dtype=np.int64)
     below = np.zeros(a + b - 1, dtype=np.int64)  # H_{c-1}
     for c in range(1, a + b):
         if below.sum() == a * b:
             break
-        hilbert = np.array(_hilbert_burch(field, *sorted((a, b, c)), a + b - 2))
+        hilbert = np.array(_hilbert_burch(p, *sorted((a, b, c)), a + b - 2))
         lengths[: a + b - c] += (hilbert - below)[c - 1 :]
         below = hilbert
     return tuple((start, size) for start, size in enumerate(lengths.tolist()) if size)
@@ -160,39 +160,49 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
     the three-argument H of (l, k_{s-1}, k_s) from degree s0 on (module
     docstring), so three arguments take one rank.
     """
-    field = PrimeField(p)
     *head, a, b = sorted(ks)
     box_top = sum(head) + a - len(head) - 1
     top = box_top if top is None else min(top, box_top)
     dims = [0] * (top + 1)
     for (s0, length), count in _fold(functools.partial(_pair_type, p), head).items():
         if s0 <= top:  # a guarded han_monsky_colength asks for few degrees
-            hilbert = _hilbert_burch(field, *sorted((length, a, b)), top - s0)
+            hilbert = _hilbert_burch(p, *sorted((length, a, b)), top - s0)
             for j, dim in enumerate(hilbert, s0):
                 dims[j] += count * dim
     return dims
 
 
-def _hilbert_burch(field: PrimeField, a: int, b: int, c: int, top: int) -> List[int]:
-    """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), a <= b <= c, in
-    degrees 0..top, from one rank in degree j* (module docstring).
+def _hilbert(t, a: int, b: int, c: int, syzygies=()):
+    """H(t) of the module docstring (t an int or an int array), with the
+    syzygy ramps only when their degrees are given."""
+    ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, *syzygies)]
+    return t + 1 - sum(ramps[:3]) + sum(ramps[3:])
+
+
+@functools.lru_cache(maxsize=4096)
+def _syzygy_degree(p: int, a: int, b: int, c: int) -> int:
+    """The smaller syzygy degree u of (x^a, y^b, (x+y)^c) over F_p, a <= b
+    <= c, from one rank in degree j* (module docstring).
 
     The block maps x^i' y^(j*-c-i') to (x+y)^c times it in B_j*, B =
     F_p[x,y]/(x^a, y^b): its entry at row x^i y^(j*-i) is C(c, i-i')."""
     j = (a + b + c + 1) // 2 - 1
     rows = np.arange(max(0, j - b + 1), min(a - 1, j) + 1)
     cols = np.arange(max(0, j - c - b + 1), min(a - 1, j - c) + 1)
-    binom = np.array([math.comb(c, i) % field.p for i in range(c + 1)], dtype=np.int64)
+    binom = np.array([math.comb(c, i) % p for i in range(c + 1)], dtype=np.int64)
     shift = rows[:, None] - cols[None, :]
     block = np.where((shift >= 0) & (shift <= c), binom[shift.clip(0, c)], 0)
-    rank = rank_mod_p(PrimeFieldMatrix(field, block))
+    rank = rank_mod_p(PrimeFieldMatrix(PrimeField(p), block))
+    return j + 1 - (rows.size - rank - int(_hilbert(j, a, b, c)))
 
-    def hilbert(t, syzygies=()):
-        ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, *syzygies)]
-        return t + 1 - sum(ramps[:3]) + sum(ramps[3:])
 
-    u = j + 1 - (rows.size - rank - int(hilbert(j)))
-    return hilbert(np.arange(top + 1), (u, a + b + c - u)).tolist()
+def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
+    """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), a <= b <= c, in
+    degrees 0..top: arithmetic once ``_syzygy_degree`` gives u, which is
+    memoised per (p, a, b, c) since one Han-Monsky record and the pair
+    types of one fold ask for the same triples again."""
+    u = _syzygy_degree(p, a, b, c)
+    return _hilbert(np.arange(top + 1), a, b, c, (u, a + b + c - u)).tolist()
 
 
 def d_f(p: int, *ks: int) -> int:
@@ -236,20 +246,25 @@ def han_monsky_colength(
     generic engine's SizeGuardError (same m, rows, cols) when ``max_dim``
     is set: ``SizeGuardError.for_degree`` gives the shapes, and only the
     degrees below the one that trips are computed, to see whether a zero
-    piece ends the run first.
+    piece ends the run first.  Both shapes, dim R_m and s·dim R_{m-q},
+    grow with m (s >= 2), so one check clears every degree when the top
+    one fits, and otherwise bisection finds the first degree that trips.
     """
     if not han_monsky_applies(ring, ideal):
         raise ValueError("needs sum c_i x_i^d in every variable and the maximal ideal")
     p, s, d = ring.field.p, ring.s, ring.d
     q = p**n
     last = s * (q - 1)  # top degree of A
-    trip = None
-    if max_dim is not None:
-        for m in range(last + 2):
-            trip = SizeGuardError.for_degree(ring, (q,) * s, m, max_dim)
-            if trip is not None:
-                last = m - 1
-                break
+
+    def guard(m):
+        return SizeGuardError.for_degree(ring, (q,) * s, m, max_dim)
+
+    trip = guard(last + 1)
+    if trip is not None:
+        first = bisect.bisect_left(
+            range(last + 1), True, key=lambda m: guard(m) is not None
+        )
+        last, trip = first - 1, guard(first)
     dims = [0] * (last + 1)
     memo = {}
     for r in itertools.product(range(d), repeat=s):
@@ -349,16 +364,23 @@ def diagonal_ring(spec: DiagonalSpec, p: int) -> HypersurfaceRing:
     return HypersurfaceRing(field, s, relation)
 
 
+def _sandwich_ring(spec: DiagonalSpec, p: int) -> HypersurfaceRing:
+    """The ring of ``sandwich_check``, after checking that it applies: equal
+    exponents d <= p."""
+    d = spec.exponents[0]
+    if any(e != d for e in spec.exponents) or p < d:
+        family = "diagonal:" + ",".join(map(str, spec.exponents))
+        raise ValueError(f"sandwich needs equal exponents d <= p, not {family} at p={p}")
+    return diagonal_ring(spec, p)
+
+
 def sandwich_check(spec: DiagonalSpec, p: int, n: int) -> SandwichReport:
     """L <= normalized colength <= U with L, U from d_f at floor(p/d) and
     floor(p/d)+1, equal exponents d <= p; violation means a bug, so it raises."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    ring = _sandwich_ring(spec, p)
     d = spec.exponents[0]
-    if any(e != d for e in spec.exponents) or p < d:
-        family = "diagonal:" + ",".join(map(str, spec.exponents))
-        raise ValueError(f"sandwich needs equal exponents d <= p, not {family} at p={p}")
-    ring = diagonal_ring(spec, p)
     scale = spec.product
     denom = p ** (spec.s - 1)
     lower = Fraction(scale * d_f(p, *[p // d] * spec.s), denom)

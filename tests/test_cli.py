@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hklab.diagonal
 from hklab.cli import main, parse_primes, rational_str
 from hklab.graded import SpecParseError
 
@@ -485,7 +486,7 @@ def test_colength_of_artinian_ring_with_every_generator_in_the_relation(
     assert "total=2" in capsys.readouterr().out
 
 
-def test_math_errors_exit_1(tmp_path, capsys):
+def test_math_errors_exit_1(tmp_path, capsys, monkeypatch):
     out = ["--out", str(tmp_path)]
     # principal ideal: not primary
     assert (
@@ -527,6 +528,14 @@ def test_math_errors_exit_1(tmp_path, capsys):
     for family, p in (("diagonal:4,4,4", "3"), ("diagonal:2,3,5", "5")):
         assert main(["sandwich", "--family", family, "--primes", p] + out) == 1
         assert f"not {family} at p={p}" in capsys.readouterr().err
+    # ... at every prime of the grid, before the bounds of a valid one
+    def bound(*args):
+        pytest.fail("sandwich computed a bound before checking every prime")
+
+    monkeypatch.setattr(hklab.diagonal, "d_f", bound)
+    monkeypatch.setattr(hklab.diagonal, "normalized_colength", bound)
+    assert main(["sandwich", "--family", "diagonal:5,5,5", "--primes", "7,3"] + out) == 1
+    assert "not diagonal:5,5,5 at p=3" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- config

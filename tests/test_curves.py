@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hklab.colength import IdealSpec, frobenius_power, parse_ideal_spec
+from hklab.colength import (
+    IdealSpec,
+    NotPrimaryError,
+    colength,
+    frobenius_power,
+    parse_ideal_spec,
+)
 from hklab.curves import (
     AmbiguousPlateauError,
     CohomologyProfile,
@@ -18,6 +26,7 @@ from hklab.curves import (
 )
 from hklab.graded import (
     HypersurfaceRing,
+    Polynomial,
     graded_map_matrix,
     parse_polynomial,
     parse_ring_spec,
@@ -53,6 +62,51 @@ def test_cuspidal_cubic_is_singular():
     ring = HypersurfaceRing(field, 3, f)
     with pytest.raises(SingularCurveError, match="singular curve"):
         curve_geometry(ring)
+
+
+@st.composite
+def ternary_forms(draw):
+    """A nonzero form of degree <= 4 in three variables over F_p, p <= 13;
+    zero coefficients are drawn often, so singular curves are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    d = draw(st.integers(1, 4))
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    coeff = st.one_of(st.just(0), st.integers(1, p - 1))
+    coeffs = draw(st.lists(coeff, min_size=len(monos), max_size=len(monos)).filter(any))
+    field = PrimeField(p)
+    return HypersurfaceRing(field, 3, Polynomial(field, 3, dict(zip(monos, coeffs))))
+
+
+def _ternary(p, f):
+    return parse_ring_spec(f"hypersurface:s=3,p={p},f={f}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ternary_forms())
+@example(_ternary(7, "y^2*z+6*x^3"))  # cusp
+@example(_ternary(3, "x^3+y^3+z^3"))  # p | d: every partial vanishes
+@example(_ternary(2, "x^2+y^2+z^2"))
+@example(_ternary(5, "x^4+y^4+z^4"))
+@example(_ternary(7, "x^3*y+y^3*z+z^3*x"))  # the Klein quartic is singular mod 7
+@example(_ternary(13, "x^3*y+y^3*z+z^3*x"))
+@example(_ternary(5, "x+2*y"))  # line
+@example(_ternary(3, "x*y"))  # two lines
+def test_smoothness_rank_matches_jacobian_colength(ring):
+    """One rank in degree 3D-2 gives the verdict of the whole generic
+    colength of the Jacobian ideal."""
+    f = ring.relation
+    jacobian = IdealSpec.from_polynomials([f] + [f.derivative(i) for i in range(3)])
+    try:
+        colength(HypersurfaceRing(ring.field, 3, None), jacobian)
+        primary = True
+    except NotPrimaryError:
+        primary = False
+    try:
+        curve_geometry(ring)
+        smooth = True
+    except SingularCurveError:
+        smooth = False
+    assert smooth == primary
 
 
 def test_geometry_rejects_non_curves():

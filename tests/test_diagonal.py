@@ -378,6 +378,29 @@ def test_han_monsky_matches_generic_engine(case):
     )
 
 
+def test_bisected_guard_matches_linear_scan():
+    # every cap from one that trips at m = 0 to one that never trips: the
+    # first degree that trips comes from a scan over 0..last+1, and the
+    # record is served when its zero piece lies below it
+    ring = parse_ring_spec("fermat:s=3,d=4,p=7")
+    ideal = IdealSpec.maximal_ideal(ring)
+    record = han_monsky_colength(ring, ideal, 1)
+    last = 3 * (7 - 1)
+    firsts = set()
+    for cap in range(140):
+        trips = [
+            SizeGuardError.for_degree(ring, (7, 7, 7), m, cap) for m in range(last + 2)
+        ]
+        trip = next((t for t in trips if t is not None), None)
+        firsts.add(None if trip is None else trip.m)
+        if trip is None or len(record.dims) - 1 < trip.m:
+            expected = record
+        else:
+            expected = ("size guard", trip.m, trip.rows, trip.cols, cap)
+        assert _outcome(lambda: han_monsky_colength(ring, ideal, 1, cap)) == expected
+    assert {0, last - 1, last, last + 1, None} <= firsts
+
+
 def test_han_monsky_chang_quartic_p101():
     # frozen from the per-degree block loop that the Jordan-type fold
     # replaced; that loop took seconds for this record
