@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hklab.colength import IdealSpec
+from hklab.colength import IdealSpec, SizeGuardError
 from hklab.fp_linalg import rank_mod_p
 from hklab.graded import HypersurfaceRing, graded_map_matrix
 from hklab.store import cached_colength
@@ -118,7 +118,7 @@ class VanishingReport:
         return not self.below_violations and not self.above_violations
 
 
-def curve_geometry(ring: HypersurfaceRing) -> CurveGeometry:
+def curve_geometry(ring: HypersurfaceRing, max_dim: Optional[int] = None) -> CurveGeometry:
     """Degree/genus/theta after checking smoothness via the Jacobian ideal.
 
     The curve is smooth exactly when J = (f, ∂f/∂x, ∂f/∂y, ∂f/∂z) is
@@ -129,7 +129,8 @@ def curve_geometry(ring: HypersurfaceRing) -> CurveGeometry:
     that ideal holds a regular sequence of three forms of degree D, whose
     quotient vanishes from degree 3D-2 on, and ranks do not change under
     field extension.  Conversely, a zero piece makes every later piece
-    zero, so S/J has finite length.
+    zero, so S/J has finite length.  SizeGuardError is raised instead of
+    building that matrix when it has more than ``max_dim`` rows or columns.
     """
     if ring.relation is None or ring.s != 3:
         raise ValueError("need a plane curve: three variables, one relation")
@@ -138,6 +139,9 @@ def curve_geometry(ring: HypersurfaceRing) -> CurveGeometry:
     ambient = HypersurfaceRing(ring.field, 3, None)
     gens = [g for g in (f, *(f.derivative(i) for i in range(3))) if not g.is_zero]
     top = 3 * d - 2
+    trip = SizeGuardError.for_degree(ambient, [g.degree for g in gens], top, max_dim)
+    if trip is not None:
+        raise trip
     if rank_mod_p(graded_map_matrix(ambient, gens, top)) < ambient.hilbert_dim(top):
         raise SingularCurveError(
             "singular curve: not primary: no graded piece vanished by the cap"
@@ -197,9 +201,9 @@ def cohomology_profile(
     One ``cached_colength`` record gives every twist: its pieces past the
     record are zero.  The dim R terms index one list of Hilbert dimensions
     and χ is linear in m, so the rest is integer arithmetic.  ``max_dim``
-    guards only the colength's matrices.
+    guards the smoothness check's matrix and the colength's matrices.
     """
-    geom = curve_geometry(ring)
+    geom = curve_geometry(ring, max_dim)
     _syzygy_rank(ideal.degrees)  # at least two generators
     q = ring.field.p**n
     if m_max is None:

@@ -14,11 +14,12 @@ every shape of LT(f); the polynomial ring skips the filter.
 Divisibility by LT(f) depends only on the exponents on S = supp(LT(f)), so
 NF(mu_S * nu) = nu * NF(mu_S) for a monomial mu_S in the variables of S and
 any monomial nu in the others.  Each ring keeps a memo of NF(mu_S), filled
-on demand, and builds its graded multiplication matrices as gathers from
-it; only ``normal_form`` and that memo run the division itself.  The
-monomial order is graded reverse lexicographic with x_1 > x_2 > ... > x_s
-throughout; nothing here is meaningful for any other order, so it is not
-configurable.
+on demand without a division loop: NF(x^beta * LT(f)) is a combination of
+the memo entries of smaller support parts, one numpy step per depth of
+that recursion.  ``normal_form`` and the graded multiplication matrices
+are gathers from the memo.  The monomial order is graded reverse
+lexicographic with x_1 > x_2 > ... > x_s throughout; nothing here is
+meaningful for any other order, so it is not configurable.
 
 ``relation=None`` gives the ambient polynomial ring itself; the smoothness
 check on curves needs quotients of that ring, and everything degreewise
@@ -27,7 +28,6 @@ works verbatim with the unreduced Hilbert function.
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from typing import Optional, Sequence
@@ -57,11 +57,6 @@ class SpecParseError(ValueError):
 def grevlex_key(mono: Monomial):
     """Sort key; larger key = larger monomial in grevlex with x1 > ... > xs."""
     return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def _heap_key(mono: Monomial):
-    # Min-heap companion of grevlex_key: smallest key = largest monomial.
-    return (-sum(mono), tuple(reversed(mono)))
 
 
 def _var_names(nvars: int) -> list:
@@ -232,15 +227,21 @@ class HypersurfaceRing:
         self._d = None if relation is None else relation.degree
         if relation is None:
             self._lt = None
-            self._tail = None
-            self._lc_inv = None
             self._support = ()
         else:
             lt = relation.leading_monomial()
             self._lt = lt
-            self._lc_inv = field.inv(relation.terms[lt])
-            self._tail = {m: c for m, c in relation.terms.items() if m != lt}
-            self._support = tuple(i for i, e in enumerate(lt) if e)
+            self._support = support = tuple(i for i, e in enumerate(lt) if e)
+            # Per tail term t of f: its exponents on S, the rest of t as an
+            # exponent row nu_t, and -c_t / lc(f) mod p.
+            tail = [(m, c) for m, c in relation.terms.items() if m != lt]
+            self._tail_parts = [tuple(m[i] for i in support) for m, _ in tail]
+            self._tail_nu = np.array(
+                [[0 if i in support else e for i, e in enumerate(m)] for m, _ in tail],
+                dtype=np.int64,
+            ).reshape(-1, s)
+            lc_inv = field.inv(relation.terms[lt])
+            self._tail_scale = np.array([-c * lc_inv % field.p for _, c in tail], dtype=np.int64)
         # Degree m -> (degree-m standard monomials, their increasing
         # _lex_ranks); 1 is standard because deg f >= 1.
         self._bases = {0: (np.zeros((1, s), dtype=np.int64), np.zeros(1, dtype=np.int64))}
@@ -327,65 +328,102 @@ class HypersurfaceRing:
 
     # -- normal forms ----------------------------------------------------------
 
-    def _nf_terms(self, terms: dict) -> dict:
-        p = self.field.p
-        work = {}
-        for mono, c in terms.items():
-            c %= p
-            if c:
-                work[mono] = c
-        if self._lt is None or not work:
-            return work
-        lt = self._lt
-        tail = self._tail
-        lc_inv = self._lc_inv
-        heap = [(_heap_key(m), m) for m in work]
-        heapq.heapify(heap)
-        seen = set()
-        out = {}
-        while heap:
-            mono = heapq.heappop(heap)[1]
-            if mono in seen:
-                continue
-            seen.add(mono)
-            c = work.pop(mono, 0)
-            if not c:
-                continue
-            if all(a >= b for a, b in zip(mono, lt)):
-                # c*mono = c*x^beta*LT(f) = -c*lc^-1*x^beta*tail(f) mod f;
-                # every new monomial is strictly smaller in grevlex, so the
-                # descending sweep visits each monomial at most once.
-                beta = tuple(a - b for a, b in zip(mono, lt))
-                factor = c * lc_inv % p
-                for t, tc in tail.items():
-                    nm = tuple(a + b for a, b in zip(t, beta))
-                    nv = (work.get(nm, 0) - factor * tc) % p
-                    if nv:
-                        if nm not in work:
-                            heapq.heappush(heap, (_heap_key(nm), nm))
-                        work[nm] = nv
-                    else:
-                        work.pop(nm, None)
-            else:
-                out[mono] = c
-        return out
+    def _fill_nf_memo(self, keys) -> None:
+        """Enter NF(mu_S) in the memo for each support part mu_S in ``keys``
+        (exponents on S = supp(LT(f))), and for every part it is built from.
 
-    def _nf_of_support_part(self, key: tuple):
-        """NF of the monomial with exponents ``key`` on S = supp(LT(f)) and 0
-        elsewhere, as (int64 exponent rows, int64 coefficients); memoised."""
-        hit = self._nf_memo.get(key)
-        if hit is None:
-            mono = [0] * self.s
-            for i, e in zip(self._support, key):
-                mono[i] = e
-            terms = self._nf_terms({tuple(mono): 1})
-            exps = np.array(list(terms), dtype=np.int64).reshape(-1, self.s)
-            coeffs = np.array(list(terms.values()), dtype=np.int64)
+        Entries are (int64 exponent rows, int64 coefficients).  A standard
+        mu_S is its own normal form.  Otherwise mu_S = x^beta * LT(f), and
+        mu_S = -lc^-1 * sum_t c_t * x^beta * t mod f over the tail terms t.
+        Write x^beta * t = nu_t * mu_t, mu_t its part on S and nu_t the part
+        of t off S.  Then NF(mu_S) = -lc^-1 * sum_t c_t * nu_t * NF(mu_t):
+        multiplying by nu_t keeps a monomial standard, because divisibility
+        by LT reads only the exponents on S.  Each mu_t is smaller than mu_S
+        in grevlex, so the chain ends.  It is walked with an explicit stack,
+        and the entries are filled by depth, one numpy step per depth, with
+        equal terms merged by their lex rank.
+        """
+        memo = self._nf_memo
+        deps = {}
+        depth = {}
+        todo = [k for k in keys if k not in memo]
+        while todo:
+            key = todo.pop()
+            if key in depth:
+                continue
+            if key not in deps:
+                deps[key] = self._nf_parts(key)
+            parts = deps[key]
+            missing = [k for k in parts or () if k not in memo and k not in depth]
+            if missing:
+                todo += [key, *missing]
+                continue
+            below = (depth.get(k, 0) for k in parts or ())
+            depth[key] = 0 if parts is None else 1 + max(below, default=0)
+        levels = {}
+        for key, level in depth.items():
+            levels.setdefault(level, []).append(key)
+        for level in sorted(levels):
+            batch = levels[level]
+            if level == 0:
+                rows = [[0] * self.s for _ in batch]
+                for row, key in zip(rows, batch):
+                    for i, e in zip(self._support, key):
+                        row[i] = e
+                exps = np.array(rows, dtype=np.int64).reshape(-1, self.s)
+                coeffs = np.ones(len(batch), dtype=np.int64)
+                bounds = range(len(batch) + 1)
+            else:
+                exps, coeffs, bounds = self._nf_combine(batch, deps)
             exps.setflags(write=False)
             coeffs.setflags(write=False)
-            hit = (exps, coeffs)
-            self._nf_memo[key] = hit
-        return hit
+            for j, key in enumerate(batch):
+                memo[key] = (exps[bounds[j] : bounds[j + 1]], coeffs[bounds[j] : bounds[j + 1]])
+
+    def _nf_parts(self, key: tuple):
+        """The support parts mu_t that NF(mu_S) is built from, one per tail
+        term; None when mu_S is standard."""
+        if self._lt is None:
+            return None
+        lt = [self._lt[i] for i in self._support]
+        if any(a < b for a, b in zip(key, lt)):
+            return None
+        beta = [a - b for a, b in zip(key, lt)]
+        return [tuple(a + b for a, b in zip(beta, t)) for t in self._tail_parts]
+
+    def _nf_combine(self, batch: list, deps: dict):
+        """NF(mu_S) for every non-standard mu_S in ``batch`` from the memo
+        entries of its parts, as (exponent rows, coefficients, bounds): the
+        terms of batch[j] are rows bounds[j]:bounds[j + 1]."""
+        p = self.field.p
+        ntail = len(self._tail_parts)
+        parts = [self._nf_memo[k] for key in batch for k in deps[key]]
+        lens = np.array([len(c) for _, c in parts], dtype=np.int64)
+        if not lens.sum():  # f has no tail, or every part reduces to 0
+            return (
+                np.zeros((0, self.s), dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(len(batch) + 1, dtype=np.int64),
+            )
+        # Piece j is NF(mu_t) of tail term j % ntail for batch[j // ntail].
+        piece = np.repeat(np.arange(len(parts)), lens)
+        tail = piece % ntail
+        owner = piece // ntail
+        exps = np.concatenate([e for e, _ in parts]) + self._tail_nu[tail]
+        coeffs = np.concatenate([c for _, c in parts]) * self._tail_scale[tail] % p
+        degrees = np.array([sum(key) for key in batch], dtype=np.int64)
+        codes = _lex_ranks(exps, degrees[owner, None], self._table(int(degrees.max())))
+        order = np.lexsort((codes, owner))
+        owner, codes = owner[order], codes[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (owner[1:] != owner[:-1]) | (codes[1:] != codes[:-1])
+        starts = np.flatnonzero(first)
+        # each summand is below p, so the sums fit int64 for every accepted p
+        sums = np.add.reduceat(coeffs[order], starts) % p
+        nonzero = sums != 0
+        keep = starts[nonzero]
+        bounds = np.searchsorted(owner[keep], np.arange(len(batch) + 1))
+        return exps[order[keep]], sums[nonzero], bounds
 
     def _nf_gather(self, monos: np.ndarray, m: int):
         """Normal forms of the degree-m monomials in the rows of ``monos``.
@@ -403,7 +441,9 @@ class HypersurfaceRing:
         # rank is an exact integer code of mu_S.
         codes = _lex_ranks(np.column_stack([parts, m - parts.sum(axis=1)]), m, table)
         _, pick, which = np.unique(codes, return_index=True, return_inverse=True)
-        nfs = [self._nf_of_support_part(tuple(k)) for k in parts[pick].tolist()]
+        keys = [tuple(k) for k in parts[pick].tolist()]
+        self._fill_nf_memo(keys)
+        nfs = [self._nf_memo[k] for k in keys]
         exps = np.concatenate([e for e, _ in nfs])
         coeffs = np.concatenate([c for _, c in nfs])
         lens = np.array([len(c) for _, c in nfs], dtype=np.int64)
@@ -426,13 +466,24 @@ class HypersurfaceRing:
             raise ValueError("polynomial lives in a different ring")
         if self.relation is None:
             return g
-        return Polynomial(self.field, self.s, self._nf_terms(g.terms))
+        support = self._support
+        keys = [tuple(mono[i] for i in support) for mono in g.terms]
+        self._fill_nf_memo(keys)
+        out = {}
+        for (mono, c), key in zip(g.terms.items(), keys):
+            nu = [0 if i in support else e for i, e in enumerate(mono)]
+            exps, coeffs = self._nf_memo[key]
+            for e, k in zip(exps.tolist(), coeffs.tolist()):
+                e = tuple(a + b for a, b in zip(e, nu))
+                out[e] = out.get(e, 0) + c * k
+        return Polynomial(self.field, self.s, out)
 
 
-def _lex_ranks(monos: np.ndarray, m: int, table: np.ndarray) -> np.ndarray:
+def _lex_ranks(monos: np.ndarray, m, table: np.ndarray) -> np.ndarray:
     """Rank of each degree-m row of ``monos`` among all degree-m monomials in
     as many variables, in descending grevlex order, which is ascending lex
-    order on the reversed exponents; ``table[r, k] = C(r + k, k)``.
+    order on the reversed exponents; ``table[r, k] = C(r + k, k)``.  ``m``
+    is one degree for every row, or a column of one degree per row.
 
     Reading the exponents reversed, a_1..a_s, the monomials before a are
     those that agree with it up to some position i and are smaller there:

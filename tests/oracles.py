@@ -127,3 +127,37 @@ def power_of_sum(nvars, k, p):
 def ref_truncation_dim(p, caps, k):
     """dim F_p[x_1..x_r]/(x_i^caps_i, (x_1+...+x_r)^k) with r = len(caps)."""
     return ref_artinian_colength(p, power_of_sum(len(caps), k, p), caps)
+
+
+def ref_normal_form(p, f, g):
+    """Remainder of g on division by f over Z/p, by long division.
+
+    f and g are dicts {exponents: coeff}; the order is graded reverse
+    lexicographic with x_1 > ... > x_s.  The largest term left is reduced
+    by the leading term of f until no term is divisible by it.
+    """
+
+    def key(mono):
+        return (sum(mono), [-e for e in reversed(mono)])
+
+    lead = max(f, key=key)
+    inv = pow(f[lead], p - 2, p)
+    work = {m: c % p for m, c in g.items() if c % p}
+    out = {}
+    while work:
+        mono = max(work, key=key)
+        c = work.pop(mono)
+        if not all(a >= b for a, b in zip(mono, lead)):
+            out[mono] = c
+            continue
+        factor = c * inv % p
+        for t, tc in f.items():
+            if t == lead:
+                continue
+            shifted = tuple(a - b + e for a, b, e in zip(mono, lead, t))
+            v = (work.get(shifted, 0) - factor * tc) % p
+            if v:
+                work[shifted] = v
+            else:
+                work.pop(shifted, None)
+    return out

@@ -463,6 +463,13 @@ def test_size_guard_exits_3(tmp_path):
         assert rc == 3, command
 
 
+def test_hn_cap_guards_the_smoothness_matrix(tmp_path, capsys):
+    args = ["hn", "--family", "fermat-quartic", "--primes", "7", "--out", str(tmp_path)]
+    assert main(args + ["--cap", "100"]) == 3
+    err = capsys.readouterr().err
+    assert "degree 10" in err and "66x136" in err
+
+
 def test_profile_cap_guards_only_the_colength_matrices(tmp_path):
     # the largest twists of q=37 (degree 80: 318x510) lie above the top of
     # R/m^[37] and need no matrix, so a cap of 500 no longer trips

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hklab.colength import (
     IdealSpec,
     NotPrimaryError,
+    SizeGuardError,
     colength,
     frobenius_power,
     parse_ideal_spec,
@@ -48,6 +49,15 @@ def fermat(p, d=4, s=3):
 def test_geometry_of_smooth_fermat_curves(d, expected):
     geom = curve_geometry(fermat(7, d=d))
     assert (geom.deg_y, geom.genus, geom.theta) == expected
+
+
+def test_smoothness_matrix_is_size_guarded():
+    # degree 3d-2 = 10 of (f, f_x, f_y, f_z): dim S_10 = 66 rows, and
+    # dim S_6 + 3 dim S_7 = 28 + 108 = 136 columns
+    with pytest.raises(SizeGuardError) as info:
+        curve_geometry(fermat(7), max_dim=135)
+    assert (info.value.m, info.value.rows, info.value.cols) == (10, 66, 136)
+    assert curve_geometry(fermat(7), max_dim=136) == curve_geometry(fermat(7))
 
 
 def test_fermat_quartic_in_char_two_is_singular():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hklab.fp_linalg
 from hklab.fp_linalg import (
     PrimeField,
     PrimeFieldMatrix,
@@ -182,3 +183,77 @@ def test_rank_matches_reference_property(case):
     expected = ref_rank(data, p)
     assert rank_mod_p(m) == expected
     assert rank_mod_p(PrimeFieldMatrix(F, m.array.T)) == expected
+
+
+LARGEST_PRIME = 3037000493  # largest prime <= 3037000499, the int64 path
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """(p, rows): 1-6 blocks of random shapes on the diagonal, each dense,
+    sparse, zero or with one nonzero per column, rows and columns shuffled."""
+    p = draw(st.sampled_from([7, LARGEST_PRIME]))
+    entry = st.integers(1, p - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(["dense", "sparse", "zero", "singletons"]))
+        block = [[0] * w for _ in range(h)]
+        if kind == "singletons":
+            for j in range(w):
+                block[draw(st.integers(0, h - 1))][j] = draw(entry)
+        elif kind != "zero":
+            fill = st.just(True) if kind == "dense" else st.booleans()
+            for i in range(h):
+                for j in range(w):
+                    if draw(fill):
+                        block[i][j] = draw(entry)
+        blocks.append(block)
+    ncols = sum(len(b[0]) for b in blocks)
+    rows = []
+    left = 0
+    for block in blocks:
+        w = len(block[0])
+        rows += [[0] * left + row + [0] * (ncols - left - w) for row in block]
+        left += w
+    rows = draw(st.permutations(rows))
+    cols = draw(st.permutations(list(zip(*rows))))
+    return p, [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_block_diagonal())
+def test_block_diagonal_rank_matches_reference(case):
+    p, data = case
+    expected = ref_rank(data, p)
+    m = PrimeFieldMatrix(PrimeField(p), data)
+    assert rank_mod_p(m) == expected
+    assert rank_mod_p(PrimeFieldMatrix(m.field, m.array.T)) == expected
+
+
+def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
+    # One 300x300 block of full rank beside fifty 2x2 blocks: padding every
+    # small block to 300x300 would take 51 times the cells.
+    p = 101
+    rng = np.random.default_rng(3)
+    lower = np.tril(rng.integers(0, p, (300, 300)), -1) + np.eye(300, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (300, 300)), 1) + np.diag(rng.integers(1, p, 300))
+    big = lower @ upper % p  # det = product of upper's diagonal, nonzero mod p
+    small = [rng.integers(0, p, (2, 2)) for _ in range(50)]
+    data = np.zeros((400, 400), dtype=np.int64)
+    data[:300, :300] = big
+    for k, block in enumerate(small):
+        data[300 + 2 * k : 302 + 2 * k, 300 + 2 * k : 302 + 2 * k] = block
+    data = data[rng.permutation(400)][:, rng.permutation(400)]
+    stacks = []
+    padded = hklab.fp_linalg._padded
+
+    def record(blocks):
+        out = padded(blocks)
+        stacks.append((out.size, sum(b.size for b in blocks)))
+        return out
+
+    monkeypatch.setattr(hklab.fp_linalg, "_padded", record)
+    expected = 300 + sum(ref_rank(b.tolist(), p) for b in small)
+    assert rank_mod_p(PrimeFieldMatrix(PrimeField(p), data)) == expected
+    assert stacks and all(size <= 2 * cells for size, cells in stacks)

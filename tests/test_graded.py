@@ -16,7 +16,7 @@ from hklab.graded import (
     parse_ring_spec,
 )
 
-from oracles import ref_graded_piece_dim, ref_monomials
+from oracles import ref_graded_piece_dim, ref_monomials, ref_normal_form
 
 
 def fermat_ring(p, s=3, d=4):
@@ -113,6 +113,48 @@ def test_normal_form_kills_multiples_of_relation():
     poly = parse_ring_spec("polyring:s=3,p=5")
     g = random_poly(rng, poly.field, 3)
     assert poly.normal_form(g) == g
+
+
+@st.composite
+def relation_and_polynomial(draw):
+    """(ring, g, m): a homogeneous relation with 2-6 random terms in 2-4
+    variables, a polynomial g with up to five terms and a degree m."""
+    s = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 7, 65537]))
+    field = PrimeField(p)
+    pool = st.sampled_from(ref_monomials(s, d))
+    monos = draw(st.lists(pool, min_size=2, max_size=6, unique=True))
+    f = Polynomial(field, s, {u: draw(st.integers(1, p - 1)) for u in monos})
+    exponents = st.lists(st.integers(0, 5), min_size=s, max_size=s).map(tuple)
+    g = draw(st.dictionaries(exponents, st.integers(1, p - 1), min_size=1, max_size=5))
+    return HypersurfaceRing(field, s, f), Polynomial(field, s, g), draw(st.integers(0, 8))
+
+
+def _ring_case(spec, g, m):
+    ring = parse_ring_spec(spec)
+    return ring, parse_polynomial(ring.field, ring.s, g), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(relation_and_polynomial())
+@example(_ring_case("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x", "x^7*y^2+3*x^4*y^4*z+x*y*z", 9))
+# x*y and x^3 have no tail: every multiple of the leading term reduces to 0
+@example(_ring_case("hypersurface:s=2,p=5,f=x*y", "x^3*y^2+2*x^4+y^5+x*y", 6))
+@example(_ring_case("fermat:s=1,d=3,p=7", "x^5+3*x^2+x^3", 5))
+def test_normal_form_and_memo_match_long_division(case):
+    ring, g, m = case
+    p, f = ring.field.p, ring.relation.terms
+    assert ring.normal_form(g).terms == ref_normal_form(p, f, g.terms)
+    variables = [Polynomial.variable(ring.field, ring.s, i) for i in range(ring.s)]
+    graded_map_matrix(ring, variables, m)
+    assert ring._nf_memo
+    for key, (exps, coeffs) in ring._nf_memo.items():
+        mono = [0] * ring.s
+        for i, e in zip(ring._support, key):
+            mono[i] = e
+        got = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+        assert got == ref_normal_form(p, f, {tuple(mono): 1})
 
 
 def test_graded_map_matrix_variables():
