@@ -30,7 +30,6 @@ from hklab.curves import (
     cohomology_profile,
     curve_geometry,
     estimate_hn_profile,
-    syzygy_data,
     syzygy_euler_char,
     vanishing_report,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "cohomology_profile",
     "curve_geometry",
     "estimate_hn_profile",
-    "syzygy_data",
     "syzygy_euler_char",
     "vanishing_report",
     "convergence_fit",

@@ -11,7 +11,7 @@ exponent n as in the limit ℓ(R/I^[p^n]) / p^(n·dim R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -67,26 +67,24 @@ class SizeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Homogeneous generators with their degrees."""
+    """Homogeneous generators; their degrees are read off once."""
 
     generators: tuple
-    degrees: tuple
+    degrees: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.generators:
             raise ValueError("need at least one generator")
-        for g, e in zip(self.generators, self.degrees):
-            if g.is_zero or not g.is_homogeneous:
-                raise ValueError("generators must be nonzero homogeneous")
-            if g.degree != e:
-                raise ValueError("degree list does not match generators")
+        if any(g.is_zero or not g.is_homogeneous for g in self.generators):
+            raise ValueError("generators must be nonzero homogeneous")
+        object.__setattr__(self, "degrees", tuple(g.degree for g in self.generators))
 
     @classmethod
     def from_polynomials(cls, gens: Sequence) -> "IdealSpec":
         gens = tuple(g for g in gens if not g.is_zero)
         if not gens:
             raise ValueError("need at least one nonzero generator")
-        return cls(gens, tuple(g.degree for g in gens))
+        return cls(gens)
 
     @classmethod
     def maximal_ideal(cls, ring: HypersurfaceRing) -> "IdealSpec":
@@ -100,8 +98,8 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class ColengthRecord:
-    """Per-degree dimensions of R/I^[q], q = p^n, and the q-normalized
-    total; ``from_dims`` derives every field but ``dims``."""
+    """Per-degree dimensions of R/I^[q], q = p^n, through the first zero
+    piece, and the q-normalized total; ``from_dims`` builds every record."""
 
     p: int
     n: int
@@ -112,8 +110,16 @@ class ColengthRecord:
 
     @classmethod
     def from_dims(cls, p: int, n: int, dims: Sequence, krull_dim: int) -> "ColengthRecord":
+        """The record of the pieces ``dims`` of R/I^[q], kept through the
+        first zero piece: with standard grading R/I^[q] is generated in
+        degree 0, so a zero piece makes every later piece zero.
+        NotPrimaryError when no piece is zero."""
+        dims = tuple(dims)
+        if 0 not in dims:
+            raise NotPrimaryError("not primary: no graded piece vanished by the cap")
+        dims = dims[: dims.index(0) + 1]
         q, total = p**n, sum(dims)
-        return cls(p, n, q, tuple(dims), total, Fraction(total, q**krull_dim))
+        return cls(p, n, q, dims, total, Fraction(total, q**krull_dim))
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,11 +153,10 @@ def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> IdealSp
     """
     if n < 0:
         raise ValueError(f"Frobenius exponent must be >= 0, got {n}")
-    gens = list(ideal.generators)
+    gens = ideal.generators
     for _ in range(n):
-        gens = [g.pth_power() for g in gens]
-    q = ring.field.p**n
-    return IdealSpec(tuple(gens), tuple(e * q for e in ideal.degrees))
+        gens = tuple(g.pth_power() for g in gens)
+    return IdealSpec(gens)
 
 
 def colength(
@@ -187,9 +192,9 @@ def colength(
         if trip is not None:
             raise trip
         dims.append(ring.hilbert_dim(m) - rank_mod_p(graded_map_matrix(ring, gens, m)))
-        if dims[-1] == 0:
-            return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
-    raise NotPrimaryError("not primary: no graded piece vanished by the cap")
+        if dims[-1] == 0:  # later pieces are zero too
+            break
+    return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

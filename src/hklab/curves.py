@@ -24,7 +24,6 @@ from hklab.store import cached_colength
 
 __all__ = [
     "CurveGeometry",
-    "SyzygyData",
     "CohomologyProfile",
     "HNProfile",
     "VanishingReport",
@@ -32,7 +31,6 @@ __all__ = [
     "ProfileTooShortError",
     "AmbiguousPlateauError",
     "curve_geometry",
-    "syzygy_data",
     "syzygy_euler_char",
     "cohomology_profile",
     "estimate_hn_profile",
@@ -62,16 +60,6 @@ class CurveGeometry:
     deg_y: int
     genus: int
     theta: int
-
-
-@dataclass(frozen=True)
-class SyzygyData:
-    """Rank/degree/slope bookkeeping of Syz(f_1..f_s) on the curve."""
-
-    rank: int
-    deg_s: int
-    slope: Fraction
-    nu: Fraction
 
 
 @dataclass(frozen=True)
@@ -154,17 +142,6 @@ def _syzygy_rank(degrees: Sequence) -> int:
     if rank < 1:
         raise ValueError("need at least two generators")
     return rank
-
-
-def syzygy_data(geom: CurveGeometry, degrees: Sequence) -> SyzygyData:
-    rank = _syzygy_rank(degrees)
-    deg_s = -sum(degrees) * geom.deg_y
-    return SyzygyData(
-        rank=rank,
-        deg_s=deg_s,
-        slope=Fraction(deg_s, rank),
-        nu=Fraction(sum(degrees), rank),
-    )
 
 
 def syzygy_euler_char(

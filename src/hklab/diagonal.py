@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from hklab.colength import ColengthRecord, IdealSpec, SizeGuardError
+from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, SizeGuardError
 from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, rank_mod_p
 from hklab.graded import HypersurfaceRing, Polynomial
 from hklab.limits import normalized_colength
@@ -247,39 +247,36 @@ def han_monsky_colength(
     is set: ``SizeGuardError.for_degree`` gives the shapes, and only the
     degrees below the one that trips are computed, to see whether a zero
     piece ends the run first.  Both shapes, dim R_m and s·dim R_{m-q},
-    grow with m (s >= 2), so one check clears every degree when the top
-    one fits, and otherwise bisection finds the first degree that trips.
+    grow with m (s >= 2), so the guard bisects for the first degree that
+    trips; A is zero in degree s(q-1)+1, so with no trip the degrees run
+    through that zero piece.
     """
     if not han_monsky_applies(ring, ideal):
         raise ValueError("needs sum c_i x_i^d in every variable and the maximal ideal")
     p, s, d = ring.field.p, ring.s, ring.d
     q = p**n
-    last = s * (q - 1)  # top degree of A
 
     def guard(m):
         return SizeGuardError.for_degree(ring, (q,) * s, m, max_dim)
 
-    trip = guard(last + 1)
-    if trip is not None:
-        first = bisect.bisect_left(
-            range(last + 1), True, key=lambda m: guard(m) is not None
-        )
-        last, trip = first - 1, guard(first)
-    dims = [0] * (last + 1)
+    # s(q-1) is the top degree of A; first = s(q-1)+2 when nothing trips
+    first = bisect.bisect_left(
+        range(s * (q - 1) + 2), True, key=lambda m: guard(m) is not None
+    )
+    dims = [0] * first
     memo = {}
     for r in itertools.product(range(d), repeat=s):
         ks = tuple(sorted(-((r_i - q) // d) for r_i in r))
         if ks[0] <= 0:
             continue
         if ks not in memo:
-            memo[ks] = _truncation_hilbert(p, ks, last // d)
-        for m, dim in zip(range(sum(r), last + 1, d), memo[ks]):
+            memo[ks] = _truncation_hilbert(p, ks, (first - 1) // d)
+        for m, dim in zip(range(sum(r), first, d), memo[ks]):
             dims[m] += dim
-    if 0 not in dims:
-        if trip is not None:
-            raise trip
-        dims.append(0)
-    return ColengthRecord.from_dims(p, n, dims[: dims.index(0) + 1], ring.krull_dim)
+    try:
+        return ColengthRecord.from_dims(p, n, dims, ring.krull_dim)
+    except NotPrimaryError:
+        raise guard(first) from None
 
 
 def d_char0(*ks: int) -> int:

@@ -5,8 +5,9 @@ artinian dimension counts) reduces to the rank of a dense matrix of residues
 mod p.  ``rank_mod_p`` peels the columns with one nonzero entry, splits the
 core that is left into the connected components of its nonzero pattern and
 eliminates them side by side in zero-padded stacks, one loop step per row
-of the tallest block.  Matrices are immutable after construction; rank
-works on private copies, so values are safe to share across threads.
+of the tallest block and no inverse.  Matrices are immutable after
+construction; rank works on private copies, so values are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ class PrimeField:
 
     @property
     def dtype(self) -> type:
-        # Elimination forms a - f*b with a, b, f in [0, p), so the widest
-        # intermediate is f*b <= (p-1)^2 in magnitude.  int32 holds that for
-        # p <= 46340; int64 for p <= _MAX_MODULUS, the largest p accepted.
+        # Elimination forms v*a - f*b with a, b, f, v in [0, p), so the
+        # widest intermediate is a product <= (p-1)^2 in magnitude.  int32
+        # holds that for p <= 46340; int64 for p <= _MAX_MODULUS, the
+        # largest p accepted.
         return np.int32 if self.p <= 46340 else np.int64
 
 
@@ -103,14 +105,6 @@ class PrimeFieldMatrix:
         self.field = field
         self.array = arr
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimeFieldMatrix):
-            return NotImplemented
-        return self.field.p == other.field.p and np.array_equal(self.array, other.array)
-
-    def __repr__(self) -> str:
-        return f"PrimeFieldMatrix(p={self.field.p}, shape={self.array.shape})"
-
 
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
     """Rank of ``m`` over Z/pZ.
@@ -125,12 +119,9 @@ def rank_mod_p(m: PrimeFieldMatrix) -> int:
     Those are eliminated side by side, zero-padded into few stacks; a core
     with at most ``_WHOLE_CORE`` rows or columns is one block.
     """
-    if m.array.size == 0:
+    a, p = m.array, m.field.p
+    if a.size == 0:
         return 0
-    return _rank_of_array(m.array, m.field.p)
-
-
-def _rank_of_array(a: np.ndarray, p: int) -> int:
     # A column with one nonzero entry pivots at that row.  Clearing the row
     # touches no other row, so rank(A) = 1 + rank(A minus the pivot row and
     # column); columns sharing the row lose their only entry and drop out
@@ -226,9 +217,12 @@ def _padded(blocks: list) -> np.ndarray:
 def _stacked_rank(a: np.ndarray, p: int) -> int:
     """Sum of the ranks of the blocks a[k], each with rows <= columns.
 
-    Step i pivots row i of every block at its largest entry and clears
-    that column from the rows below, so the loop runs once per row; a row
-    that is zero by then depends on the rows above it.
+    Step i pivots row i of every block at its largest entry v and clears
+    that column from the rows below without an inverse: each row b below
+    becomes v*b - f*row, f its entry in the pivot column (v = 1 for a block
+    whose row i is zero).  Both products are at most (p-1)^2, so the dtype
+    of ``PrimeField.dtype`` holds them exactly.  The loop runs once per
+    row; a row that is zero by then depends on the rows above it.
     """
     blocks, rows, _ = a.shape
     idx = np.arange(blocks)
@@ -236,17 +230,16 @@ def _stacked_rank(a: np.ndarray, p: int) -> int:
     for i in range(rows):
         row = a[:, i, :]
         lead = row.argmax(axis=1)
-        piv = row.max(axis=1).tolist()
-        found = len(piv) - piv.count(0)
+        piv = row.max(axis=1)
+        found = int(np.count_nonzero(piv))
         if not found:
             continue
         rank += found
         if i + 1 == rows:
             break
-        # Scale each pivot row to pivot 1; a row without a pivot is zero.
-        row *= np.array([[pow(v, -1, p) if v else 0] for v in piv], dtype=a.dtype)
-        row %= p
+        factors = a[idx, i + 1 :, lead]
         below = a[:, i + 1 :, :]
-        below -= a[idx, i + 1 :, lead][:, :, None] * row[:, None, :]
+        below *= np.maximum(piv, 1)[:, None, None]
+        below -= factors[:, :, None] * row[:, None, :]
         below %= p
     return rank

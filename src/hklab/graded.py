@@ -172,9 +172,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.nvars, frozenset(self.terms.items())))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from hklab.colength import ColengthRecord, IdealSpec, colength
+from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, colength
 from hklab.diagonal import han_monsky_applies, han_monsky_colength
 from hklab.graded import HypersurfaceRing
 
@@ -83,10 +83,12 @@ def _inconsistency(
     record: ColengthRecord, p: int, n: int, krull_dim: int
 ) -> Optional[str]:
     """Why a cached record cannot be the colength it is stored under, or
-    None when it passes every check."""
-    if not record.dims or record.dims[-1] != 0:
-        return "dims do not end in a zero piece"
-    expected = ColengthRecord.from_dims(p, n, record.dims, krull_dim)
+    None when it is the record ``ColengthRecord.from_dims`` builds from its
+    own dims."""
+    try:
+        expected = ColengthRecord.from_dims(p, n, record.dims, krull_dim)
+    except NotPrimaryError as exc:
+        return f"dims: {exc}"
     wrong = [
         f"{field} = {value!r}, expected {getattr(expected, field)!r}"
         for field, value in vars(record).items()

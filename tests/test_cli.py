@@ -86,6 +86,10 @@ def test_colength_csv_schema_and_values(tmp_path):
     assert sum(dims) == 75
     payload = read_json(tmp_path / "colength.json")
     assert payload["records"][0]["normalized"] == "3/1"
+    argv = ["colength", "--family", "buchweitz-chen", "--primes", "5,7"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    records = read_json(tmp_path / "colength.json")["records"]
+    assert [(r["p"], r["total"]) for r in records] == [(5, 25), (7, 49)]
 
 
 def test_cache_hit_is_byte_identical(tmp_path):
@@ -276,6 +280,16 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["colength", "--family", "nonsense", "--primes", "5"] + out) == 2
     assert main(["gm", "--d", "4,oops"] + out) == 2
     assert main(["convergence", "--family", "fermat-quartic", "--primes", "3,5,7", "--n", "1,2"] + out) == 2
+    quartic = ["colength", "--family", "fermat-quartic", "--primes", "5"]
+    assert main(quartic + ["--n", "0"] + out) == 2
+    assert main(quartic + ["--n", "x"] + out) == 2
+    assert main(["colength", "--family", "fermat-quartic", "--primes", "3..23%8"] + out) == 2
+    assert main(["colength", "--primes", "5"] + out) == 2
+    assert main(["limits", "--primes", "5"] + out) == 2
+    assert main(["limits", "--family", "fermat-quartic"] + out) == 2
+    assert main(["convergence", "--primes", "5,7,11"] + out) == 2
+    assert main(["gm"] + out) == 2
+    assert main(["sandwich", "--family", "fermat-quartic", "--primes", "5"] + out) == 2
     assert (
         main(
             ["colength", "--ring", "fermat:s=3,d=4,p=5", "--primes", "7"] + out
@@ -525,6 +539,13 @@ def test_math_errors_exit_1(tmp_path, capsys, monkeypatch):
         argv = [command, "--family", "fermat-quartic", "--primes", "7", "--ideal", "x"]
         assert main(argv + out) == 1
         assert "need at least two generators" in capsys.readouterr().err
+    # the generic engine needs the standard grading
+    assert main(["colength", "--family", "diagonal:2,3,5", "--primes", "7"] + out) == 1
+    assert "colength needs equal exponents" in capsys.readouterr().err
+    # a generator in the relation ideal has no syzygy bundle to profile
+    argv = ["profile", "--family", "fermat-quartic", "--primes", "7", "--ideal", "x^4+y^4+z^4,x,y"]
+    assert main(argv + out) == 1
+    assert "a generator power vanishes on the curve" in capsys.readouterr().err
     # no reference value: rejected before the first colength is computed
     cache = tmp_path / "cache"
     argv = ["convergence", "--family", "diagonal:4,4,4", "--primes", "5,7,11"]

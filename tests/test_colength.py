@@ -172,6 +172,11 @@ def test_colength_record_json_round_trip():
     )
     assert ColengthRecord.from_json_dict(rec.to_json_dict()) == rec
     assert ColengthRecord.from_dims(5, 1, (1, 3, 0), 2) == rec
+    # dims are kept through the first zero piece, which must exist
+    assert ColengthRecord.from_dims(5, 1, [1, 3, 0, 2, 0], 2) == rec
+    for dims in ((1, 3), ()):
+        with pytest.raises(NotPrimaryError, match="no graded piece vanished"):
+            ColengthRecord.from_dims(5, 1, dims, 2)
 
 
 def test_parse_ideal_spec():
@@ -179,6 +184,7 @@ def test_parse_ideal_spec():
     assert parse_ideal_spec(R, "maximal") == IdealSpec.maximal_ideal(R)
     J = parse_ideal_spec(R, "x^2, y^2, z^2")
     assert J.degrees == (2, 2, 2)
+    assert IdealSpec(J.generators) == J
     from hklab.graded import SpecParseError
 
     with pytest.raises(SpecParseError):

@@ -21,7 +21,6 @@ from hklab.curves import (
     curve_geometry,
     default_m_max,
     estimate_hn_profile,
-    syzygy_data,
     syzygy_euler_char,
     vanishing_report,
 )
@@ -127,15 +126,6 @@ def test_geometry_rejects_non_curves():
 
 
 # ------------------------------------------------------- numerical bundle data
-
-
-def test_syzygy_data_for_maximal_ideal_on_quartic():
-    geom = curve_geometry(fermat(7))
-    data = syzygy_data(geom, (1, 1, 1))
-    assert data.rank == 2
-    assert data.deg_s == -12
-    assert data.slope == Fraction(-6)
-    assert data.nu == Fraction(3, 2)
 
 
 def test_euler_characteristic_values():

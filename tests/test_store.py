@@ -143,6 +143,19 @@ def test_cached_colength_discards_inconsistent_entry(tmp_path, change, caplog):
     assert "inconsistent" in caplog.text
 
 
+def test_cached_colength_discards_entry_with_interior_zero_piece(tmp_path, caplog):
+    # total and normalized match, but a zero piece makes every later one zero
+    record = sample_record()
+    bad = dataclasses.replace(record, dims=(1, 0) + record.dims[1:])
+    assert (bad.total, bad.normalized) == (sum(bad.dims), Fraction(sum(bad.dims), 9))
+    store, ring, ideal, key = _planted(tmp_path, bad)
+    with caplog.at_level("WARNING"):
+        rec = cached_colength(store, ring, ideal, 1)
+    assert rec == record
+    assert store.get(key) == rec
+    assert "inconsistent" in caplog.text
+
+
 def test_cached_colength_without_store():
     ring = parse_ring_spec("fermat:s=3,d=4,p=3")
     ideal = IdealSpec.maximal_ideal(ring)
