@@ -111,8 +111,8 @@ class ColengthRecord:
     @classmethod
     def from_dims(cls, p: int, n: int, dims: Sequence, krull_dim: int) -> "ColengthRecord":
         """The record of the pieces ``dims`` of R/I^[q], kept through the
-        first zero piece: with standard grading R/I^[q] is generated in
-        degree 0, so a zero piece makes every later piece zero.
+        first zero piece: with standard grading R is generated in degree 1,
+        so a zero piece of R/I^[q] makes every later piece zero.
         NotPrimaryError when no piece is zero."""
         dims = tuple(dims)
         if 0 not in dims:
