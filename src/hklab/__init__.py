@@ -30,12 +30,12 @@ from hklab.curves import (
     cohomology_profile,
     curve_geometry,
     estimate_hn_profile,
+    hk_from_profile,
     syzygy_euler_char,
     vanishing_report,
 )
 from hklab.limits import (
     convergence_fit,
-    hk_from_profile,
     normalized_colength,
     reference_value,
 )
@@ -80,10 +80,10 @@ __all__ = [
     "cohomology_profile",
     "curve_geometry",
     "estimate_hn_profile",
+    "hk_from_profile",
     "syzygy_euler_char",
     "vanishing_report",
     "convergence_fit",
-    "hk_from_profile",
     "normalized_colength",
     "reference_value",
     "DiagonalSpec",

@@ -24,6 +24,7 @@ from hklab.colength import (
 from hklab.curves import (
     cohomology_profile,
     estimate_hn_profile,
+    hk_from_profile,
     vanishing_report,
 )
 from hklab.diagonal import (
@@ -36,7 +37,7 @@ from hklab.diagonal import (
 )
 from hklab.fp_linalg import is_prime
 from hklab.graded import HypersurfaceRing, SpecParseError, parse_ring_spec
-from hklab.limits import convergence_fit, hk_from_profile, reference_value
+from hklab.limits import convergence_fit, reference_value
 from hklab.store import ResultStore, cached_colength
 
 # One row per flag: dest, value type, default, help.  Every flag except
@@ -147,6 +148,8 @@ def parse_primes(text: str) -> List[int]:
                 if not sep:
                     raise ValueError("residue filter needs mod=r1,r2")
                 mod = int(mod_s)
+                if mod <= 0:
+                    raise ValueError("residue filter needs a positive modulus")
                 allowed = {int(r) % mod for r in keep.split(",")}
             primes = [
                 p
@@ -256,13 +259,18 @@ def rational_str(value: Fraction) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def cmd_colength(args: argparse.Namespace) -> int:
+def _colength_records(args: argparse.Namespace) -> list:
+    """The colength record of each grid point, through the --cache store."""
     store = ResultStore(args.cache) if args.cache else None
 
     def job(p, n):
         return cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
 
-    records = [rec for _, _, rec in run_grid(args, job)]
+    return [rec for _, _, rec in run_grid(args, job)]
+
+
+def cmd_colength(args: argparse.Namespace) -> int:
+    records = _colength_records(args)
     label = args.family or "custom"
     rows = [
         {
@@ -473,12 +481,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     for p in grid_primes(args):  # every reference before the first colength
         _ring_ideal(args, p)  # an unparseable spec still exits 2 first
         references[p] = reference_value(args.family, p)
-    store = ResultStore(args.cache) if args.cache else None
-
-    def job(p, n):
-        return cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
-
-    records = [rec for _, _, rec in run_grid(args, job)]
+    records = _colength_records(args)
     fit = convergence_fit(records)
     rows = []
     for rec in records:

@@ -67,30 +67,24 @@ class SizeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Homogeneous generators; their degrees are read off once."""
+    """Homogeneous generators, zero ones dropped; their degrees are read
+    off once."""
 
     generators: tuple
     degrees: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.generators:
-            raise ValueError("need at least one generator")
-        if any(g.is_zero or not g.is_homogeneous for g in self.generators):
-            raise ValueError("generators must be nonzero homogeneous")
-        object.__setattr__(self, "degrees", tuple(g.degree for g in self.generators))
-
-    @classmethod
-    def from_polynomials(cls, gens: Sequence) -> "IdealSpec":
-        gens = tuple(g for g in gens if not g.is_zero)
+        gens = tuple(g for g in self.generators if not g.is_zero)
         if not gens:
             raise ValueError("need at least one nonzero generator")
-        return cls(gens)
+        if not all(g.is_homogeneous for g in gens):
+            raise ValueError("generators must be nonzero homogeneous")
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "degrees", tuple(g.degree for g in gens))
 
     @classmethod
     def maximal_ideal(cls, ring: HypersurfaceRing) -> "IdealSpec":
-        return cls.from_polynomials(
-            [Polynomial.variable(ring.field, ring.s, i) for i in range(ring.s)]
-        )
+        return cls(tuple(Polynomial.variable(ring.field, ring.s, i) for i in range(ring.s)))
 
     def canonical_string(self) -> str:
         return ",".join(sorted(str(g) for g in self.generators))
@@ -209,6 +203,6 @@ def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:
             raise SpecParseError("empty generator in ideal list")
         gens.append(parse_polynomial(ring.field, ring.s, chunk))
     try:
-        return IdealSpec.from_polynomials(gens)
+        return IdealSpec(gens)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from None

@@ -1,5 +1,6 @@
 """Cohomology of twisted Frobenius pullbacks of syzygy bundles on smooth
-plane curves, and slope-profile extraction from the section counts.
+plane curves, slope-profile extraction from the section counts, and the
+multiplicity a slope profile gives.
 
 For Y ⊂ P² smooth of degree d and S = Syz(f_1..f_s), the section counts
 h⁰(S^q(m)), q = p^n, come from one colength record of R/I^[q], χ from
@@ -12,6 +13,7 @@ that is the whole estimation strategy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +36,7 @@ __all__ = [
     "syzygy_euler_char",
     "cohomology_profile",
     "estimate_hn_profile",
+    "hk_from_profile",
     "vanishing_report",
 ]
 
@@ -189,9 +192,11 @@ def cohomology_profile(
     # vanishes on the curve exactly when g does
     if any(ring.normal_form(g).is_zero for g in ideal.generators):
         raise ValueError("a generator power vanishes on the curve")
+    # the guarded record comes before the twist tables, which have about 3q
+    # entries: a guard that trips must not wait for them
+    dims = cached_colength(None, ring, ideal, n, max_dim).dims
     twists = range(m_max + 1)
     chi = tuple(syzygy_euler_char(geom, ideal.degrees, q, m) for m in twists)
-    dims = cached_colength(None, ring, ideal, n, max_dim).dims
     hilbert = [ring.hilbert_dim(m) for m in twists]
     h0 = tuple(
         sum(hilbert[m - q * e] for e in ideal.degrees if q * e <= m)
@@ -205,21 +210,6 @@ def cohomology_profile(
     return CohomologyProfile(
         p=ring.field.p, q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom
     )
-
-
-def _constant_runs(values, start_index):
-    """Maximal (start, end, value) runs of a sequence indexed from
-    start_index."""
-    runs = []
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        runs.append((start_index + i, start_index + j, values[i]))
-        i = j + 1
-    return runs
 
 
 def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNProfile:
@@ -244,7 +234,9 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
     h1 = profile.h1
     deltas = [h0[m] - h0[m - 1] for m in range(1, profile.m_max + 1)]
     selected = {}
-    for a, b, value in _constant_runs(deltas, 1):
+    b = 0
+    for value, run in itertools.groupby(deltas):  # Δh⁰(m) = value on m = a..b
+        a, b = b + 1, b + len(list(run))
         if b - a + 1 < tol or value <= 0:
             continue
         if value % degy:
@@ -310,6 +302,19 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
         uncertainty=(g + geom.theta) / q,
         first_nonzero=first_nonzero,
     )
+
+
+def hk_from_profile(
+    geom: CurveGeometry, hn: HNProfile, degrees: Sequence
+) -> Fraction:
+    """(degY/2)·(Σ r̂_k ν̂_k² − Σ d_i²) from an estimated slope profile."""
+    rank_total = sum(r for _, r in hn.pairs)
+    if rank_total != len(degrees) - 1:
+        raise ValueError(
+            f"profile ranks sum to {rank_total}, expected {len(degrees) - 1}"
+        )
+    quad = sum(Fraction(r) * nu * nu for nu, r in hn.pairs)
+    return Fraction(geom.deg_y, 2) * (quad - sum(d * d for d in degrees))
 
 
 def vanishing_report(profile: CohomologyProfile, hn: HNProfile) -> VanishingReport:

@@ -52,7 +52,7 @@ import numpy as np
 
 from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, SizeGuardError
 from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, rank_mod_p
-from hklab.graded import HypersurfaceRing, Polynomial
+from hklab.graded import HypersurfaceRing, parse_ring_spec
 from hklab.limits import normalized_colength
 
 __all__ = [
@@ -201,6 +201,10 @@ def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
     degrees 0..top: arithmetic once ``_syzygy_degree`` gives u, which is
     memoised per (p, a, b, c) since one Han-Monsky record and the pair
     types of one fold ask for the same triples again."""
+    # A syzygy (A, B, C) of degree k < c has C = 0, so x^a divides B and
+    # k >= a+b: u >= min(c, a+b), and below that both syzygy ramps are zero.
+    if top < min(c, a + b):
+        return _hilbert(np.arange(top + 1), a, b, c).tolist()
     u = _syzygy_degree(p, a, b, c)
     return _hilbert(np.arange(top + 1), a, b, c, (u, a + b + c - u)).tolist()
 
@@ -353,12 +357,7 @@ def diagonal_ring(spec: DiagonalSpec, p: int) -> HypersurfaceRing:
     d = spec.exponents[0]
     if any(e != d for e in spec.exponents):
         raise ValueError("colength needs equal exponents (standard grading)")
-    field = PrimeField(p)
-    s = spec.s
-    relation = Polynomial(
-        field, s, {tuple(d if j == i else 0 for j in range(s)): 1 for i in range(s)}
-    )
-    return HypersurfaceRing(field, s, relation)
+    return parse_ring_spec(f"fermat:s={spec.s},d={d},p={p}")
 
 
 def _sandwich_ring(spec: DiagonalSpec, p: int) -> HypersurfaceRing:

@@ -98,12 +98,6 @@ class Polynomial:
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(field, nvars, {mono: 1})
 
-    @classmethod
-    def monomial(
-        cls, field: PrimeField, nvars: int, mono: Monomial, c: int = 1
-    ) -> "Polynomial":
-        return cls(field, nvars, {tuple(mono): c})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -128,20 +122,6 @@ class Polynomial:
         return max(self.terms, key=grevlex_key)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.field.p != other.field.p or self.nvars != other.nvars:
-            raise ValueError("mixed rings")
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        p = self.field.p
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = (out.get(m, 0) + c1 * c2) % p
-        return Polynomial(self.field, self.nvars, out)
 
     def derivative(self, i: int) -> "Polynomial":
         out = {}
@@ -461,8 +441,6 @@ class HypersurfaceRing:
         by LT(f), congruent to g mod (f), idempotent."""
         if g.field.p != self.field.p or g.nvars != self.s:
             raise ValueError("polynomial lives in a different ring")
-        if self.relation is None:
-            return g
         support = self._support
         keys = [tuple(mono[i] for i in support) for mono in g.terms]
         self._fill_nf_memo(keys)

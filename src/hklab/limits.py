@@ -7,35 +7,18 @@ least-squares step, which is double precision by design.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from hklab.colength import IdealSpec, colength
 from hklab.graded import HypersurfaceRing
 
-if TYPE_CHECKING:  # curves imports store, which imports diagonal and so limits
-    from hklab.curves import CurveGeometry, HNProfile
-
 __all__ = [
-    "hk_from_profile",
     "normalized_colength",
     "reference_value",
     "convergence_fit",
 ]
-
-
-def hk_from_profile(
-    geom: CurveGeometry, hn: HNProfile, degrees: Sequence
-) -> Fraction:
-    """(degY/2)·(Σ r̂_k ν̂_k² − Σ d_i²) from an estimated slope profile."""
-    rank_total = sum(r for _, r in hn.pairs)
-    if rank_total != len(degrees) - 1:
-        raise ValueError(
-            f"profile ranks sum to {rank_total}, expected {len(degrees) - 1}"
-        )
-    quad = sum(Fraction(r) * nu * nu for nu, r in hn.pairs)
-    return Fraction(geom.deg_y, 2) * (quad - sum(d * d for d in degrees))
 
 
 def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fraction:

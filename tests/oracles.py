@@ -129,6 +129,16 @@ def ref_truncation_dim(p, caps, k):
     return ref_artinian_colength(p, power_of_sum(len(caps), k, p), caps)
 
 
+def ref_mul(p, f, g):
+    """The product of f and g over Z/p, as dicts {exponents: coeff}."""
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = (out.get(m, 0) + c1 * c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
 def ref_normal_form(p, f, g):
     """Remainder of g on division by f over Z/p, by long division.
 

@@ -16,12 +16,13 @@ from hklab.curves import (
     cohomology_profile,
     curve_geometry,
     estimate_hn_profile,
+    hk_from_profile,
     vanishing_report,
 )
 from hklab.diagonal import DiagonalSpec, d_char0, d_f, diagonal_limits, g_lambda, sandwich_check
 from hklab.fp_linalg import PrimeField
 from hklab.graded import Polynomial, parse_ring_spec
-from hklab.limits import hk_from_profile, reference_value
+from hklab.limits import reference_value
 
 HALF = Fraction(1, 2)
 
@@ -68,13 +69,9 @@ def test_c1_exactness_identity():
 
 def test_c2_frobenius_collapse():
     def power_ideal(ring, N):
-        return IdealSpec.from_polynomials(
+        return IdealSpec(
             [
-                Polynomial.monomial(
-                    ring.field,
-                    3,
-                    tuple(N if j == i else 0 for j in range(3)),
-                )
+                Polynomial(ring.field, 3, {tuple(N if j == i else 0 for j in range(3)): 1})
                 for i in range(3)
             ]
         )

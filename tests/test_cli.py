@@ -283,7 +283,11 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     quartic = ["colength", "--family", "fermat-quartic", "--primes", "5"]
     assert main(quartic + ["--n", "0"] + out) == 2
     assert main(quartic + ["--n", "x"] + out) == 2
-    assert main(["colength", "--family", "fermat-quartic", "--primes", "3..23%8"] + out) == 2
+    for primes in ("3..23%8", "3..23%0=1", "3..23%-8=1"):
+        assert main(["colength", "--family", "fermat-quartic", "--primes", primes] + out) == 2
+    # a prime above the int64 limit, for a named quartic and a diagonal family alike
+    for family in ("fermat-quartic", "diagonal:4,4,4,4"):
+        assert main(["colength", "--family", family, "--primes", "3037000507"] + out) == 2
     assert main(["colength", "--primes", "5"] + out) == 2
     assert main(["limits", "--primes", "5"] + out) == 2
     assert main(["limits", "--family", "fermat-quartic"] + out) == 2

@@ -31,7 +31,7 @@ def test_frobenius_power_identity_and_additivity():
     I = maximal(R)
     assert frobenius_power(R, I, 0) == I
     xy = parse_polynomial(R.field, 3, "x+y")
-    J = frobenius_power(R, IdealSpec.from_polynomials([xy]), 1)
+    J = frobenius_power(R, IdealSpec([xy]), 1)
     assert J.generators[0] == parse_polynomial(R.field, 3, "x^5+y^5")
     assert J.degrees == (5,)
 
@@ -39,7 +39,7 @@ def test_frobenius_power_identity_and_additivity():
 def test_frobenius_power_cube_example():
     R = ring("polyring:s=2,p=3")
     g = parse_polynomial(R.field, 2, "x^2+x*y")
-    J = frobenius_power(R, IdealSpec.from_polynomials([g]), 1)
+    J = frobenius_power(R, IdealSpec([g]), 1)
     assert J.generators[0] == parse_polynomial(R.field, 2, "x^6+x^3*y^3")
 
 
@@ -109,8 +109,8 @@ def test_colength_buchweitz_chen_scales():
         assert colength(R, maximal(R), n).normalized == 1
     F = R.field
     N = 10
-    gens = IdealSpec.from_polynomials(
-        [Polynomial.monomial(F, 3, tuple(N if j == i else 0 for j in range(3))) for i in range(3)]
+    gens = IdealSpec(
+        [Polynomial(F, 3, {tuple(N if j == i else 0 for j in range(3)): 1}) for i in range(3)]
     )
     rec = colength(R, gens)
     assert rec.total == 75  # = 3*N^2/4, frozen from ref_artinian_colength
@@ -121,17 +121,17 @@ def test_colength_not_primary():
     # R/(x) = F[y,z]/(y^4+z^4) is a whole curve: every piece stays positive.
     R = ring("fermat:s=3,d=4,p=5")
     with pytest.raises(NotPrimaryError):
-        colength(R, IdealSpec.from_polynomials([Polynomial.variable(R.field, 3, 0)]))
+        colength(R, IdealSpec([Polynomial.variable(R.field, 3, 0)]))
     # (x, y) leaves F[z] in the ambient polynomial ring
     P = ring("polyring:s=3,p=5")
     xy = [Polynomial.variable(P.field, 3, 0), Polynomial.variable(P.field, 3, 1)]
     with pytest.raises(NotPrimaryError):
-        colength(P, IdealSpec.from_polynomials(xy))
+        colength(P, IdealSpec(xy))
     # the relation itself generates the zero ideal of R
     with pytest.raises(NotPrimaryError):
-        colength(R, IdealSpec.from_polynomials([R.relation]))
+        colength(R, IdealSpec([R.relation]))
     # ... but (x, y) is primary in R itself: R/(x,y) = F[z]/(z^4)
-    rec = colength(R, IdealSpec.from_polynomials(
+    rec = colength(R, IdealSpec(
         [Polynomial.variable(R.field, 3, 0), Polynomial.variable(R.field, 3, 1)]
     ))
     assert rec.total == 4 and rec.dims == (1, 1, 1, 1, 0)
@@ -148,7 +148,7 @@ def test_size_guard_trips():
 def test_monotonicity_under_extra_generators():
     R = ring("fermat:s=3,d=4,p=5")
     J = frobenius_power(R, maximal(R), 1)
-    bigger = IdealSpec.from_polynomials(
+    bigger = IdealSpec(
         list(J.generators) + [parse_polynomial(R.field, 3, "x^2*y^2")]
     )
     assert colength(R, bigger).total <= colength(R, J).total
@@ -191,3 +191,7 @@ def test_parse_ideal_spec():
         parse_ideal_spec(R, "x^2,, y")
     with pytest.raises(SpecParseError):
         parse_ideal_spec(R, "x + y^2")  # inhomogeneous generator
+    # zero generators are dropped, and an ideal needs a nonzero one
+    assert parse_ideal_spec(R, "x^2, 7*y, y^2, 0*z, z^2") == J
+    with pytest.raises(SpecParseError, match="need at least one nonzero generator"):
+        parse_ideal_spec(R, "7*x, 0")

@@ -59,6 +59,18 @@ def test_smoothness_matrix_is_size_guarded():
     assert curve_geometry(fermat(7), max_dim=136) == curve_geometry(fermat(7))
 
 
+def test_profile_reads_the_guard_before_the_twist_tables(monkeypatch):
+    # q = 1369 would need about 3q twists of chi before the colength's
+    # guard could trip
+    def no_tables(*args):
+        raise AssertionError("built the twist tables")
+
+    monkeypatch.setattr("hklab.curves.syzygy_euler_char", no_tables)
+    ring = fermat(37)
+    with pytest.raises(SizeGuardError):
+        cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2, max_dim=5000)
+
+
 def test_fermat_quartic_in_char_two_is_singular():
     # all partials vanish identically
     with pytest.raises(SingularCurveError):
@@ -104,7 +116,7 @@ def test_smoothness_rank_matches_jacobian_colength(ring):
     """One rank in degree 3D-2 gives the verdict of the whole generic
     colength of the Jacobian ideal."""
     f = ring.relation
-    jacobian = IdealSpec.from_polynomials([f] + [f.derivative(i) for i in range(3)])
+    jacobian = IdealSpec([f] + [f.derivative(i) for i in range(3)])
     try:
         colength(HypersurfaceRing(ring.field, 3, None), jacobian)
         primary = True

@@ -345,8 +345,8 @@ def diagonal_cases(draw):
     coeffs = draw(st.lists(st.integers(1, p - 1), min_size=2 * s, max_size=2 * s))
     relation = Polynomial(field, s, {_unit(s, i, d): coeffs[i] for i in range(s)})
     order = draw(st.permutations(range(s)))
-    ideal = IdealSpec.from_polynomials(
-        [Polynomial.monomial(field, s, _unit(s, i), coeffs[s + i]) for i in order]
+    ideal = IdealSpec(
+        [Polynomial(field, s, {_unit(s, i): coeffs[s + i]}) for i in order]
     )
     ring = HypersurfaceRing(field, s, relation)
     widest = max(ring.hilbert_dim(m) for m in range(s * p**n + 2))
@@ -399,6 +399,19 @@ def test_bisected_guard_matches_linear_scan():
             expected = ("size guard", trip.m, trip.rows, trip.cols, cap)
         assert _outcome(lambda: han_monsky_colength(ring, ideal, 1, cap)) == expected
     assert {0, last - 1, last, last + 1, None} <= firsts
+
+
+def test_guard_below_the_rank_free_range_ranks_nothing(monkeypatch):
+    # q = 10201 trips at degree 1251, and every Hilbert-Burch triple asks
+    # for degrees below min(c, a+b) there, so no syzygy degree is ranked
+    def no_rank(*args):
+        raise AssertionError("ranked a syzygy degree")
+
+    monkeypatch.setattr("hklab.diagonal._syzygy_degree", no_rank)
+    ring = parse_ring_spec("fermat:s=3,d=4,p=101")
+    with pytest.raises(SizeGuardError) as info:
+        cached_colength(None, ring, IdealSpec.maximal_ideal(ring), 2, max_dim=5000)
+    assert info.value.m == 1251
 
 
 def test_han_monsky_chang_quartic_p101():
@@ -473,18 +486,18 @@ def relation_cases(draw):
     ring = HypersurfaceRing(field, s, Polynomial(field, s, {m: draw(coefficient) for m in terms}))
     kind = draw(st.sampled_from(("variables", "monomial", "linear")))
     if kind == "variables":
-        gens = [Polynomial.monomial(field, s, _unit(s, i), draw(coefficient)) for i in range(s)]
+        gens = [Polynomial(field, s, {_unit(s, i): draw(coefficient)}) for i in range(s)]
     elif kind == "monomial":
         powers = draw(st.lists(st.integers(1, 2), min_size=s, max_size=s))
-        gens = [Polynomial.monomial(field, s, _unit(s, i, e)) for i, e in enumerate(powers)]
+        gens = [Polynomial(field, s, {_unit(s, i, e): 1}) for i, e in enumerate(powers)]
         if draw(st.booleans()):
             extra = draw(st.lists(st.integers(0, 1), min_size=s, max_size=s).filter(any))
-            gens.append(Polynomial.monomial(field, s, tuple(extra)))
+            gens.append(Polynomial(field, s, {tuple(extra): 1}))
     else:
         row = st.lists(st.integers(0, p - 1), min_size=s, max_size=s).filter(any)
         rows = draw(st.lists(row, min_size=s - 1, max_size=s))
         gens = [Polynomial(field, s, {_unit(s, i): c for i, c in enumerate(r) if c}) for r in rows]
-    ideal = IdealSpec.from_polynomials(gens)
+    ideal = IdealSpec(gens)
     widest = max(ring.hilbert_dim(m) for m in range(2 * s * p**n + d + 2))
     cap = draw(st.one_of(st.none(), st.integers(0, widest + 1)))
     return ring, ideal, n, cap

@@ -16,7 +16,7 @@ from hklab.graded import (
     parse_ring_spec,
 )
 
-from oracles import ref_graded_piece_dim, ref_monomials, ref_normal_form
+from oracles import ref_graded_piece_dim, ref_monomials, ref_mul, ref_normal_form
 
 
 def fermat_ring(p, s=3, d=4):
@@ -88,7 +88,7 @@ def test_basis_size_matches_hilbert_dim(spec):
 def test_normal_form_single_step():
     R = fermat_ring(5)
     F = R.field
-    x4 = Polynomial.monomial(F, 3, (4, 0, 0))
+    x4 = Polynomial(F, 3, {(4, 0, 0): 1})
     nf = R.normal_form(x4)
     assert nf.terms == {(0, 4, 0): 4, (0, 0, 4): 4}
     assert R.normal_form(nf) == nf
@@ -96,7 +96,7 @@ def test_normal_form_single_step():
 
 def test_normal_form_two_steps():
     R = fermat_ring(5)
-    x8 = Polynomial.monomial(R.field, 3, (8, 0, 0))
+    x8 = Polynomial(R.field, 3, {(8, 0, 0): 1})
     nf = R.normal_form(x8)
     assert nf.terms == {(0, 8, 0): 1, (0, 4, 4): 2, (0, 0, 8): 1}
 
@@ -106,7 +106,8 @@ def test_normal_form_kills_multiples_of_relation():
     R = fermat_ring(5)
     for _ in range(10):
         g = random_poly(rng, R.field, 3)
-        assert R.normal_form(g * R.relation).is_zero
+        gf = Polynomial(R.field, 3, ref_mul(5, g.terms, R.relation.terms))
+        assert R.normal_form(gf).is_zero
         red = R.normal_form(g)
         assert R.normal_form(red) == red
         # reduction acts trivially in the polynomial ring
@@ -220,7 +221,7 @@ def test_derivative():
     g = parse_polynomial(field, 3, "x^4+y^4+z^4")
     assert g.derivative(0) == parse_polynomial(field, 3, "4*x^3")
     # x^7 has zero derivative mod 7
-    assert Polynomial.monomial(field, 3, (7, 0, 0)).derivative(0).is_zero
+    assert Polynomial(field, 3, {(7, 0, 0): 1}).derivative(0).is_zero
 
 
 def test_polynomial_str_and_parse_round_trip():
@@ -327,8 +328,9 @@ def ref_map_matrix(ring, gens, m):
     for g in gens:
         for u in basis(ring, m - g.degree):
             col = [0] * len(rows)
-            shift = Polynomial.monomial(ring.field, ring.s, u)
-            for mono, c in ring.normal_form(g * shift).terms.items():
+            shifted = ref_mul(ring.field.p, g.terms, {u: 1})
+            product = Polynomial(ring.field, ring.s, shifted)
+            for mono, c in ring.normal_form(product).terms.items():
                 col[rows[mono]] = c
             cols.append(col)
     return np.array(cols, dtype=np.int64).reshape(len(cols), len(rows)).T

@@ -11,11 +11,11 @@ from hklab.curves import (
     cohomology_profile,
     curve_geometry,
     estimate_hn_profile,
+    hk_from_profile,
 )
 from hklab.graded import parse_ring_spec
 from hklab.limits import (
     convergence_fit,
-    hk_from_profile,
     normalized_colength,
     reference_value,
 )
