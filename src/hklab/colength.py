@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hklab.fp_linalg import rank_mod_p
+from hklab.fp_linalg import block_ranks
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
     SpecParseError,
-    graded_map_matrix,
+    graded_map_entries,
     parse_polynomial,
 )
 
@@ -33,6 +33,13 @@ __all__ = [
     "colength",
     "parse_ideal_spec",
 ]
+
+# Degrees ranked together hold at most this many matrix cells in all.  For
+# the colengths of m^[p] on x^2+y^2+z^2 at p = 61 and 67 (2 vCPUs), runs of
+# 2^16, 2^17, 2^18 and unbounded cells took 0.12, 0.097, 0.092 and 0.10 s
+# against 0.145 s one degree at a time, and raised diag-session's peak RSS
+# by 0.2, 0.9, 3.0 and 6.1 MB.
+_RUN_CELLS = 1 << 17
 
 
 class NotPrimaryError(ValueError):
@@ -164,14 +171,22 @@ def colength(
     Stops at the first zero piece (with standard grading all later pieces
     vanish too); if none occurs up to sum(deg g_i) + d + 1, g_i the
     generators of I^[p^n], the ideal is not primary to the irrelevant
-    maximal ideal.  Each degree's rank is that of ``graded_map_matrix``;
+    maximal ideal.  Each degree's rank is that of its ``graded_map_matrix``;
     SizeGuardError is raised instead of building one with more than
     ``max_dim`` rows or columns.
+
+    A degree whose matrix has more rows than columns has a piece of
+    dimension at least rows - cols > 0, so the loop cannot stop there.
+    Consecutive such degrees are built and ranked together, as the blocks
+    of one ``graded_map_entries`` call, while their summed cells stay
+    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone.
+    Each degree is size-checked in order before it joins a run, so a trip
+    raises where a loop over single degrees would.
     """
     frob = frobenius_power(ring, ideal, n)
     top = sum(frob.degrees) + (ring.d or 0) + 1
     # Generators in (f) add only zero columns.  The others go in unreduced:
-    # graded_map_matrix reduces each product, which gives the same matrix.
+    # graded_map_entries reduces each product, which gives the same matrix.
     # With none left, R/J = R, which has finite length only in Krull
     # dimension 0; there the map has no columns and rank 0.
     gens = [g for g in frob.generators if not ring.normal_form(g).is_zero]
@@ -180,15 +195,35 @@ def colength(
             "not primary: every generator lies in the relation ideal"
         )
     degrees = [g.degree for g in gens]
-    dims = []
+    dims, run, cells = [], [], 0
     for m in range(top + 1):
         trip = SizeGuardError.for_degree(ring, degrees, m, max_dim)
         if trip is not None:
             raise trip
-        dims.append(ring.hilbert_dim(m) - rank_mod_p(graded_map_matrix(ring, gens, m)))
+        rows = ring.hilbert_dim(m)
+        cols = sum(ring.hilbert_dim(m - e) for e in degrees)
+        if run and (rows <= cols or cells + rows * cols > _RUN_CELLS):
+            dims += _piece_dims(ring, gens, run)
+            run, cells = [], 0
+        if not cols:  # below every generator degree: (R/J)_m = R_m
+            dims.append(rows)
+        elif rows <= cols:
+            dims += _piece_dims(ring, gens, [m])
+        else:
+            run.append(m)
+            cells += rows * cols
+            continue
         if dims[-1] == 0:  # later pieces are zero too
             break
+    # a run left over holds no zero piece, so from_dims raises without it
     return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
+
+
+def _piece_dims(ring: HypersurfaceRing, gens: Sequence, degrees: list) -> list:
+    """dim (R/J)_m for each m in ``degrees``, from one build and one
+    elimination."""
+    ranks = block_ranks(graded_map_entries(ring, gens, degrees))
+    return [ring.hilbert_dim(m) - rank for m, rank in zip(degrees, ranks.tolist())]
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

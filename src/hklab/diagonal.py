@@ -120,16 +120,24 @@ class SandwichReport:
     gap_p: Fraction
 
 
-def _fold(pair_type: Callable[[int, int], Tuple], ks: Sequence[int]) -> Counter:
+def _fold(pair_type: Callable[[int, int], Tuple], ks: Sequence[int], top=math.inf) -> Counter:
     """Graded Jordan type {(start, length): count} of [0,k_1] ⊗ .. ⊗ [0,k_r]
-    (module docstring); ``pair_type(a, b)``, a <= b, gives the strings
-    (start, length) of [0,a] ⊗ [0,b], at most one per start degree."""
+    (module docstring) in degrees 0..top; ``pair_type(a, b)``, a <= b,
+    gives the strings (start, length) of [0,a] ⊗ [0,b], at most one per
+    start degree.
+
+    Degrees <= T of a graded tensor product depend only on the factors'
+    degrees <= T, so a string [s0, l] that meets a factor [0,k] is folded
+    as [0, min(l, c)] ⊗ [0, min(k, c)], c = top - s0 + 1, and a string
+    that starts above ``top`` is dropped and one that ends above it cut."""
     strings = Counter({(0, 1): 1})
     for k in ks:
         folded = Counter()
         for (s0, length), count in strings.items():
-            for start, size in pair_type(*sorted((length, k))):
-                folded[s0 + start, size] += count
+            cap = top - s0 + 1
+            for start, size in pair_type(*sorted((min(length, cap), min(k, cap)))):
+                if start < cap:
+                    folded[s0 + start, min(size, cap - start)] += count
         strings = folded
     return strings
 
@@ -163,12 +171,16 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
     *head, a, b = sorted(ks)
     box_top = sum(head) + a - len(head) - 1
     top = box_top if top is None else min(top, box_top)
+    if top < 0:
+        return []
     dims = [0] * (top + 1)
-    for (s0, length), count in _fold(functools.partial(_pair_type, p), head).items():
-        if s0 <= top:  # a guarded han_monsky_colength asks for few degrees
-            hilbert = _hilbert_burch(p, *sorted((length, a, b)), top - s0)
-            for j, dim in enumerate(hilbert, s0):
-                dims[j] += count * dim
+    # a guarded han_monsky_colength asks for few degrees: the fold and each
+    # H read only the degrees up to top, so their arguments are capped there
+    for (s0, length), count in _fold(functools.partial(_pair_type, p), head, top).items():
+        cap = top - s0 + 1
+        hilbert = _hilbert_burch(p, *sorted(min(e, cap) for e in (length, a, b)), top - s0)
+        for j, dim in enumerate(hilbert, s0):
+            dims[j] += count * dim
     return dims
 
 

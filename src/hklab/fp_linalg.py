@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over prime fields.
+"""Exact linear algebra over prime fields.
 
 Everything downstream (graded quotient dimensions, section counts, the
-artinian dimension counts) reduces to the rank of a dense matrix of residues
-mod p.  ``rank_mod_p`` peels the columns with one nonzero entry, splits the
-core that is left into the connected components of its nonzero pattern and
-eliminates them side by side in zero-padded stacks, one loop step per row
-of the tallest block and no inverse.  Matrices are immutable after
+artinian dimension counts) reduces to ranks of matrices of residues mod p.
+``block_ranks`` takes a block-diagonal matrix as its nonzero entries and
+gives one rank per block: it peels the columns with one nonzero entry,
+splits the core that is left into the connected components of its nonzero
+pattern and eliminates them side by side in zero-padded stacks, one loop
+step per row of the tallest block and no inverse.  ``rank_mod_p`` is its
+one-block case on a dense matrix.  Matrices are immutable after
 construction; rank works on private copies, so values are safe to share
 across threads.
 """
@@ -13,10 +15,18 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["PrimeField", "PrimeFieldMatrix", "rank_mod_p", "is_prime"]
+__all__ = [
+    "PrimeField",
+    "PrimeFieldMatrix",
+    "SparseBlocks",
+    "rank_mod_p",
+    "block_ranks",
+    "is_prime",
+]
 
 # Witnesses make Miller-Rabin deterministic for every n < 3.3e24, which
 # covers all machine-word sized moduli.
@@ -26,8 +36,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # isqrt(2^63 - 1).
 _MAX_MODULUS = 3037000499
 
-# Labelling the components of a core costs about as much as this many
-# elimination steps, so a core with no more rows or columns is one block.
+# Peeling and labelling a matrix cost about as much as this many
+# elimination steps, so ``rank_mod_p`` eliminates a matrix with no more
+# rows or columns as it is.
 _WHOLE_CORE = 8
 
 
@@ -106,116 +117,160 @@ class PrimeFieldMatrix:
         self.array = arr
 
 
+class SparseBlocks(NamedTuple):
+    """A block-diagonal matrix over ``field`` as entries: ``values[k]`` at
+    (``rows[k]``, ``cols[k]``), each position once, every value a nonzero
+    residue.  Block b has the rows ``row_bounds[b]:row_bounds[b + 1]``, and
+    no column has entries in two blocks."""
+
+    field: PrimeField
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    row_bounds: np.ndarray
+    ncols: int
+
+
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
-    """Rank of ``m`` over Z/pZ.
+    """Rank of ``m`` over Z/pZ: ``block_ranks`` of its nonzero entries as
+    one block.  A matrix with at most ``_WHOLE_CORE`` rows or columns is
+    eliminated as it is."""
+    a = m.array
+    if min(a.shape) <= _WHOLE_CORE:
+        block = a if a.shape[0] <= a.shape[1] else a.T
+        return int(_stacked_rank(block[None].copy(), m.field.p)[0])
+    # half the time of np.nonzero on a 66x136 int32 matrix (numpy 2.4)
+    flat = np.flatnonzero(a)
+    rows, cols = np.divmod(flat, a.shape[1])
+    entries = SparseBlocks(m.field, rows, cols, a.ravel()[flat], np.array([0, len(a)]), a.shape[1])
+    return int(block_ranks(entries)[0])
+
+
+def block_ranks(blocks: SparseBlocks) -> np.ndarray:
+    """The rank over Z/pZ of each block of ``blocks``.
 
     A structural pass peels off columns whose active part has a single
     nonzero entry; Frobenius-power ideals produce matrices where most
-    columns are of this kind.  The core it leaves, minus its zero rows and
-    columns, is block diagonal up to permutations whenever the matrix is
-    homogeneous for a grading finer than the degree (for a diagonal
-    relation and m^[q], the Han-Monsky residue classes), so its rank is the
-    sum of the ranks of the connected components of its nonzero pattern.
-    Those are eliminated side by side, zero-padded into few stacks; a core
-    with at most ``_WHOLE_CORE`` rows or columns is one block.
+    columns are of this kind.  The core it leaves is block diagonal up to
+    permutations whenever the matrix is homogeneous for a grading finer
+    than the degree (for a diagonal relation and m^[q], the Han-Monsky
+    residue classes), so a block's rank is the sum of the ranks of the
+    connected components of the core's nonzero pattern inside it.  Those
+    are eliminated side by side, zero-padded into few stacks, whatever
+    block they come from.
     """
-    a, p = m.array, m.field.p
-    if a.size == 0:
-        return 0
+    nblocks = len(blocks.row_bounds) - 1
+    block_of_row = np.repeat(np.arange(nblocks), np.diff(blocks.row_bounds))
+    ranks = np.zeros(nblocks, dtype=np.int64)
+    rows, cols, values = blocks.rows, blocks.cols, blocks.values
     # A column with one nonzero entry pivots at that row.  Clearing the row
-    # touches no other row, so rank(A) = 1 + rank(A minus the pivot row and
-    # column); columns sharing the row lose their only entry and drop out
-    # with it.  The peel reads the pattern only: it clears the pivot rows
-    # from a copy of it, keeps per-column counts and copies the core once.
-    nz = a != 0
-    count = nz.sum(axis=0)
-    rank = 0
+    # touches no other row, so the rank is 1 + the rank without the pivot
+    # row and column; columns sharing the row lose their only entry and
+    # drop out with it.
+    count = np.bincount(cols, minlength=blocks.ncols)
     while True:
-        singles = np.flatnonzero(count == 1)
-        if singles.size == 0:
+        single = count[cols] == 1
+        if not single.any():
             break
-        pivots = np.zeros(len(nz), dtype=bool)
-        pivots[nz[:, singles].argmax(axis=0)] = True
-        rank += int(np.count_nonzero(pivots))
-        count -= nz[pivots].sum(axis=0)
-        nz[pivots] = False
-    cols = np.flatnonzero(count)
-    if not cols.size:
-        return rank
-    rows = np.flatnonzero(nz.any(axis=1))
-    if min(len(rows), len(cols)) <= _WHOLE_CORE:
-        core = a[rows][:, cols]
-        return rank + _stacked_rank((core if len(rows) <= len(cols) else core.T.copy())[None], p)
-    stacks = _component_stacks(a, rows, cols, nz[np.ix_(rows, cols)])
-    return rank + sum(_stacked_rank(stack, p) for stack in stacks)
+        pivot = np.zeros(len(block_of_row), dtype=bool)
+        pivot[rows[single]] = True
+        ranks += np.bincount(block_of_row[pivot], minlength=nblocks)
+        cleared = pivot[rows]
+        count -= np.bincount(cols[cleared], minlength=blocks.ncols)
+        rows, cols, values = rows[~cleared], cols[~cleared], values[~cleared]
+    if not rows.size:
+        return ranks
+    comp, i, j, shapes = _components(rows, cols, len(block_of_row), blocks.ncols)
+    stacks = _stacks(shapes)
+    # each component's stack and slot in it; entries grouped by stack
+    stack = np.zeros(len(shapes), dtype=np.int64)
+    slot = np.zeros(len(shapes), dtype=np.int64)
+    for k, ids in enumerate(stacks):
+        stack[ids], slot[ids] = k, np.arange(len(ids))
+    by_stack = np.argsort(stack[comp], kind="stable")
+    ends = np.cumsum(np.bincount(stack[comp], minlength=len(stacks))).tolist()
+    comp_rank = np.zeros(len(shapes), dtype=np.int64)
+    for ids, lo, hi in zip(stacks, [0, *ends], ends):
+        at = by_stack[lo:hi]
+        shape = (len(ids), shapes[ids[-1], 0], shapes[ids, 1].max())
+        out = np.zeros(shape, dtype=blocks.field.dtype)
+        out[slot[comp[at]], i[at], j[at]] = values[at]
+        comp_rank[ids] = _stacked_rank(out, blocks.field.p)
+    # every component lies inside one block: that of any of its rows
+    comp_block = np.zeros(len(shapes), dtype=np.int64)
+    comp_block[comp] = block_of_row[rows]
+    np.add.at(ranks, comp_block, comp_rank)
+    return ranks
 
 
-def _component_stacks(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, nz: np.ndarray):
-    """The connected components of the core of ``a`` on ``rows`` and
-    ``cols``, whose nonzero pattern ``nz`` has no zero row or column, as
-    zero-padded stacks of blocks.
-
-    Each block is transposed if needed so that it has no more rows than
-    columns.  Blocks go into stacks in increasing shape, and a stack is
-    closed before its padded cells would exceed twice its blocks' cells.
-    """
-    r_of, c_of = np.nonzero(nz)
-    c_by_col, r_by_col = np.nonzero(nz.T)
-    row_starts = np.searchsorted(r_of, np.arange(nz.shape[0]))
-    col_starts = np.searchsorted(c_by_col, np.arange(nz.shape[1]))
+def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):
+    """The connected components of the pattern of the entries at (rows,
+    cols) as blocks with no more rows than columns: per entry its
+    component and its (row, column) in that block, and the (rows, cols)
+    shape of each block."""
+    # number the rows and columns that hold an entry 0, 1, ...
+    row_id = np.cumsum(np.bincount(rows, minlength=nrows) > 0) - 1
+    col_id = np.cumsum(np.bincount(cols, minlength=ncols) > 0) - 1
+    r, c = row_id[rows], col_id[cols]
+    by_row = np.argsort(r, kind="stable")
+    by_col = np.argsort(c, kind="stable")
+    row_starts = np.flatnonzero(np.diff(r[by_row], prepend=-1))
+    col_starts = np.flatnonzero(np.diff(c[by_col], prepend=-1))
     # Min-label propagation over the row/column graph: at the fixed point
     # every row and column carries the smallest row index of its component.
-    label = np.arange(nz.shape[0])
+    label = np.arange(len(row_starts))
     while True:
-        col_label = np.minimum.reduceat(label[r_by_col], col_starts)
-        new = np.minimum.reduceat(col_label[c_of], row_starts)
+        col_label = np.minimum.reduceat(label[r[by_col]], col_starts)
+        new = np.minimum.reduceat(col_label[c[by_row]], row_starts)
         if np.array_equal(new, label):
             break
         label = new
-    # Sorted by label, the rows and columns of each component are
-    # consecutive, and the components come in the same order on both sides.
-    row_order = np.argsort(label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
-    heights = np.bincount(label)
-    widths = np.bincount(col_label, minlength=len(heights))
-    heads = heights > 0
-    heights, widths = heights[heads].tolist(), widths[heads].tolist()
-    a = a[np.ix_(rows[row_order], cols[col_order])]
-    blocks = []
-    top = left = 0
-    for h, w in zip(heights, widths):
-        block = a[top : top + h, left : left + w]
-        blocks.append(block if h <= w else block.T)
-        top += h
-        left += w
-    blocks.sort(key=lambda b: b.shape)
-    # Greedy stacks in increasing (rows, columns): the newest block is the
-    # tallest, so the padded size is known on the spot.
-    stack = []
+    heads = label == np.arange(len(label))
+    row_comp = (np.cumsum(heads) - 1)[label]
+    col_comp = row_comp[col_label]
+    heights = np.bincount(row_comp)
+    widths = np.bincount(col_comp, minlength=len(heights))
+    local_row = _local_index(row_comp, heights)
+    local_col = _local_index(col_comp, widths)
+    comp = row_comp[r]
+    i, j = local_row[r], local_col[c]
+    flip = (heights > widths)[comp]
+    i, j = np.where(flip, j, i), np.where(flip, i, j)
+    shapes = np.column_stack([np.minimum(heights, widths), np.maximum(heights, widths)])
+    return comp, i, j, shapes
+
+
+def _local_index(group: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Position of each item among the items of its group, in order."""
+    order = np.argsort(group, kind="stable")
+    local = np.empty(len(group), dtype=np.int64)
+    local[order] = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return local
+
+
+def _stacks(shapes: np.ndarray) -> list:
+    """Blocks of the (rows, cols) ``shapes`` grouped into stacks: per stack
+    the indices of its blocks, the tallest last.  Blocks go into stacks in
+    increasing shape, and a stack is closed before its padded cells would
+    exceed twice its blocks' cells."""
+    stacks, stack = [], []
     cells = wide = 0
-    for block in blocks:
-        h, w = block.shape
+    for k in np.lexsort((shapes[:, 1], shapes[:, 0])).tolist():
+        h, w = shapes[k].tolist()
+        # the newest block is the tallest, so the padded size is known on the spot
         if stack and (len(stack) + 1) * h * max(wide, w) > 2 * (cells + h * w):
-            yield _padded(stack)
+            stacks.append(stack)
             stack = []
             cells = wide = 0
-        stack.append(block)
+        stack.append(k)
         cells += h * w
         wide = max(wide, w)
-    yield _padded(stack)
+    stacks.append(stack)
+    return stacks
 
 
-def _padded(blocks: list) -> np.ndarray:
-    """The blocks, the last of them the tallest, zero-padded into one stack."""
-    wide = max(block.shape[1] for block in blocks)
-    out = np.zeros((len(blocks), blocks[-1].shape[0], wide), dtype=blocks[0].dtype)
-    for k, block in enumerate(blocks):
-        out[k, : block.shape[0], : block.shape[1]] = block
-    return out
-
-
-def _stacked_rank(a: np.ndarray, p: int) -> int:
-    """Sum of the ranks of the blocks a[k], each with rows <= columns.
+def _stacked_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """The rank of each block a[k], each with rows <= columns.
 
     Step i pivots row i of every block at its largest entry v and clears
     that column from the rows below without an inverse: each row b below
@@ -226,13 +281,13 @@ def _stacked_rank(a: np.ndarray, p: int) -> int:
     """
     blocks, rows, _ = a.shape
     idx = np.arange(blocks)
-    rank = 0
+    rank = np.zeros(blocks, dtype=np.int64)
     for i in range(rows):
         row = a[:, i, :]
         lead = row.argmax(axis=1)
         piv = row.max(axis=1)
-        found = int(np.count_nonzero(piv))
-        if not found:
+        found = piv > 0
+        if not found.any():
             continue
         rank += found
         if i + 1 == rows:

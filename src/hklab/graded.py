@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hklab.fp_linalg import PrimeField, PrimeFieldMatrix
+from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, SparseBlocks
 
 __all__ = [
     "Monomial",
@@ -42,6 +42,7 @@ __all__ = [
     "HypersurfaceRing",
     "SpecParseError",
     "grevlex_key",
+    "graded_map_entries",
     "graded_map_matrix",
     "parse_polynomial",
     "parse_ring_spec",
@@ -389,7 +390,7 @@ class HypersurfaceRing:
         exps = np.concatenate([e for e, _ in parts]) + self._tail_nu[tail]
         coeffs = np.concatenate([c for _, c in parts]) * self._tail_scale[tail] % p
         degrees = np.array([sum(key) for key in batch], dtype=np.int64)
-        codes = _lex_ranks(exps, degrees[owner, None], self._table(int(degrees.max())))
+        codes = _lex_ranks(exps, degrees[owner], self._table(int(degrees.max())))
         order = np.lexsort((codes, owner))
         owner, codes = owner[order], codes[order]
         first = np.ones(len(order), dtype=bool)
@@ -402,21 +403,23 @@ class HypersurfaceRing:
         bounds = np.searchsorted(owner[keep], np.arange(len(batch) + 1))
         return exps[order[keep]], sums[nonzero], bounds
 
-    def _nf_gather(self, monos: np.ndarray, m: int):
-        """Normal forms of the degree-m monomials in the rows of ``monos``.
+    def _nf_gather(self, monos: np.ndarray, m: np.ndarray):
+        """Normal forms of the monomials in the rows of ``monos``, row k of
+        degree m[k].
 
-        Returns (src, rows, coeffs): NF(monos[src[k]]) has coefficient
-        coeffs[k] at monomial_basis(m)[rows[k]], and each (src, rows) pair
-        occurs once.  Uses NF(mu_S * nu) = nu * NF(mu_S), so only the
-        distinct S-parts mu_S are looked up in the memo.
+        Returns (src, codes, coeffs): NF(monos[src[j]]) has coefficient
+        coeffs[j] at the standard monomial of ``_graded_codes`` code
+        codes[j], and each (src, codes) pair occurs once.  Uses NF(mu_S *
+        nu) = nu * NF(mu_S), so only the distinct S-parts mu_S are looked
+        up in the memo.
         """
-        table = self._table(m)
-        basis_ranks = self._basis(m)[1]
+        top = int(m.max())
+        table = self._table(top)
         support = list(self._support)
         parts = monos[:, support]
-        # (mu_S, m - |mu_S|) is a degree-m monomial in |S| + 1 variables; its
-        # rank is an exact integer code of mu_S.
-        codes = _lex_ranks(np.column_stack([parts, m - parts.sum(axis=1)]), m, table)
+        # (mu_S, top - |mu_S|) is a degree-top monomial in |S| + 1
+        # variables; its rank is an exact integer code of mu_S.
+        codes = _lex_ranks(np.column_stack([parts, top - parts.sum(axis=1)]), top, table)
         _, pick, which = np.unique(codes, return_index=True, return_inverse=True)
         keys = [tuple(k) for k in parts[pick].tolist()]
         self._fill_nf_memo(keys)
@@ -433,8 +436,7 @@ class HypersurfaceRing:
         term = shift + np.arange(len(src))
         nu = monos.copy()
         nu[:, support] = 0
-        rows = np.searchsorted(basis_ranks, _lex_ranks(exps[term] + nu[src], m, table))
-        return src, rows, coeffs[term]
+        return src, _graded_codes(exps[term] + nu[src], m[src], table), coeffs[term]
 
     def normal_form(self, g: Polynomial) -> Polynomial:
         """Remainder of g under division by the relation: no term divisible
@@ -458,69 +460,102 @@ def _lex_ranks(monos: np.ndarray, m, table: np.ndarray) -> np.ndarray:
     """Rank of each degree-m row of ``monos`` among all degree-m monomials in
     as many variables, in descending grevlex order, which is ascending lex
     order on the reversed exponents; ``table[r, k] = C(r + k, k)``.  ``m``
-    is one degree for every row, or a column of one degree per row.
+    is one degree for every row, or one degree per row.
 
     Reading the exponents reversed, a_1..a_s, the monomials before a are
     those that agree with it up to some position i and are smaller there:
     C(r_i + k, k) - C(r_i - a_i + k, k) of them, with r_i = m - a_1 - ...
     - a_{i-1} left over and k = s - i variables after position i.  Each
     term is at most the count of degree-m monomials, and so is their sum,
-    so the rank is exact whenever that count fits int64.
+    so the rank is exact whenever that count fits int64.  The terms are
+    added one position at a time, each a pass over contiguous rows.
     """
-    a = monos[:, ::-1]
-    left = m - np.cumsum(a, axis=1) + a
-    k = np.arange(monos.shape[1] - 1, -1, -1)
-    return (table[left, k] - table[left - a, k]).sum(axis=1)
+    flat, width = table.ravel(), table.shape[1]
+    left = m
+    rank = np.zeros(len(monos), dtype=np.int64)
+    for k in range(monos.shape[1] - 1, -1, -1):
+        a = monos[:, k]
+        rank += flat[left * width + k] - flat[(left - a) * width + k]
+        left = left - a
+    return rank
 
 
-def graded_map_matrix(
-    ring: HypersurfaceRing, gens: Sequence, m: int
-) -> PrimeFieldMatrix:
-    """Matrix of (v_i) |-> sum g_i * v_i from ⊕_i R_{m-e_i} to R_m.
+def _graded_codes(monos: np.ndarray, m: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rank of each row of ``monos``, of degree m[k] for row k, among all
+    monomials in as many variables ordered by degree, then in descending
+    grevlex: its ``_lex_ranks`` plus the C(m - 1 + s, s) monomials of lower
+    degree, which is table[m, s] - table[m, s - 1] by Pascal's rule."""
+    s = monos.shape[1]
+    return _lex_ranks(monos, m, table) + table[m, s] - table[m, s - 1]
 
-    Columns run over the generators in order and, within one generator, over
-    monomial_basis(ring, m - e_i); rows over monomial_basis(ring, m).
-    Generators of degree > m contribute empty blocks.
+
+def graded_map_entries(ring: HypersurfaceRing, gens: Sequence, degrees: Sequence) -> SparseBlocks:
+    """The maps of ``graded_map_matrix`` in each of ``degrees`` as the
+    blocks of one block-diagonal matrix, in order: block b is the matrix
+    of degree degrees[b], its rows and columns after those of the blocks
+    before it.
 
     No column is reduced on its own.  Writing each term of g_i as c_t*mu_t
     and each column monomial as u, the column of g_i*u is
     sum_t c_t * NF(mu_t*u), and NF(mu_t*u) = nu * NF(mu_S) where mu_S is the
     part of mu_t*u on the variables of LT(f) and nu the rest; NF(mu_S) comes
-    from the ring's memo.  Generators need not be reduced first.
+    from the ring's memo, in one gather for every degree.  Generators need
+    not be reduced first.
     """
     for g in gens:
         if g.field.p != ring.field.p or g.nvars != ring.s:
             raise ValueError("polynomial lives in a different ring")
         if g.is_zero or not g.is_homogeneous:
             raise ValueError("generators must be nonzero homogeneous")
-    p = ring.field.p
-    blocks = [ring.monomial_basis(m - g.degree) for g in gens]
-    arr = np.zeros(
-        (len(ring.monomial_basis(m)), sum(len(b) for b in blocks)),
-        dtype=ring.field.dtype,
-    )
-    if not arr.shape[1]:
-        return PrimeFieldMatrix(ring.field, arr)
+    p, s = ring.field.p, ring.s
+    row_codes, row_bounds = [], [0]
     products = []
-    terms = []  # (first column of the block, coefficient) per product array
-    start = 0
-    for g, block in zip(gens, blocks):
-        for mono, c in g.terms.items():
-            products.append(block + mono)
-            terms.append((start, c))
-        start += len(block)
-    src, rows, coeffs = ring._nf_gather(np.concatenate(products), m)
-    # The products of one term are consecutive rows, and src is sorted, so
-    # their entries form one slice; within it each (row, col) occurs once.
-    # c*coeff < p^2 fits int64 for every accepted p, so the add is exact.
-    sizes = np.array([len(b) for b in products])
-    ends = np.cumsum(sizes)
-    lo = 0
-    for (start, c), first, hi in zip(terms, ends - sizes, np.searchsorted(src, ends)):
-        r = rows[lo:hi]
-        col = src[lo:hi] - first + start
-        arr[r, col] = (arr[r, col] + c * coeffs[lo:hi] % p) % p
-        lo = hi
+    chunks = []  # (first column, coefficient, degree) per product array
+    ncols = 0
+    for m in degrees:
+        ranks = ring._basis(m)[1]
+        # the standard monomials' _graded_codes: C(m - 1 + s, s) precede degree m
+        row_codes.append(ranks + math.comb(max(m, 0) + s - 1, s))
+        row_bounds.append(row_bounds[-1] + len(ranks))
+        for g in gens:
+            block = ring.monomial_basis(m - g.degree)
+            for mono, c in g.terms.items():
+                products.append(block + mono)
+                chunks.append((ncols, c, m))
+            ncols += len(block)
+    sizes = np.array([len(b) for b in products], dtype=np.int64)
+    if not sizes.sum():
+        empty = np.zeros(0, dtype=np.int64)
+        return SparseBlocks(ring.field, empty, empty, empty, np.array(row_bounds), ncols)
+    first, coeff, degree = (np.repeat(np.array(v, dtype=np.int64), sizes) for v in zip(*chunks))
+    col = first + np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    src, codes, coeffs = ring._nf_gather(np.concatenate(products), degree)
+    rows = np.searchsorted(np.concatenate(row_codes), codes)
+    # c*coeff < p^2 fits int64 for every accepted p; the terms of one
+    # generator can meet at one (row, col), so entries are merged there
+    key = rows * ncols + col[src]
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    values = np.add.reduceat((coeff[src] * coeffs % p)[order], starts) % p
+    nonzero = values != 0
+    rows, cols = np.divmod(key[starts[nonzero]], ncols)
+    return SparseBlocks(ring.field, rows, cols, values[nonzero], np.array(row_bounds), ncols)
+
+
+def graded_map_matrix(
+    ring: HypersurfaceRing, gens: Sequence, m: int
+) -> PrimeFieldMatrix:
+    """Matrix of (v_i) |-> sum g_i * v_i from ⊕_i R_{m-e_i} to R_m: the one
+    block of ``graded_map_entries`` for degree m, dense.
+
+    Columns run over the generators in order and, within one generator, over
+    monomial_basis(ring, m - e_i); rows over monomial_basis(ring, m).
+    Generators of degree > m contribute empty blocks.
+    """
+    entries = graded_map_entries(ring, gens, [m])
+    arr = np.zeros((entries.row_bounds[-1], entries.ncols), dtype=ring.field.dtype)
+    arr[entries.rows, entries.cols] = entries.values
     return PrimeFieldMatrix(ring.field, arr)
 
 

@@ -1,6 +1,9 @@
+import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklab.colength import (
     ColengthRecord,
@@ -15,7 +18,10 @@ from hklab.curves import cohomology_profile
 from hklab.fp_linalg import rank_mod_p
 from hklab.graded import Polynomial, graded_map_matrix, parse_polynomial, parse_ring_spec
 
-from oracles import ref_ideal_colength
+from oracles import ref_graded_piece_dim, ref_ideal_colength, ref_monomials
+
+# the module, which the package's colength function shadows as an attribute
+COLENGTH = importlib.import_module("hklab.colength")
 
 
 def ring(spec):
@@ -143,6 +149,74 @@ def test_size_guard_trips():
         colength(R, maximal(R), 1, max_dim=10)
     rec = colength(R, maximal(R), 1, max_dim=5000)
     assert rec.total == 145
+
+
+@pytest.mark.parametrize("run_cells", [1, 1 << 40])
+def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, run_cells):
+    # q = 7 on the Fermat quartic: degrees 7..10 have more rows than
+    # columns, and the cap 33 first trips at degree 9, while 7 and 8 wait
+    # in one run (with runs of one degree, 8 closes the run of 7 and waits)
+    R = ring("fermat:s=3,d=4,p=7")
+    built = []
+    build = COLENGTH.graded_map_entries
+
+    def record(ring, gens, degrees):
+        built.extend(degrees)
+        return build(ring, gens, degrees)
+
+    monkeypatch.setattr(COLENGTH, "graded_map_entries", record)
+    monkeypatch.setattr(COLENGTH, "_RUN_CELLS", run_cells)
+    trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 33) for m in range(30))
+    first = next(t for t in trips if t is not None)
+    with pytest.raises(SizeGuardError) as info:
+        colength(R, maximal(R), 1, max_dim=33)
+    got = info.value
+    assert (got.m, got.rows, got.cols) == (first.m, first.rows, first.cols) == (9, 34, 18)
+    assert built == ([] if run_cells > 1 else [7])
+
+
+# Small rings with a pure-power, a multi-support or no leading term.
+RUN_RELATIONS = [(2, "x^3+y^3"), (3, "x^3+2*x*y*z+y^3+z^3"), (3, "x*y-z^2"), (2, None), (3, None)]
+
+
+@st.composite
+def primary_ideals(draw):
+    """(ring, ideal, n): pure powers of the variables, so that the ideal
+    is primary, maybe with one more random form, and a small Frobenius
+    exponent."""
+    s, f = draw(st.sampled_from(RUN_RELATIONS))
+    p, n = draw(st.sampled_from([(2, 0), (3, 0), (5, 0), (2, 1), (3, 1)]))
+    R = ring(f"polyring:s={s},p={p}" if f is None else f"hypersurface:s={s},p={p},f={f}")
+    powers = draw(st.lists(st.integers(1, 4 if n == 0 else 2), min_size=s, max_size=s))
+    gens = [
+        Polynomial(R.field, s, {tuple(e * (j == i) for j in range(s)): 1})
+        for i, e in enumerate(powers)
+    ]
+    if draw(st.booleans()):
+        monos = ref_monomials(s, draw(st.integers(1, 3)))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        gens.append(Polynomial(R.field, s, {u: draw(st.integers(1, p - 1)) for u in terms}))
+    return R, IdealSpec(gens), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(primary_ideals())
+def test_colength_matches_reference_whether_runs_split_or_not(case):
+    R, ideal, n = case
+    relation = [] if R.relation is None else [(R.d, R.relation.terms)]
+    frob = frobenius_power(R, ideal, n)
+    gens = relation + [(g.degree, g.terms) for g in frob.generators]
+    total = ref_ideal_colength(R.field.p, R.s, gens)
+    # runs of one degree each, the default bound, and one run for every
+    # degree with more rows than columns
+    for run_cells in (1, COLENGTH._RUN_CELLS, 1 << 40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(COLENGTH, "_RUN_CELLS", run_cells)
+            record = colength(R, ideal, n)
+        assert record.total == total, run_cells
+        # each degree's rank, not only their sum
+        want = [ref_graded_piece_dim(R.field.p, R.s, gens, m) for m in range(len(record.dims))]
+        assert list(record.dims) == want, run_cells
 
 
 def test_monotonicity_under_extra_generators():

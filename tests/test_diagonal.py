@@ -18,6 +18,7 @@ from hklab.colength import (
 from hklab.diagonal import (
     DiagonalLimits,
     DiagonalSpec,
+    _syzygy_degree,
     _truncation_hilbert,
     d_char0,
     d_f,
@@ -369,6 +370,8 @@ def _generic(ring, ideal, n, cap=None):
 @example(_fermat_case(3, 4, 3, 1, 10))
 @example(_fermat_case(2, 3, 2, 1, 3))
 @example(_fermat_case(4, 4, 2, 2, 30))
+# a cap that trips at degree 0 asks the fold for no degree
+@example(_fermat_case(3, 1, 2, 1, 0))
 def test_han_monsky_matches_generic_engine(case):
     ring, ideal, n, cap = case
     assert han_monsky_applies(ring, ideal)
@@ -412,6 +415,24 @@ def test_guard_below_the_rank_free_range_ranks_nothing(monkeypatch):
     with pytest.raises(SizeGuardError) as info:
         cached_colength(None, ring, IdealSpec.maximal_ideal(ring), 2, max_dim=5000)
     assert info.value.m == 1251
+
+
+def test_guarded_fold_ranks_only_the_degrees_it_reads(monkeypatch):
+    # q = 10201 on chang-quartic trips at degree 50, so the fold reads the
+    # degrees <= 12 of each block: no Hilbert-Burch triple needs c > 13,
+    # where folding the full pair types of k ~ 2550 ranked thousands
+    syzygy_degree = _syzygy_degree
+
+    def small_only(p, a, b, c):
+        if c > 64:
+            raise AssertionError(f"ranked the triple {(a, b, c)}")
+        return syzygy_degree(p, a, b, c)
+
+    monkeypatch.setattr("hklab.diagonal._syzygy_degree", small_only)
+    ring = parse_ring_spec("fermat:s=4,d=4,p=101")
+    with pytest.raises(SizeGuardError) as info:
+        cached_colength(None, ring, IdealSpec.maximal_ideal(ring), 2, max_dim=5000)
+    assert (info.value.m, info.value.rows, info.value.cols) == (50, 5002, 0)
 
 
 def test_han_monsky_chang_quartic_p101():

@@ -9,6 +9,8 @@ import hklab.fp_linalg
 from hklab.fp_linalg import (
     PrimeField,
     PrimeFieldMatrix,
+    SparseBlocks,
+    block_ranks,
     is_prime,
     rank_mod_p,
 )
@@ -231,6 +233,53 @@ def test_block_diagonal_rank_matches_reference(case):
     assert rank_mod_p(PrimeFieldMatrix(m.field, m.array.T)) == expected
 
 
+@st.composite
+def block_entries(draw):
+    """(p, blocks, entries): 1-8 blocks of random shapes, dense, sparse,
+    zero or with one nonzero per column, as the entries of one
+    block-diagonal matrix, listed in random order with the columns
+    shuffled across blocks."""
+    p = draw(st.sampled_from([2, 7, LARGEST_PRIME]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        h, w = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        kind = draw(st.sampled_from(["dense", "sparse", "zero", "singletons"]))
+        block = np.zeros((h, w), dtype=np.int64)
+        if kind == "singletons" and h:
+            for j in range(w):
+                block[draw(st.integers(0, h - 1)), j] = draw(st.integers(1, p - 1))
+        elif kind in ("dense", "sparse"):
+            keep = 1 if kind == "dense" else draw(st.sampled_from([2, 3]))
+            seed = draw(st.integers(0, 2**32 - 1))
+            rng = np.random.default_rng(seed)
+            block = rng.integers(1, p, (h, w)) * (rng.integers(0, keep, (h, w)) == 0)
+        blocks.append(block)
+    heights = [b.shape[0] for b in blocks]
+    ncols = sum(b.shape[1] for b in blocks)
+    shuffle = np.array(draw(st.permutations(range(ncols))), dtype=np.int64)
+    rows, cols, values = [], [], []
+    top = left = 0
+    for block in blocks:
+        r, c = np.nonzero(block)
+        rows.append(r + top)
+        cols.append(shuffle[c + left])
+        values.append(block[r, c])
+        top += block.shape[0]
+        left += block.shape[1]
+    rows, cols, values = (np.concatenate(a).astype(np.int64) for a in (rows, cols, values))
+    order = np.array(draw(st.permutations(range(len(rows)))), dtype=np.int64)
+    bounds = np.concatenate([[0], np.cumsum(heights)])
+    entries = SparseBlocks(PrimeField(p), rows[order], cols[order], values[order], bounds, ncols)
+    return p, blocks, entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_entries())
+def test_block_ranks_match_reference_per_block(case):
+    p, blocks, entries = case
+    assert block_ranks(entries).tolist() == [ref_rank(b.tolist(), p) for b in blocks]
+
+
 def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
     # One 300x300 block of full rank beside fifty 2x2 blocks: padding every
     # small block to 300x300 would take 51 times the cells.
@@ -246,14 +295,16 @@ def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
         data[300 + 2 * k : 302 + 2 * k, 300 + 2 * k : 302 + 2 * k] = block
     data = data[rng.permutation(400)][:, rng.permutation(400)]
     stacks = []
-    padded = hklab.fp_linalg._padded
+    plan = hklab.fp_linalg._stacks
 
-    def record(blocks):
-        out = padded(blocks)
-        stacks.append((out.size, sum(b.size for b in blocks)))
+    def record(shapes):
+        out = plan(shapes)
+        for ids in out:
+            padded = len(ids) * shapes[ids[-1], 0] * shapes[ids, 1].max()
+            stacks.append((padded, int(np.prod(shapes[ids], axis=1).sum())))
         return out
 
-    monkeypatch.setattr(hklab.fp_linalg, "_padded", record)
+    monkeypatch.setattr(hklab.fp_linalg, "_stacks", record)
     expected = 300 + sum(ref_rank(b.tolist(), p) for b in small)
     assert rank_mod_p(PrimeFieldMatrix(PrimeField(p), data)) == expected
     assert stacks and all(size <= 2 * cells for size, cells in stacks)
