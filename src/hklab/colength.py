@@ -35,10 +35,10 @@ __all__ = [
 ]
 
 # Degrees ranked together hold at most this many matrix cells in all.  For
-# the colengths of m^[p] on x^2+y^2+z^2 at p = 61 and 67 (2 vCPUs), runs of
-# 2^16, 2^17, 2^18 and unbounded cells took 0.12, 0.097, 0.092 and 0.10 s
-# against 0.145 s one degree at a time, and raised diag-session's peak RSS
-# by 0.2, 0.9, 3.0 and 6.1 MB.
+# the colengths of m^[p] on x^2+y^2+z^2 at p = 61 and 67 (2 vCPUs, medians
+# of 9 fresh processes), runs of 2^16, 2^17, 2^18 and unbounded cells took
+# 0.074, 0.058, 0.064 and 0.073 s against 0.13 s one degree at a time, and
+# raised diag-session's peak RSS by 0.0, 0.5, 1.8 and 4.0 MB.
 _RUN_CELLS = 1 << 17
 
 

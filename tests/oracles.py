@@ -49,6 +49,25 @@ def ref_monomials(nvars, degree):
     return out
 
 
+def ref_grevlex_key(mono):
+    """Sort key; larger key = larger monomial in graded reverse lex order
+    with x_1 > ... > x_s."""
+    return (sum(mono), [-e for e in reversed(mono)])
+
+
+def ref_standard_basis(nvars, lead, degree):
+    """The degree-``degree`` monomials not divisible by ``lead`` (every one
+    when ``lead`` is None), in descending grevlex order, as (position,
+    exponents) pairs: position counts every degree-``degree`` monomial in
+    that order, standard or not."""
+    every = sorted(ref_monomials(nvars, degree), key=ref_grevlex_key, reverse=True)
+    return [
+        (i, u)
+        for i, u in enumerate(every)
+        if lead is None or not all(a >= b for a, b in zip(u, lead))
+    ]
+
+
 def ref_artinian_colength(p, f, caps):
     """dim of F_p[x_1..x_s]/(x_i^caps_i, f), f a dict {exponents: coeff}.
 
@@ -147,15 +166,12 @@ def ref_normal_form(p, f, g):
     by the leading term of f until no term is divisible by it.
     """
 
-    def key(mono):
-        return (sum(mono), [-e for e in reversed(mono)])
-
-    lead = max(f, key=key)
+    lead = max(f, key=ref_grevlex_key)
     inv = pow(f[lead], p - 2, p)
     work = {m: c % p for m, c in g.items() if c % p}
     out = {}
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=ref_grevlex_key)
         c = work.pop(mono)
         if not all(a >= b for a, b in zip(mono, lead)):
             out[mono] = c

@@ -1,4 +1,10 @@
+import importlib
+import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +22,16 @@ from hklab.graded import (
     parse_ring_spec,
 )
 
-from oracles import ref_graded_piece_dim, ref_monomials, ref_mul, ref_normal_form
+from oracles import (
+    ref_graded_piece_dim,
+    ref_grevlex_key,
+    ref_monomials,
+    ref_mul,
+    ref_normal_form,
+    ref_standard_basis,
+)
+
+graded = importlib.import_module("hklab.graded")
 
 
 def fermat_ring(p, s=3, d=4):
@@ -316,6 +331,89 @@ def test_monomial_enumeration_matches_reference(case):
             if lead is None or not all(a >= b for a, b in zip(u, lead))
         ]
         assert basis(ring, m) == tuple(sorted(want, key=grevlex_key, reverse=True))
+
+
+def empty_monomial_tables():
+    """Run with no shared monomial table grown yet; the old ones come back
+    afterwards."""
+    one = graded._MONOMIAL_TABLES[1]
+    return mock.patch.dict(graded._MONOMIAL_TABLES, {1: one}, clear=True)
+
+
+def assert_basis_matches_reference(ring, m, exps, ranks):
+    lead = None if ring.relation is None else ring.relation.leading_monomial()
+    want = ref_standard_basis(ring.s, lead, m)
+    assert exps.dtype == ranks.dtype == np.int64
+    assert not exps.flags.writeable and not ranks.flags.writeable
+    assert exps.shape == (len(want), ring.s)
+    assert [tuple(u) for u in exps.tolist()] == [u for _, u in want]
+    assert ranks.tolist() == [i for i, _ in want]
+
+
+@st.composite
+def ring_and_degrees(draw):
+    """(ring, degrees): the polynomial ring or a random relation in 1-5
+    variables whose leading term involves 1..s of them, and degrees in
+    random order, a high one first."""
+    s = draw(st.integers(1, 5))
+    degrees = [draw(st.integers(6, 14)), *draw(st.lists(st.integers(-1, 16), max_size=4))]
+    size = draw(st.integers(0, s))  # 0: the polynomial ring
+    if not size:
+        return parse_ring_spec(f"polyring:s={s},p=5"), degrees
+    support = draw(st.permutations(range(s)))[:size]
+    lead = tuple(draw(st.integers(1, 2)) if i in support else 0 for i in range(s))
+    smaller = [u for u in ref_monomials(s, sum(lead)) if ref_grevlex_key(u) < ref_grevlex_key(lead)]
+    tail = draw(st.lists(st.sampled_from(smaller), max_size=4, unique=True)) if smaller else []
+    field = PrimeField(5)
+    terms = {u: draw(st.integers(1, 4)) for u in [lead, *tail]}
+    ring = HypersurfaceRing(field, s, Polynomial(field, s, terms))
+    assert ring.relation.leading_monomial() == lead
+    return ring, degrees
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_and_degrees())
+@example((parse_ring_spec("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x"), [14, 0, 15, -1, 3]))
+@example((parse_ring_spec("fermat:s=1,d=3,p=7"), [6, 2, 3, 0]))
+def test_standard_basis_and_ranks_match_reference(case):
+    # Each example starts from empty tables, so the first degree builds
+    # them and a later, higher one grows them.
+    ring, degrees = case
+    with empty_monomial_tables():
+        for m in degrees:
+            assert_basis_matches_reference(ring, m, ring.monomial_basis(m), ring._basis(m)[1])
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_bases_read_from_threads_match_reference(shared):
+    # Four threads ask for bases of random degrees at once, from one ring
+    # or from two rings that share the three-variable table, starting from
+    # empty tables, so they also race to grow them.
+    klein = parse_ring_spec("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x")
+    conic = parse_ring_spec("hypersurface:s=3,p=7,f=x*y-z^2")
+    rings = [klein] * 4 if shared else [klein, conic] * 2
+    rng = random.Random(6)
+    jobs = [(ring, rng.sample(range(40), 12)) for ring in rings]
+    start = threading.Barrier(len(jobs), timeout=30)
+
+    def read(job):
+        ring, degrees = job
+        start.wait()
+        return [ring._basis(m) for m in degrees]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with empty_monomial_tables(), ThreadPoolExecutor(len(jobs)) as pool:
+            results = list(pool.map(read, jobs, timeout=60))
+            # no thread published a smaller table over a larger one
+            top = max(max(degrees) for _, degrees in jobs)
+            assert len(graded._MONOMIAL_TABLES[3]) >= math.comb(top + 2, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    for (ring, degrees), got in zip(jobs, results):
+        for m, (exps, ranks) in zip(degrees, got):
+            assert_basis_matches_reference(ring, m, exps, ranks)
 
 
 # ------------------------------------------- matrix build against a reference
