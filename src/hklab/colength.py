@@ -171,9 +171,9 @@ def colength(
     Stops at the first zero piece (with standard grading all later pieces
     vanish too); if none occurs up to sum(deg g_i) + d + 1, g_i the
     generators of I^[p^n], the ideal is not primary to the irrelevant
-    maximal ideal.  Each degree's rank is that of its ``graded_map_matrix``;
-    SizeGuardError is raised instead of building one with more than
-    ``max_dim`` rows or columns.
+    maximal ideal.  Each degree's map is built by ``graded_map_entries``
+    and ranked by ``block_ranks``; SizeGuardError is raised instead of
+    building one with more than ``max_dim`` rows or columns.
 
     A degree whose matrix has more rows than columns has a piece of
     dimension at least rows - cols > 0, so the loop cannot stop there.

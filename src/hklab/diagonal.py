@@ -32,9 +32,14 @@ t_+ = max(t, 0),
 
     H(j) = (j+1)_+ - (j-a+1)_+ - (j-b+1)_+ - (j-c+1)_+ + (j-u+1)_+ + (j-v+1)_+.
 
-At j* = ceil((a+b+c)/2) - 1 the v term is 0 and the u term strictly
-decreases in u, so one block rank in degree j* gives u and then every H(j).
-v - u is Han's syzygy gap delta.
+Han's theorem gives the syzygy gap delta = v - u from the p-adic position
+of t = (a, b, c), a <= b <= c (C. Han, thesis, Brandeis 1991; Han-Monsky,
+Math. Z. 214, 1993): delta = c - a - b when c >= a + b, and otherwise the
+largest q - |t - q*w|_1 over the powers q = p^s and the integer vectors w
+with odd coordinate sum, or 0 if none is positive.  Only w_i in
+{floor(t_i/q), floor(t_i/q) + 1} can come within distance q of t, no w
+does once 2q >= a + b + c, and q = 1 gives the parity term.  So every H(j)
+is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, SizeGuardError
-from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, rank_mod_p
 from hklab.graded import HypersurfaceRing, parse_ring_spec
 from hklab.limits import normalized_colength
 
@@ -166,7 +170,7 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
 
     The k_i sorted, k_1..k_{s-2} fold into strings [s0, l], and each adds
     the three-argument H of (l, k_{s-1}, k_s) from degree s0 on (module
-    docstring), so three arguments take one rank.
+    docstring), so three arguments are arithmetic.
     """
     *head, a, b = sorted(ks)
     box_top = sum(head) + a - len(head) - 1
@@ -191,28 +195,24 @@ def _hilbert(t, a: int, b: int, c: int, syzygies=()):
     return t + 1 - sum(ramps[:3]) + sum(ramps[3:])
 
 
-@functools.lru_cache(maxsize=4096)
 def _syzygy_degree(p: int, a: int, b: int, c: int) -> int:
-    """The smaller syzygy degree u of (x^a, y^b, (x+y)^c) over F_p, a <= b
-    <= c, from one rank in degree j* (module docstring).
-
-    The block maps x^i' y^(j*-c-i') to (x+y)^c times it in B_j*, B =
-    F_p[x,y]/(x^a, y^b): its entry at row x^i y^(j*-i) is C(c, i-i')."""
-    j = (a + b + c + 1) // 2 - 1
-    rows = np.arange(max(0, j - b + 1), min(a - 1, j) + 1)
-    cols = np.arange(max(0, j - c - b + 1), min(a - 1, j - c) + 1)
-    binom = np.array([math.comb(c, i) % p for i in range(c + 1)], dtype=np.int64)
-    shift = rows[:, None] - cols[None, :]
-    block = np.where((shift >= 0) & (shift <= c), binom[shift.clip(0, c)], 0)
-    rank = rank_mod_p(PrimeFieldMatrix(PrimeField(p), block))
-    return j + 1 - (rows.size - rank - int(_hilbert(j, a, b, c)))
+    """The smaller syzygy degree u = (a+b+c - delta)/2 of (x^a, y^b,
+    (x+y)^c) over F_p, a <= b <= c, from Han's theorem (module docstring)."""
+    if c >= a + b:
+        return a + b
+    t, total = (a, b, c), a + b + c
+    delta, q = 0, 1
+    while 2 * q < total:
+        for w in itertools.product(*((t_i // q, t_i // q + 1) for t_i in t)):
+            if sum(w) % 2:
+                delta = max(delta, q - sum(abs(t_i - q * w_i) for t_i, w_i in zip(t, w)))
+        q *= p
+    return (total - delta) // 2
 
 
 def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
     """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), a <= b <= c, in
-    degrees 0..top: arithmetic once ``_syzygy_degree`` gives u, which is
-    memoised per (p, a, b, c) since one Han-Monsky record and the pair
-    types of one fold ask for the same triples again."""
+    degrees 0..top: arithmetic once ``_syzygy_degree`` gives u."""
     # A syzygy (A, B, C) of degree k < c has C = 0, so x^a divides B and
     # k >= a+b: u >= min(c, a+b), and below that both syzygy ramps are zero.
     if top < min(c, a + b):

@@ -1,15 +1,16 @@
 """Exact linear algebra over prime fields.
 
-Everything downstream (graded quotient dimensions, section counts, the
-artinian dimension counts) reduces to ranks of matrices of residues mod p.
+The generic colength engine's graded quotient dimensions and the curve
+smoothness check reduce to ranks of matrices of residues mod p; the
+diagonal toolkit needs none (Han's theorem makes it integer arithmetic).
 ``block_ranks`` takes a block-diagonal matrix as its nonzero entries and
 gives one rank per block: it peels the columns with one nonzero entry,
 splits the core that is left into the connected components of its nonzero
 pattern and eliminates them side by side in zero-padded stacks, one loop
-step per row of the tallest block and no inverse.  ``rank_mod_p`` is its
-one-block case on a dense matrix.  Matrices are immutable after
-construction; rank works on private copies, so values are safe to share
-across threads.
+step per row of the tallest block and no inverse.  ``rank_mod_p`` is
+exactly its one-block case, on the nonzero entries of a dense matrix.
+Matrices are immutable after construction; rank works on private copies,
+so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Largest modulus whose elimination products (p-1)^2 fit in int64:
 # isqrt(2^63 - 1).
 _MAX_MODULUS = 3037000499
-
-# Peeling and labelling a matrix cost about as much as this many
-# elimination steps, so ``rank_mod_p`` eliminates a matrix with no more
-# rows or columns as it is.
-_WHOLE_CORE = 8
 
 
 def is_prime(n: int) -> bool:
@@ -133,12 +129,8 @@ class SparseBlocks(NamedTuple):
 
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
     """Rank of ``m`` over Z/pZ: ``block_ranks`` of its nonzero entries as
-    one block.  A matrix with at most ``_WHOLE_CORE`` rows or columns is
-    eliminated as it is."""
+    one block."""
     a = m.array
-    if min(a.shape) <= _WHOLE_CORE:
-        block = a if a.shape[0] <= a.shape[1] else a.T
-        return int(_stacked_rank(block[None].copy(), m.field.p)[0])
     # half the time of np.nonzero on a 66x136 int32 matrix (numpy 2.4)
     flat = np.flatnonzero(a)
     rows, cols = np.divmod(flat, a.shape[1])

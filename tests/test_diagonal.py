@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hklab.cli import main
@@ -18,6 +18,7 @@ from hklab.colength import (
 from hklab.diagonal import (
     DiagonalLimits,
     DiagonalSpec,
+    _hilbert_burch,
     _syzygy_degree,
     _truncation_hilbert,
     d_char0,
@@ -118,6 +119,32 @@ def test_truncation_hilbert_matches_reference_pieces(p, ks, top):
     for j in range(min(top, box_top + 1) + 1):
         expected = ref_graded_piece_dim(p, r, gens, j)
         assert (dims[j] if j < len(dims) else 0) == expected, (j, dims)
+
+
+@st.composite
+def syzygy_triples(draw):
+    """(p, a, b, c), a <= b <= c, whose u reaches degree j* (see below)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    a, b, c = sorted(draw(st.lists(st.integers(1, 30), min_size=3, max_size=3)))
+    assume((a + b + c + 1) // 2 - 1 >= min(c, a + b))
+    return p, a, b, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(syzygy_triples())
+@example((2, 8, 8, 8))  # delta = 8 from q = 8
+@example((3, 9, 9, 9))  # delta = 9 from q = 9
+@example((2, 5, 5, 8))  # delta = 2 from q = 8
+@example((3, 10, 19, 27))  # delta = 2 from q = 27
+@example((2, 17, 19, 30))  # delta = 2 from q = 32
+@example((3, 6, 7, 8))  # delta = 3 from q = 9
+def test_syzygy_degree_matches_reference_piece(triple):
+    # u enters H only in degrees >= min(c, a+b); at j* = ceil((a+b+c)/2) - 1
+    # it is the one syzygy ramp that is not zero, so H(j*) pins u
+    p, a, b, c = triple
+    j = (a + b + c + 1) // 2 - 1
+    gens = [(a, {(a, 0): 1}), (b, {(0, b): 1}), (c, power_of_sum(2, c, p))]
+    assert _hilbert_burch(p, a, b, c, j)[j] == ref_graded_piece_dim(p, 2, gens, j)
 
 
 def test_d_f_input_validation():
@@ -441,6 +468,15 @@ def test_han_monsky_chang_quartic_p101():
     ring = parse_ring_spec("fermat:s=4,d=4,p=101")
     record = han_monsky_colength(ring, IdealSpec.maximal_ideal(ring), 1, 100_000_000)
     assert record.total == 2747651
+
+
+@pytest.mark.parametrize("p, n, total", [(5, 2, 43017), (7, 2, 321097), (3, 3, 60561)])
+def test_han_monsky_chang_quartic_higher_frobenius_powers(p, n, total):
+    # frozen from the one-rank syzygy degree that Han's theorem replaced:
+    # at q = p^n these records read triples whose gap comes from p or p^2
+    ring = parse_ring_spec(f"fermat:s=4,d=4,p={p}")
+    record = han_monsky_colength(ring, IdealSpec.maximal_ideal(ring), n, 100_000_000)
+    assert record.total == total
 
 
 def test_han_monsky_dispatch_shapes():
