@@ -116,6 +116,8 @@ def load_config(path: Path, command: str) -> dict:
         if key not in _COMMAND_FLAGS[command]:
             dest = _FLAGS[key][0]
             raise SpecParseError(f"config key not valid for this command: {dest}")
+        if key in mapping:
+            raise SpecParseError(f"{path}:{lineno}: duplicate key {key!r}")
         mapping[key] = value.strip()
     return mapping
 
@@ -125,6 +127,8 @@ def _validate(args: argparse.Namespace) -> None:
         raise SpecParseError(f"--m-max must be >= 0, got {args.m_max}")
     if getattr(args, "jobs", 1) < 1:
         raise SpecParseError(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "cap", 1) < 1:  # every run would trip at degree 0
+        raise SpecParseError(f"--cap must be >= 1, got {args.cap}")
     if getattr(args, "ring", None) and args.family:
         ring = parse_ring_spec(args.ring)
         family = family_ring(args.family, ring.field.p)
@@ -298,13 +302,11 @@ def cmd_colength(args: argparse.Namespace) -> int:
 
 
 def _curve_profile(args, p: int, n: int):
-    ring, ideal = _ring_ideal(args, p)
-    prof = cohomology_profile(ring, ideal, n, m_max=args.m_max, max_dim=args.cap)
-    return ideal, prof
+    return cohomology_profile(*_ring_ideal(args, p), n, m_max=args.m_max, max_dim=args.cap)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    results = run_grid(args, lambda p, n: _curve_profile(args, p, n)[1])
+    results = run_grid(args, lambda p, n: _curve_profile(args, p, n))
     label = args.family or "custom"
     rows = []
     payload = []
@@ -347,22 +349,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_hn(args: argparse.Namespace) -> int:
     def job(p, n):
-        ideal, prof = _curve_profile(args, p, n)
-        hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
-        return hn, vanishing_report(prof, hn)
+        prof = _curve_profile(args, p, n)
+        hn = estimate_hn_profile(prof)
+        return prof.q, hn, vanishing_report(prof, hn)
 
     results = run_grid(args, job)
     label = args.family or "custom"
     rows = []
     payload = []
-    for p, n, (hn, report) in results:
+    for p, n, (q, hn, report) in results:
         for k, (nu, r) in enumerate(hn.pairs, start=1):
             rows.append(
                 {
                     "family": label,
                     "p": p,
                     "n": n,
-                    "q": p**n,
+                    "q": q,
                     "k": k,
                     "nu": rational_str(nu),
                     "r": r,
@@ -372,7 +374,7 @@ def cmd_hn(args: argparse.Namespace) -> int:
             {
                 "p": p,
                 "n": n,
-                "q": p**n,
+                "q": q,
                 "hn": {
                     "nu": [rational_str(nu) for nu, _ in hn.pairs],
                     "r": [r for _, r in hn.pairs],
@@ -391,7 +393,7 @@ def cmd_hn(args: argparse.Namespace) -> int:
         )
     write_csv(args.out / "hn.csv", rows)
     write_json(args.out / "hn.json", {"family": label, "runs": payload})
-    for p, n, (hn, report) in results:
+    for p, n, (_, hn, report) in results:
         steps = " ".join(f"({rational_str(nu)},{r})" for nu, r in hn.pairs)
         print(f"p={p} n={n} profile: {steps} clean={report.clean}")
     return 0
@@ -412,9 +414,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
         reference = reference_value(args.family, p)
         if not profiled:
             return reference, None
-        ideal, prof = _curve_profile(args, p, n)
-        hn = estimate_hn_profile(prof, len(ideal.degrees), sum(ideal.degrees))
-        value = rational_str(hk_from_profile(prof.geom, hn, ideal.degrees))
+        prof = _curve_profile(args, p, n)
+        value = rational_str(hk_from_profile(prof, estimate_hn_profile(prof)))
         return reference, {"n": n, "hk_from_profile": value}
 
     grid = run_grid(args, job)
@@ -479,8 +480,13 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         raise SpecParseError("convergence needs a single --n")
     references = {}
     for p in grid_primes(args):  # every reference before the first colength
-        _ring_ideal(args, p)  # an unparseable spec still exits 2 first
+        _, ideal = _ring_ideal(args, p)  # an unparseable spec still exits 2 first
         references[p] = reference_value(args.family, p)
+        if not ideal.is_maximal:  # the reference is the maximal ideal's e_HK
+            raise ValueError(
+                "convergence needs the maximal ideal, one nonzero multiple of each "
+                f"variable, not --ideal {args.ideal} at p={p}"
+            )
     records = _colength_records(args)
     fit = convergence_fit(records)
     rows = []

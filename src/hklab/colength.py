@@ -93,6 +93,15 @@ class IdealSpec:
     def maximal_ideal(cls, ring: HypersurfaceRing) -> "IdealSpec":
         return cls(tuple(Polynomial.variable(ring.field, ring.s, i) for i in range(ring.s)))
 
+    @property
+    def is_maximal(self) -> bool:
+        """Whether the generators are nonzero multiples of the variables, one
+        per variable: the form in which the maximal ideal is recognised (a
+        basis change such as x+y, y, z is not)."""
+        s = self.generators[0].nvars
+        units = sorted((tuple(int(j == i) for j in range(s)),) for i in range(s))
+        return sorted(tuple(g.terms) for g in self.generators) == units
+
     def canonical_string(self) -> str:
         return ",".join(sorted(str(g) for g in self.generators))
 

@@ -68,7 +68,8 @@ class CurveGeometry:
 @dataclass(frozen=True)
 class CohomologyProfile:
     """Per-twist section counts of S^q(m) for m = 0..m_max, q a power of
-    the characteristic p, and the curve geometry they were computed with."""
+    the characteristic p, with the curve geometry and the generator
+    degrees of the ideal they were computed for."""
 
     p: int
     q: int
@@ -77,6 +78,7 @@ class CohomologyProfile:
     chi: tuple
     h1: tuple
     geom: CurveGeometry
+    degrees: tuple
 
 
 @dataclass(frozen=True)
@@ -208,27 +210,28 @@ def cohomology_profile(
     if any(v < 0 for v in h1):
         raise RuntimeError("h1 negative: rank computation is inconsistent")
     return CohomologyProfile(
-        p=ring.field.p, q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom
+        p=ring.field.p, q=q, m_max=m_max, h0=h0, chi=chi, h1=h1, geom=geom,
+        degrees=ideal.degrees,
     )
 
 
-def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNProfile:
+def estimate_hn_profile(profile: CohomologyProfile) -> HNProfile:
     """Read the slope profile off the plateau structure of Δh⁰.
 
     A plateau is at least max(3, theta+2) consecutive equal differences at a
-    value degY·R with integer cumulative rank R; the top plateau
-    (R = s-1) must additionally have h¹ = 0, which pins total-degree
-    conservation exactly.  Cumulative degrees D_k come from the exact line
-    h⁰(m) = degY(m·R_k - q·D_k) + R_k(1-g) evaluated at the right end b of
-    each plateau.  Solved for D_k, that line is h⁰(b) + degY·R_k·(m - b),
-    so the fit residual needs no Fraction.  The first-nonzero twist is
-    reported only as a diagnostic.
+    value degY·R with integer cumulative rank R; the top plateau (R the
+    syzygy rank, one less than the number of generators) must additionally
+    have h¹ = 0, which pins total-degree conservation exactly: the last
+    cumulative degree must be the generators' degree sum.  Cumulative
+    degrees D_k come from the exact line h⁰(m) = degY(m·R_k - q·D_k) +
+    R_k(1-g) evaluated at the right end b of each plateau.  The
+    first-nonzero twist is reported only as a diagnostic.
     """
     geom = profile.geom
     degy = geom.deg_y
     g = geom.genus
     q = profile.q
-    rank_total = s - 1
+    rank_total = _syzygy_rank(profile.degrees)
     tol = max(3, geom.theta + 2)
     h0 = profile.h0
     h1 = profile.h1
@@ -260,9 +263,7 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
             a = m + 1
         selected[r_cum] = (a, b)
     if rank_total not in selected:
-        raise ProfileTooShortError(
-            "profile too short: no stable top plateau with h1 = 0"
-        )
+        raise ProfileTooShortError("profile too short: no stable top plateau with h1 = 0")
     ranks = sorted(selected)
     # plateaus must appear in increasing-rank order along m
     spans = [selected[r] for r in ranks]
@@ -274,16 +275,14 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
     pairs = []
     prev_rank = 0
     prev_d = Fraction(0)
-    residual = 0
     for r_cum in ranks:
-        a, b = selected[r_cum]
+        b = selected[r_cum][1]
         d_cum = Fraction(degy * b * r_cum + r_cum * (1 - g) - h0[b], q * degy)
         r_k = r_cum - prev_rank
         nu_k = (d_cum - prev_d) / r_k
         pairs.append((nu_k, r_k))
-        for m in range(a - 1, b + 1):
-            residual = max(residual, abs(h0[m] - h0[b] - degy * r_cum * (m - b)))
         prev_rank, prev_d = r_cum, d_cum
+    sum_d = sum(profile.degrees)
     if prev_d != sum_d:
         raise AmbiguousPlateauError(
             f"ambiguous plateau: cumulative degree {prev_d} != {sum_d}"
@@ -293,28 +292,24 @@ def estimate_hn_profile(profile: CohomologyProfile, s: int, sum_d: int) -> HNPro
             raise AmbiguousPlateauError(
                 "ambiguous plateau: estimated slopes are not increasing"
             )
-    first_nonzero = next(
-        (m for m, v in enumerate(h0) if v > 0), None
-    )
     return HNProfile(
         pairs=tuple(pairs),
-        residual=float(residual),
+        # every Δh⁰ on a plateau is degY·R, so h⁰ is exactly linear there
+        residual=0.0,
         uncertainty=(g + geom.theta) / q,
-        first_nonzero=first_nonzero,
+        first_nonzero=next((m for m, v in enumerate(h0) if v > 0), None),
     )
 
 
-def hk_from_profile(
-    geom: CurveGeometry, hn: HNProfile, degrees: Sequence
-) -> Fraction:
-    """(degY/2)·(Σ r̂_k ν̂_k² − Σ d_i²) from an estimated slope profile."""
+def hk_from_profile(profile: CohomologyProfile, hn: HNProfile) -> Fraction:
+    """(degY/2)·(Σ r̂_k ν̂_k² − Σ d_i²) from the slope profile ``hn``
+    estimated on ``profile``, which gives deg Y and the degrees d_i."""
     rank_total = sum(r for _, r in hn.pairs)
-    if rank_total != len(degrees) - 1:
-        raise ValueError(
-            f"profile ranks sum to {rank_total}, expected {len(degrees) - 1}"
-        )
+    expected = _syzygy_rank(profile.degrees)
+    if rank_total != expected:
+        raise ValueError(f"profile ranks sum to {rank_total}, expected {expected}")
     quad = sum(Fraction(r) * nu * nu for nu, r in hn.pairs)
-    return Fraction(geom.deg_y, 2) * (quad - sum(d * d for d in degrees))
+    return Fraction(profile.geom.deg_y, 2) * (quad - sum(d * d for d in profile.degrees))
 
 
 def vanishing_report(profile: CohomologyProfile, hn: HNProfile) -> VanishingReport:

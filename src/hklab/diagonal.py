@@ -158,7 +158,7 @@ def _pair_type(p: int, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
     for c in range(1, a + b):
         if below.sum() == a * b:
             break
-        hilbert = np.array(_hilbert_burch(p, *sorted((a, b, c)), a + b - 2))
+        hilbert = np.array(_hilbert_burch(p, a, b, c, a + b - 2))
         lengths[: a + b - c] += (hilbert - below)[c - 1 :]
         below = hilbert
     return tuple((start, size) for start, size in enumerate(lengths.tolist()) if size)
@@ -182,17 +182,10 @@ def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) ->
     # H read only the degrees up to top, so their arguments are capped there
     for (s0, length), count in _fold(functools.partial(_pair_type, p), head, top).items():
         cap = top - s0 + 1
-        hilbert = _hilbert_burch(p, *sorted(min(e, cap) for e in (length, a, b)), top - s0)
+        hilbert = _hilbert_burch(p, min(length, cap), min(a, cap), min(b, cap), top - s0)
         for j, dim in enumerate(hilbert, s0):
             dims[j] += count * dim
     return dims
-
-
-def _hilbert(t, a: int, b: int, c: int, syzygies=()):
-    """H(t) of the module docstring (t an int or an int array), with the
-    syzygy ramps only when their degrees are given."""
-    ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, *syzygies)]
-    return t + 1 - sum(ramps[:3]) + sum(ramps[3:])
 
 
 def _syzygy_degree(p: int, a: int, b: int, c: int) -> int:
@@ -211,14 +204,14 @@ def _syzygy_degree(p: int, a: int, b: int, c: int) -> int:
 
 
 def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
-    """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), a <= b <= c, in
-    degrees 0..top: arithmetic once ``_syzygy_degree`` gives u."""
-    # A syzygy (A, B, C) of degree k < c has C = 0, so x^a divides B and
-    # k >= a+b: u >= min(c, a+b), and below that both syzygy ramps are zero.
-    if top < min(c, a + b):
-        return _hilbert(np.arange(top + 1), a, b, c).tolist()
+    """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), in any order of
+    a, b, c, in degrees 0..top: H(j) of the module docstring, with u from
+    ``_syzygy_degree``."""
+    a, b, c = sorted((a, b, c))
     u = _syzygy_degree(p, a, b, c)
-    return _hilbert(np.arange(top + 1), a, b, c, (u, a + b + c - u)).tolist()
+    t = np.arange(top + 1)
+    ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, u, a + b + c - u)]
+    return (t + 1 - sum(ramps[:3]) + sum(ramps[3:])).tolist()
 
 
 def d_f(p: int, *ks: int) -> int:
@@ -239,15 +232,11 @@ def d_f(p: int, *ks: int) -> int:
 def han_monsky_applies(ring: HypersurfaceRing, ideal: IdealSpec) -> bool:
     """Whether ``han_monsky_colength`` serves this ring and ideal: the
     relation is sum c_i x_i^d with all s >= 2 variables present (every c_i
-    nonzero), and the ideal is generated by one single-term c*x_i per
-    variable (so it is the maximal ideal)."""
+    nonzero), and ``ideal.is_maximal``."""
     f, s = ring.relation, ring.s
-    if f is None or s < 2 or any(len(g.terms) != 1 for g in ideal.generators):
+    if f is None or s < 2 or not ideal.is_maximal:
         return False
-    powers = sorted(tuple(ring.d * (j == i) for j in range(s)) for i in range(s))
-    units = sorted(tuple(int(j == i) for j in range(s)) for i in range(s))
-    monos = sorted(mono for g in ideal.generators for mono in g.terms)
-    return sorted(f.terms) == powers and monos == units
+    return sorted(f.terms) == sorted(tuple(ring.d * (j == i) for j in range(s)) for i in range(s))
 
 
 def han_monsky_colength(

@@ -14,7 +14,6 @@ from hklab.colength import (
 )
 from hklab.curves import (
     cohomology_profile,
-    curve_geometry,
     estimate_hn_profile,
     hk_from_profile,
     vanishing_report,
@@ -39,11 +38,10 @@ def fermat_runs():
     for p in (5, 7, 11, 13, 17, 23):
         ring = fermat_ring(p)
         ideal = IdealSpec.maximal_ideal(ring)
-        geom = curve_geometry(ring)
         record = colength(ring, ideal, 1)
         prof = cohomology_profile(ring, ideal, 1)
-        hn = estimate_hn_profile(prof, 3, 3)
-        runs[p] = (geom, record, prof, hn)
+        hn = estimate_hn_profile(prof)
+        runs[p] = (record, prof, hn)
     return runs
 
 
@@ -144,7 +142,7 @@ def test_c5_sandwich_inequality():
 
 def test_c6_quartic_convergence_and_profiles(fermat_runs):
     worst_trend = Fraction(0)
-    for p, (geom, record, prof, hn) in fermat_runs.items():
+    for p, (record, prof, hn) in fermat_runs.items():
         reference = reference_value("fermat-quartic", p)
         residual = record.normalized - reference
         assert abs(residual) <= Fraction(8, p), p
@@ -155,8 +153,8 @@ def test_c6_quartic_convergence_and_profiles(fermat_runs):
 
 
 def test_c7_profile_formula_round_trip(fermat_runs):
-    for p, (geom, record, prof, hn) in fermat_runs.items():
-        from_profile = hk_from_profile(geom, hn, (1, 1, 1))
+    for p, (record, prof, hn) in fermat_runs.items():
+        from_profile = hk_from_profile(prof, hn)
         assert abs(from_profile - record.normalized) <= Fraction(8, p), p
 
 
@@ -175,7 +173,7 @@ def test_c8_four_variable_family_reduced_scale():
 
 def test_c9_vanishing_reports(fermat_runs):
     for p in (7, 23):
-        geom, record, prof, hn = fermat_runs[p]
+        record, prof, hn = fermat_runs[p]
         rep = vanishing_report(prof, hn)
         assert rep.below_violations == (), p
         assert rep.above_violations == (), p

@@ -147,6 +147,14 @@ def test_convergence_outputs(tmp_path):
     assert set(fit) == {"e_hat", "c_hat", "c2_hat", "max_resid_p", "max_resid_p2"}
 
 
+def test_convergence_accepts_multiples_of_the_variables(tmp_path):
+    argv = ["convergence", "--family", "fermat-quartic", "--primes", "3,5,7"]
+    assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+    assert main(argv + ["--ideal", "2*z,y,4*x", "--out", str(tmp_path / "v")]) == 0
+    for name in ("convergence.csv", "convergence_fit.json"):
+        assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "m" / name).read_bytes()
+
+
 def test_jobs_flag_keeps_output_deterministic(tmp_path):
     base = [
         "convergence",
@@ -331,6 +339,18 @@ def test_jobs_below_one_exits_2(tmp_path, jobs):
     assert not (tmp_path / "colength.csv").exists()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"jobs={jobs}\n", encoding="utf-8")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_exits_2(tmp_path, capsys, cap):
+    # a cap below 1 would trip the size guard at degree 0 on every input
+    base = ["colength", "--family", "fermat-quartic", "--primes", "7"]
+    assert main(base + ["--cap", cap, "--out", str(tmp_path)]) == 2
+    assert f"--cap must be >= 1, got {cap}" in capsys.readouterr().err
+    assert not (tmp_path / "colength.csv").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cap={cap}\n", encoding="utf-8")
     assert main(base + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
@@ -556,6 +576,15 @@ def test_math_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--cache", str(cache)] + out) == 1
     assert "unknown family" in capsys.readouterr().err
     assert not cache.exists() or not list(cache.iterdir())
+    # the reference is the maximal ideal's e_HK: any other ideal is rejected
+    # at its prime, before the first colength
+    argv = ["convergence", "--family", "fermat-quartic", "--primes", "7,11,13"]
+    assert main(argv + ["--ideal", "x^2,y,z", "--cache", str(cache)] + out) == 1
+    assert "not --ideal x^2,y,z at p=7" in capsys.readouterr().err
+    assert not cache.exists() or not list(cache.iterdir())
+    assert not (tmp_path / "convergence.csv").exists()
+    assert main(argv + ["--ideal", "11*x,y,z"] + out) == 1
+    assert "at p=11" in capsys.readouterr().err
     # exponents above p, or unequal: rejected before any d_f bound
     for family, p in (("diagonal:4,4,4", "3"), ("diagonal:2,3,5", "5")):
         assert main(["sandwich", "--family", family, "--primes", p] + out) == 1
@@ -623,3 +652,9 @@ def test_bad_config_exits_2(tmp_path):
         encoding="utf-8",
     )
     assert main(["limits", "--config", str(cfg)]) == 2
+    # a key given twice
+    cfg.write_text(
+        f"family=fermat-quartic\nprimes=7\nprimes=11\nout={tmp_path}\n",
+        encoding="utf-8",
+    )
+    assert main(["colength", "--config", str(cfg)]) == 2

