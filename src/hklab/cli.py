@@ -79,8 +79,14 @@ _COMMAND_FLAGS = {
 COMMANDS = tuple(_COMMAND_FLAGS)
 
 
-def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
-    """The hk-lab parser; ``config`` values (flag -> string) replace the defaults."""
+def build_parser(
+    config: Optional[dict] = None, command: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """The hk-lab parser; ``config`` values (flag -> string) replace the
+    defaults.  Every subcommand is registered, so usage, choices and error
+    text stay whole, but with ``command`` only that subcommand gets its flags:
+    each ``add_argument`` builds a ``HelpFormatter``, and all of them
+    together cost milliseconds per parse."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="hk-lab",
@@ -89,6 +95,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
         add = subs.add_parser(name).add_argument
+        if command not in (None, name):
+            continue
         for flag in flags:
             dest, kind, default, text = _FLAGS[flag]
             default = config.get(flag, default)
@@ -554,10 +562,16 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # hk-lab itself takes no option with a value, so a first word that names
+    # a subcommand is the one argparse runs; any other first word fails at
+    # the top level, whatever flags the subcommands have
+    command = next((a for a in argv if a in _COMMAND_FLAGS), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command=command).parse_args(argv)
         if args.config is not None:
-            args = build_parser(load_config(args.config, args.command)).parse_args(argv)
+            config = load_config(args.config, args.command)
+            args = build_parser(config, args.command).parse_args(argv)
         _validate(args)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse: usage errors, bad config values, --help

@@ -53,8 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, SizeGuardError
 from hklab.graded import HypersurfaceRing, parse_ring_spec
 from hklab.limits import normalized_colength
@@ -153,15 +151,16 @@ def _pair_type(p: int, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
     H_{c-1}(s+c-1) (module docstring), and (x+y)^{a+b-1} kills it all."""
     if a == 1:
         return ((0, b),)
-    lengths = np.zeros(a + b - 1, dtype=np.int64)
-    below = np.zeros(a + b - 1, dtype=np.int64)  # H_{c-1}
+    lengths = [0] * (a + b - 1)
+    below = [0] * (a + b - 1)  # H_{c-1}
     for c in range(1, a + b):
-        if below.sum() == a * b:
+        if sum(below) == a * b:
             break
-        hilbert = np.array(_hilbert_burch(p, a, b, c, a + b - 2))
-        lengths[: a + b - c] += (hilbert - below)[c - 1 :]
+        hilbert = _hilbert_burch(p, a, b, c, a + b - 2)
+        for start in range(a + b - c):
+            lengths[start] += hilbert[start + c - 1] - below[start + c - 1]
         below = hilbert
-    return tuple((start, size) for start, size in enumerate(lengths.tolist()) if size)
+    return tuple((start, size) for start, size in enumerate(lengths) if size)
 
 
 def _truncation_hilbert(p: int, ks: Sequence[int], top: Optional[int] = None) -> List[int]:
@@ -209,9 +208,8 @@ def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
     ``_syzygy_degree``."""
     a, b, c = sorted((a, b, c))
     u = _syzygy_degree(p, a, b, c)
-    t = np.arange(top + 1)
-    ramps = [np.maximum(t - e + 1, 0) for e in (a, b, c, u, a + b + c - u)]
-    return (t + 1 - sum(ramps[:3]) + sum(ramps[3:])).tolist()
+    ramps = ((0, 1), (a, -1), (b, -1), (c, -1), (u, 1), (a + b + c - u, 1))
+    return [sum(sign * max(t - e + 1, 0) for e, sign in ramps) for t in range(top + 1)]
 
 
 def d_f(p: int, *ks: int) -> int:

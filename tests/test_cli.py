@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hklab.diagonal
-from hklab.cli import main, parse_primes, rational_str
+from hklab.cli import COMMANDS, build_parser, main, parse_primes, rational_str
 from hklab.graded import SpecParseError
 
 
@@ -321,6 +323,31 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["colength", "--bogus-flag"]) == 2
+
+
+def _parse_output(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), argparse's SystemExit
+    caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, flag] for cmd in COMMANDS for flag in ("--help", "--bogus")]
+    + [[], ["--help"], ["bogus"], ["--bogus", "gm"], ["bogus", "colength", "--help"]],
+)
+def test_main_parses_like_the_parser_with_every_flag(argv):
+    # main builds only the invoked subcommand's flags; help and usage errors
+    # must not show it
+    full = _parse_output(lambda a: build_parser().parse_args(a), argv)
+    assert full[0] in (0, 2)
+    assert _parse_output(main, argv) == full
 
 
 def test_negative_m_max_exits_2(tmp_path):

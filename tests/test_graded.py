@@ -152,6 +152,16 @@ def _ring_case(spec, g, m):
     return ring, parse_polynomial(ring.field, ring.s, g), m
 
 
+def assert_memo_matches_long_division(ring):
+    p, f = ring.field.p, ring.relation.terms
+    for key, (exps, coeffs) in ring._nf_memo.items():
+        mono = [0] * ring.s
+        for i, e in zip(ring._support, key):
+            mono[i] = e
+        got = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+        assert got == ref_normal_form(p, f, {tuple(mono): 1})
+
+
 @settings(max_examples=80, deadline=None)
 @given(relation_and_polynomial())
 @example(_ring_case("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x", "x^7*y^2+3*x^4*y^4*z+x*y*z", 9))
@@ -165,12 +175,104 @@ def test_normal_form_and_memo_match_long_division(case):
     variables = [Polynomial.variable(ring.field, ring.s, i) for i in range(ring.s)]
     graded_map_matrix(ring, variables, m)
     assert ring._nf_memo
-    for key, (exps, coeffs) in ring._nf_memo.items():
-        mono = [0] * ring.s
-        for i, e in zip(ring._support, key):
-            mono[i] = e
-        got = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
-        assert got == ref_normal_form(p, f, {tuple(mono): 1})
+    assert_memo_matches_long_division(ring)
+
+
+@st.composite
+def sparse_relation_and_high_power(draw):
+    """(ring, g): a relation with one to three terms in 2-3 variables, and
+    a g whose terms are LT(f)^J times a small monomial, J up to 20, so the
+    NF memo rewrites by T^j = (LT - f/lc)^j for j up to 16."""
+    s = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5, 65537]))
+    field = PrimeField(p)
+    monos = draw(st.lists(st.sampled_from(ref_monomials(s, d)), min_size=1, max_size=3, unique=True))
+    f = Polynomial(field, s, {u: draw(st.integers(1, p - 1)) for u in monos})
+    lt = f.leading_monomial()
+    small = st.lists(st.integers(0, 2), min_size=s, max_size=s)
+    g = {}
+    for _ in range(draw(st.integers(1, 2))):
+        J = draw(st.integers(2, 20))
+        g[tuple(J * a + b for a, b in zip(lt, draw(small)))] = draw(st.integers(1, p - 1))
+    return HypersurfaceRing(field, s, f), Polynomial(field, s, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_relation_and_high_power())
+# T^2 = y^4 + z^4 at p = 2 and (y^2 + z^2)^4 = y^8 + y^6z^2 + y^2z^6 + z^8
+# at p = 3: the powers lose their cross terms
+@example(_ring_case("hypersurface:s=3,p=2,f=x^2+y^2+z^2", "x^40*y+x^33*z", 0)[:2])
+@example(_ring_case("hypersurface:s=3,p=3,f=x^2+y^2+z^2", "x^37*z^2+x^16", 0)[:2])
+# no tail: T = 0, so every multiple of LT reduces to 0 in one step
+@example(_ring_case("hypersurface:s=2,p=3,f=2*x^2", "x^37*y^3+x*y^5", 0)[:2])
+@example(_ring_case("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x", "x^51*y^17+x^7*y^2*z", 0)[:2])
+def test_normal_form_by_tail_powers_matches_long_division(case):
+    ring, g = case
+    p, f = ring.field.p, ring.relation.terms
+    assert ring.normal_form(g).terms == ref_normal_form(p, f, g.terms)
+    assert_memo_matches_long_division(ring)
+
+
+@pytest.mark.parametrize(
+    "p, want",
+    [
+        # T^(2^k) = y^(2^(k+1)) + z^(2^(k+1)): Frobenius, every cross term even
+        (2, [{(0, 2 * j, 0): 1, (0, 0, 2 * j): 1} for j in (1, 2, 4, 8)]),
+        # T^4 = (y^2+z^2)^4, binomials 1, 4, 6, 4, 1 = 1, 1, 0, 1, 1 mod 3
+        (3, [{(0, 2, 0): 2, (0, 0, 2): 2}, {(0, 4, 0): 1, (0, 2, 2): 2, (0, 0, 4): 1},
+             {(0, 8, 0): 1, (0, 6, 2): 1, (0, 2, 6): 1, (0, 0, 8): 1}]),
+    ],
+)
+def test_tail_powers_drop_terms_that_vanish_mod_p(p, want):
+    ring = parse_ring_spec(f"hypersurface:s=3,p={p},f=x^2+y^2+z^2")
+    ring.normal_form(Polynomial(ring.field, 3, {(2 << len(want), 0, 0): 1}))
+    got = [dict(zip(map(tuple, w.exps.tolist()), w.coeffs.tolist())) for w in ring._powers]
+    assert got[: len(want)] == want
+
+
+def test_normal_forms_from_threads_share_one_ring():
+    # Four threads reduce high powers on one fresh ring at once, so they race
+    # to square and cache the powers of T; twenty rounds, a fresh ring each.
+    spec = "hypersurface:s=3,p=61,f=x^2+y^2+z^2"
+    reference = parse_ring_spec(spec)
+    rng = random.Random(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ring = parse_ring_spec(spec)
+            polys = [
+                Polynomial(ring.field, 3, {(rng.randrange(2, 130), rng.randrange(3), 0): 1})
+                for _ in range(4)
+            ]
+            start = threading.Barrier(len(polys), timeout=30)
+
+            def reduce(g):
+                start.wait()
+                return ring.normal_form(g)
+
+            with ThreadPoolExecutor(len(polys)) as pool:
+                got = list(pool.map(reduce, polys, timeout=60))
+            assert got == [reference.normal_form(g) for g in polys]
+            assert all(w is not None for w in ring._powers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_nf_memo_fills_in_log_steps():
+    # Modulo x^2+y^2+z^2, NF(x^a * y^b) is y^b * NF(x^a).  One LT at a time
+    # takes 61 steps to reach x^122; powers of two of T = -(y^2+z^2) take
+    # one step per binary digit of 61.
+    p = 61
+    ring = parse_ring_spec(f"hypersurface:s=3,p={p},f=x^2+y^2+z^2")
+    g = Polynomial(ring.field, 3, {(a, 2 * p - a, 0): 1 for a in range(2 * p + 1)})
+    with mock.patch.object(
+        HypersurfaceRing, "_nf_combine", autospec=True, side_effect=HypersurfaceRing._nf_combine
+    ) as combine:
+        nf = ring.normal_form(g)
+    assert combine.call_count <= p.bit_length()
+    assert nf.terms == ref_normal_form(p, ring.relation.terms, g.terms)
 
 
 def test_graded_map_matrix_variables():
