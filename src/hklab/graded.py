@@ -463,11 +463,11 @@ class HypersurfaceRing:
         term = np.repeat(start, counts) + np.arange(len(parts))
         part_owner = np.repeat(np.arange(len(batch)), counts)
         piece = np.repeat(np.arange(len(parts)), lens)
-        owner = part_owner[piece]
+        owner, row = part_owner[piece], term[piece]
         nu = np.concatenate([w.nu for w in powers])
         scale = np.concatenate([w.coeffs for w in powers])
-        exps = np.concatenate([e for e, _ in parts]) + nu[term[piece]]
-        coeffs = np.concatenate([c for _, c in parts]) * scale[term[piece]] % p
+        exps = np.concatenate([e for e, _ in parts]) + nu[row]
+        coeffs = np.concatenate([c for _, c in parts]) * scale[row] % p
         degrees = np.array([sum(key) for key in batch], dtype=np.int64)
         codes = _lex_ranks(exps, degrees[owner], self._table(int(degrees.max())))
         order = np.lexsort((codes, owner))

@@ -187,7 +187,8 @@ def sparse_relation_and_high_power(draw):
     d = draw(st.integers(1, 2))
     p = draw(st.sampled_from([2, 3, 5, 65537]))
     field = PrimeField(p)
-    monos = draw(st.lists(st.sampled_from(ref_monomials(s, d)), min_size=1, max_size=3, unique=True))
+    pool = st.sampled_from(ref_monomials(s, d))
+    monos = draw(st.lists(pool, min_size=1, max_size=3, unique=True))
     f = Polynomial(field, s, {u: draw(st.integers(1, p - 1)) for u in monos})
     lt = f.leading_monomial()
     small = st.lists(st.integers(0, 2), min_size=s, max_size=s)
