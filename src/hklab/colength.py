@@ -1,16 +1,20 @@
 """Frobenius powers and total colengths.
 
-Everything is one rank computation per degree: the degree-m piece of R/J is
-the cokernel of the multiplication map ⊕_i R_{m-e_i} -> R_m, so its kernel,
-the degree-m syzygies of the generators (``curves.cohomology_profile``), has
-dimension Σ_i dim R_{m-e_i} - dim R_m + dim (R/J)_m.  Standard grading makes
-vanishing hereditary, so the colength loop stops at the first zero piece.
-Every colength is that of a Frobenius power J = I^[p^n], indexed by the
-exponent n as in the limit ℓ(R/I^[p^n]) / p^(n·dim R).
+The degree-m piece of R/J is the cokernel of the multiplication map
+⊕_i R_{m-e_i} -> R_m, so its kernel, the degree-m syzygies of the generators
+(``curves.cohomology_profile``), has dimension Σ_i dim R_{m-e_i} - dim R_m +
+dim (R/J)_m.  A piece is one rank computation, or closed form where the
+syzygies vanish: below a degree where one rank shows none, they vanish on
+every degree.  On a smooth plane curve the colength loop ranks only from
+such a degree, near the slope of the syzygy bundle, up to the first zero
+piece.  Standard grading makes vanishing hereditary, so the loop stops
+there.  Every colength is that of a Frobenius power J = I^[p^n], indexed by
+the exponent n as in the limit ℓ(R/I^[p^n]) / p^(n·dim R).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,10 +39,13 @@ __all__ = [
 ]
 
 # Degrees ranked together hold at most this many matrix cells in all.  For
-# the colengths of m^[p] on x^2+y^2+z^2 at p = 61 and 67 (2 vCPUs, medians
-# of 9 fresh processes), runs of 2^16, 2^17, 2^18 and unbounded cells took
-# 0.074, 0.058, 0.064 and 0.073 s against 0.13 s one degree at a time, and
-# raised diag-session's peak RSS by 0.0, 0.5, 1.8 and 4.0 MB.
+# the colengths of m^[p] on the nodal cubic y^2z - x^3 - x^2z at p = 61 and
+# 67 (2 vCPUs, medians of 9 fresh processes), one degree at a time took
+# 0.102 and 0.138 s, and runs of at most 2^16, 2^17, 2^18 and unbounded
+# cells 0.106/0.152, 0.090/0.120, 0.081/0.146 and 0.137/0.155 s, with a
+# peak RSS at p = 67 of 35.9, 36.1, 36.4, 38.0 and 46.3 MB.  dense-quartic4
+# (bench/session.py, medians of 9) took 0.18-0.22 s under every bound, and
+# 42.6 MB except unbounded (62.2 MB).
 _RUN_CELLS = 1 << 17
 
 
@@ -179,18 +186,38 @@ def colength(
 
     Stops at the first zero piece (with standard grading all later pieces
     vanish too); if none occurs up to sum(deg g_i) + d + 1, g_i the
-    generators of I^[p^n], the ideal is not primary to the irrelevant
-    maximal ideal.  Each degree's map is built by ``graded_map_entries``
-    and ranked by ``block_ranks``; SizeGuardError is raised instead of
-    building one with more than ``max_dim`` rows or columns.
+    generators of J = I^[p^n], the ideal is not primary to the irrelevant
+    maximal ideal.  A ranked degree's map is built by ``graded_map_entries``
+    and ranked by ``block_ranks``.  SizeGuardError.for_degree checks every
+    degree in order through the record's end, ranked or not, so a guard
+    raises where a loop over every degree would, and before any degree at
+    or past it is built.
 
     A degree whose matrix has more rows than columns has a piece of
     dimension at least rows - cols > 0, so the loop cannot stop there.
     Consecutive such degrees are built and ranked together, as the blocks
     of one ``graded_map_entries`` call, while their summed cells stay
     within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone.
-    Each degree is size-checked in order before it joins a run, so a trip
-    raises where a loop over single degrees would.
+
+    On a smooth plane curve with at least two generators outside (f), only
+    the degrees from a start degree L to the first zero piece are ranked.
+    With e_i = deg g_i, dim (R/J)_m = dim R_m - Σ_i dim R_{m-e_i} + h0(m),
+    where h0(m) counts the degree-m syzygies of the g_i.  h0 cannot rise as
+    m falls: the syzygies lie in ⊕_i R(-e_i), R is a domain, and a linear
+    form acts injectively on them.  So one rank with h0(L) = 0 makes every
+    degree below L closed form (``_below_window``).  Every ranked degree is
+    exact, so L is only a first guess (``_window_start``).
+
+    Above the window no closed form is needed: h1 = h0 - χ, χ by
+    Riemann-Roch, is the sheaf h1 of the twisted syzygy bundle, because
+    the syzygy module is reflexive, and R_m = H⁰(O_Y(m)) on a plane curve,
+    so (R/J)_m embeds in that H¹.  The first degree U with h1(U) = 0,
+    from which on h1 stays 0 because a linear form's cokernel lives on
+    points, therefore has (R/J)_U = 0: it is the first zero piece, where
+    the loop stops anyway.  An ideal that is not primary never reaches a
+    zero piece and raises NotPrimaryError as before.  Singular curves,
+    other rings, a single generator and a smoothness matrix above
+    ``max_dim`` rank every degree.
     """
     frob = frobenius_power(ring, ideal, n)
     top = sum(frob.degrees) + (ring.d or 0) + 1
@@ -204,17 +231,20 @@ def colength(
             "not primary: every generator lies in the relation ideal"
         )
     degrees = [g.degree for g in gens]
-    dims, run, cells = [], [], 0
-    for m in range(top + 1):
-        trip = SizeGuardError.for_degree(ring, degrees, m, max_dim)
-        if trip is not None:
-            raise trip
+    dims, ranked = [], {}
+    if _on_smooth_plane_curve(ring, degrees, max_dim):
+        dims, ranked = _below_window(ring, gens, max_dim)
+    run, cells = [], 0
+    for m in range(len(dims), top + 1):
+        _check_sizes(ring, degrees, [m], max_dim)
         rows = ring.hilbert_dim(m)
         cols = sum(ring.hilbert_dim(m - e) for e in degrees)
-        if run and (rows <= cols or cells + rows * cols > _RUN_CELLS):
+        if run and (m in ranked or rows <= cols or cells + rows * cols > _RUN_CELLS):
             dims += _piece_dims(ring, gens, run)
             run, cells = [], 0
-        if not cols:  # below every generator degree: (R/J)_m = R_m
+        if m in ranked:  # a start degree tried before L
+            dims.append(ranked[m])
+        elif not cols:  # below every generator degree: (R/J)_m = R_m
             dims.append(rows)
         elif rows <= cols:
             dims += _piece_dims(ring, gens, [m])
@@ -226,6 +256,78 @@ def colength(
             break
     # a run left over holds no zero piece, so from_dims raises without it
     return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
+
+
+def _check_sizes(ring: HypersurfaceRing, degrees: Sequence, ms, cap: Optional[int]) -> None:
+    """Raise the SizeGuardError of the first degree in ``ms`` that trips."""
+    for m in ms:
+        trip = SizeGuardError.for_degree(ring, degrees, m, cap)
+        if trip is not None:
+            raise trip
+
+
+def _free_part(ring: HypersurfaceRing, degrees: Sequence, m: int) -> int:
+    """dim R_m - Σ_i dim R_{m-e_i}: rows minus columns of degree m's map,
+    and dim (R/J)_m wherever there is no degree-m syzygy."""
+    return ring.hilbert_dim(m) - sum(ring.hilbert_dim(m - e) for e in degrees)
+
+
+def _on_smooth_plane_curve(ring: HypersurfaceRing, degrees: Sequence, max_dim: Optional[int]) -> bool:
+    """Whether R is a smooth plane curve and ``degrees`` has at least two
+    entries; False as well when the smoothness check's matrix would trip
+    ``max_dim``, which a loop over every degree might never do."""
+    # curves imports this module
+    from hklab.curves import SingularCurveError, curve_geometry
+
+    if ring.s != 3 or ring.relation is None or len(degrees) < 2:
+        return False
+    try:
+        curve_geometry(ring, max_dim)
+    except (SingularCurveError, SizeGuardError):
+        return False
+    return True
+
+
+def _window_start(degrees: Sequence, d: int) -> int:
+    """The first start degree ``_below_window`` tries: just below the
+    window of about 2(d-3)+1 twists around c = Σ_i e_i / (k-1), k =
+    len(degrees).  A semistable syzygy bundle of rank k-1 gets sections
+    from twist c on, and the bounds on a Frobenius pullback's
+    Harder-Narasimhan gap (Trivedi, J. Algebra 284, 2005; Brenner, Math.
+    Ann. 334, 2006) put the first section about (d-3)/2 twists lower at
+    the most, for the maximal ideal at q = p.  The guess only decides
+    where to rank first."""
+    c = Fraction(sum(degrees), len(degrees) - 1)
+    return math.floor(c - Fraction(max(d - 3, 0), 2)) - 1
+
+
+def _below_window(ring: HypersurfaceRing, gens: Sequence, max_dim: Optional[int]):
+    """(dims, ranked): dims holds dim (R/J)_m, J = (gens), for m = 0..L,
+    L the first start degree found where one rank shows h0(L) = 0: closed
+    forms below L, L's rank last.  ``ranked`` maps the start degrees tried
+    before L, all above it, to their pieces.
+
+    L starts at ``_window_start`` and moves down by 1, 2, 4, ... while
+    h0(L) > 0, and further down to a degree with rows > cols.  Such a
+    piece is not zero, so the record runs past L, and the size checks of
+    degrees 0..L, made before the first L is built, are ones a loop over
+    every degree makes too.  dims is [] once L falls below the lowest
+    generator degree, where every degree is closed form without a rank.
+    """
+    degrees = [g.degree for g in gens]
+    low, step, ranked = _window_start(degrees, ring.d), 1, {}
+    while True:
+        while low >= min(degrees) and _free_part(ring, degrees, low) <= 0:
+            low -= 1
+        if low < min(degrees):
+            return [], ranked
+        if not ranked:  # the first L; every later one is lower
+            _check_sizes(ring, degrees, range(low + 1), max_dim)
+        (dim,) = _piece_dims(ring, gens, [low])
+        if dim == _free_part(ring, degrees, low):  # h0(L) = 0
+            return [_free_part(ring, degrees, m) for m in range(low)] + [dim], ranked
+        ranked[low] = dim
+        low, step = low - step, 2 * step
 
 
 def _piece_dims(ring: HypersurfaceRing, gens: Sequence, degrees: list) -> list:

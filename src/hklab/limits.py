@@ -24,9 +24,10 @@ __all__ = [
 def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fraction:
     """ℓ(R/I^[pⁿ]) / pⁿ·ᵈⁱᵐ as an exact rational, p the ring's characteristic.
 
-    Always the generic engine, never the diagonal block decomposition, so
+    Always ``colength``, never the diagonal block decomposition, so
     ``diagonal.sandwich_check`` compares its d_f bounds with an independent
-    value.
+    value: ranks, plus closed forms below the first degree with syzygies
+    on a smooth plane curve.
     """
     return colength(ring, ideal, n).normalized
 

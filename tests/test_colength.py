@@ -2,7 +2,7 @@ import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hklab.colength import (
@@ -14,11 +14,23 @@ from hklab.colength import (
     frobenius_power,
     parse_ideal_spec,
 )
-from hklab.curves import cohomology_profile
-from hklab.fp_linalg import rank_mod_p
-from hklab.graded import Polynomial, graded_map_matrix, parse_polynomial, parse_ring_spec
+from hklab.curves import SingularCurveError, cohomology_profile, curve_geometry
+from hklab.fp_linalg import PrimeField, block_ranks, rank_mod_p
+from hklab.graded import (
+    HypersurfaceRing,
+    Polynomial,
+    graded_map_entries,
+    graded_map_matrix,
+    parse_polynomial,
+    parse_ring_spec,
+)
 
-from oracles import ref_graded_piece_dim, ref_ideal_colength, ref_monomials
+from oracles import (
+    ref_artinian_colength,
+    ref_graded_piece_dim,
+    ref_ideal_colength,
+    ref_monomials,
+)
 
 # the module, which the package's colength function shadows as an attribute
 COLENGTH = importlib.import_module("hklab.colength")
@@ -151,12 +163,12 @@ def test_size_guard_trips():
     assert rec.total == 145
 
 
-@pytest.mark.parametrize("run_cells", [1, 1 << 40])
-def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, run_cells):
-    # q = 7 on the Fermat quartic: degrees 7..10 have more rows than
-    # columns, and the cap 33 first trips at degree 9, while 7 and 8 wait
-    # in one run (with runs of one degree, 8 closes the run of 7 and waits)
-    R = ring("fermat:s=3,d=4,p=7")
+NODAL_CUBIC = "y^2*z-x^3-x^2*z"
+KLEIN = "x^3*y+y^3*z+z^3*x"
+
+
+def recording_builds(monkeypatch):
+    """The degrees ``colength`` builds from now on, in order."""
     built = []
     build = COLENGTH.graded_map_entries
 
@@ -165,14 +177,50 @@ def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, run_c
         return build(ring, gens, degrees)
 
     monkeypatch.setattr(COLENGTH, "graded_map_entries", record)
+    return built
+
+
+@pytest.mark.parametrize("run_cells", [1, 1 << 40])
+def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, run_cells):
+    # q = 7 on the nodal cubic, a singular curve that ranks every degree:
+    # degrees 7..10 have more rows than columns, and the cap 26 first trips
+    # at degree 9, while 7 and 8 wait in one run (with runs of one degree,
+    # 8 closes the run of 7 and waits)
+    R = ring(f"hypersurface:s=3,p=7,f={NODAL_CUBIC}")
+    built = recording_builds(monkeypatch)
     monkeypatch.setattr(COLENGTH, "_RUN_CELLS", run_cells)
-    trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 33) for m in range(30))
+    trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 26) for m in range(30))
     first = next(t for t in trips if t is not None)
     with pytest.raises(SizeGuardError) as info:
-        colength(R, maximal(R), 1, max_dim=33)
+        colength(R, maximal(R), 1, max_dim=26)
     got = info.value
-    assert (got.m, got.rows, got.cols) == (first.m, first.rows, first.cols) == (9, 34, 18)
+    assert (got.m, got.rows, got.cols) == (first.m, first.rows, first.cols) == (9, 27, 18)
     assert built == ([] if run_cells > 1 else [7])
+
+
+def test_guard_on_a_window_curve_trips_where_every_degree_would(monkeypatch):
+    # The Klein quartic at p = 37 ranks only degrees 54..56.  Every cap
+    # trips at the first degree through the record's end that a loop over
+    # every degree size-checks, with nothing built at or past it; caps up
+    # to 136 trip the smoothness matrix, so those take the full loop.
+    R = ring(f"hypersurface:s=3,p=37,f={KLEIN}")
+    full = colength(R, maximal(R), 1)
+    built = recording_builds(monkeypatch)
+    windows = 0
+    for cap in range(1, 240):
+        trips = (SizeGuardError.for_degree(R, (37, 37, 37), m, cap) for m in range(len(full.dims)))
+        want = next((t for t in trips if t is not None), None)
+        built.clear()
+        if want is None:
+            assert colength(R, maximal(R), 1, max_dim=cap) == full, cap
+            continue
+        with pytest.raises(SizeGuardError) as info:
+            colength(R, maximal(R), 1, max_dim=cap)
+        got = info.value
+        assert (got.m, got.rows, got.cols) == (want.m, want.rows, want.cols), cap
+        assert all(m < got.m for m in built), (cap, built)
+        windows += cap > 136 and bool(built)
+    assert windows  # some trips came after the window's first rank
 
 
 # Small rings with a pure-power, a multi-support or no leading term.
@@ -217,6 +265,126 @@ def test_colength_matches_reference_whether_runs_split_or_not(case):
         # each degree's rank, not only their sum
         want = [ref_graded_piece_dim(R.field.p, R.s, gens, m) for m in range(len(record.dims))]
         assert list(record.dims) == want, run_cells
+
+
+def every_degree_record(R, ideal, n):
+    """The record of a loop that ranks every degree on its own, through
+    the first zero piece."""
+    frob = frobenius_power(R, ideal, n)
+    dims = []
+    for m in range(sum(frob.degrees) + R.d + 2):
+        (rank,) = block_ranks(graded_map_entries(R, frob.generators, [m])).tolist()
+        dims.append(R.hilbert_dim(m) - rank)
+        if not dims[-1]:
+            break
+    return ColengthRecord.from_dims(R.field.p, n, dims, R.krull_dim)
+
+
+@st.composite
+def smooth_plane_curves(draw):
+    """(ring, ideal, n): a smooth plane curve of degree 1..5 over F_p,
+    p <= 13, with n = 2 only at p <= 5; the ideal is the maximal one, pure
+    powers of the variables, or pure powers and one more form."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.sampled_from([1, 2])) if p <= 5 else 1
+    d = draw(st.integers(1, 5))
+    monos = ref_monomials(3, d)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+    assume(any(coeffs))
+    field = PrimeField(p)
+    R = HypersurfaceRing(field, 3, Polynomial(field, 3, dict(zip(monos, coeffs))))
+    try:
+        curve_geometry(R)
+    except SingularCurveError:
+        assume(False)
+    kind = draw(st.sampled_from(["maximal", "powers", "extra"]))
+    if kind == "maximal":
+        return R, maximal(R), n
+    powers = draw(st.lists(st.integers(1, 3 if n == 1 else 2), min_size=3, max_size=3))
+    gens = [
+        Polynomial(field, 3, {tuple(e * (j == i) for j in range(3)): 1})
+        for i, e in enumerate(powers)
+    ]
+    if kind == "extra":
+        terms = draw(st.lists(st.sampled_from(ref_monomials(3, draw(st.integers(1, 3)))),
+                              min_size=1, max_size=3, unique=True))
+        gens.append(Polynomial(field, 3, {u: draw(st.integers(1, p - 1)) for u in terms}))
+    return R, IdealSpec(gens), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(smooth_plane_curves())
+@example((ring(f"hypersurface:s=3,p=5,f={KLEIN}"), None, 1))
+@example((ring("fermat:s=3,d=2,p=7"), None, 1))
+@example((ring("hypersurface:s=3,p=2,f=x+y+z"), None, 2))
+def test_window_matches_ranking_every_degree(case):
+    R, ideal, n = case
+    ideal = ideal or maximal(R)
+    record = colength(R, ideal, n)
+    assert record == every_degree_record(R, ideal, n)
+    q = R.field.p**n
+    # the oracle is one pure-Python rank of size q^3: 0.15-0.5 s at q = 9
+    if ideal.is_maximal and q <= 8:
+        assert record.total == ref_artinian_colength(R.field.p, R.relation.terms, (q, q, q))
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (f"hypersurface:s=3,p=13,f={KLEIN}", "x,y^2,z^3"),
+        ("fermat:s=3,d=6,p=13", "maximal"),
+        ("fermat:s=3,d=5,p=11", "x^2,y^2,z^2,x*y+z^2"),
+        ("fermat:s=3,d=2,p=13", "x^2,y^2,z^2,x*y+z^2"),
+    ],
+)
+def test_a_start_above_the_window_moves_down_to_the_same_record(monkeypatch, spec, text):
+    R = ring(spec)
+    ideal = parse_ideal_spec(R, text)
+    want = colength(R, ideal, 1)
+    built = recording_builds(monkeypatch)
+    # far above the window: the start first drops to the last degree with
+    # more rows than columns, whose piece has h0 > 0 on these inputs
+    monkeypatch.setattr(COLENGTH, "_window_start", lambda degrees, d: sum(degrees))
+    assert colength(R, ideal, 1) == want
+    assert built[1] < built[0]  # the start moved down
+    assert len(set(built)) == len(built)  # and no degree was built twice
+
+
+@pytest.mark.parametrize(
+    "spec, total, most",
+    [(f"hypersurface:s=3,p=101,f={KLEIN}", 30603, 5), ("fermat:s=3,d=2,p=61", 5581, 2)],
+)
+def test_window_builds_at_most_two_flanks_and_the_gap(monkeypatch, spec, total, most):
+    # 2(d-3) + 3 degrees: 5 on the Klein quartic (150..154 at p = 101),
+    # and 2 on the conic (90, 91 at p = 61), where every degree from q on
+    # was built before
+    R = ring(spec)
+    built = recording_builds(monkeypatch)
+    assert colength(R, maximal(R), 1).total == total
+    assert 0 < len(built) <= most
+
+
+@pytest.mark.parametrize("f", [NODAL_CUBIC, "x^2*y^2+y^2*z^2+z^2*x^2"])
+def test_singular_curves_rank_every_degree(monkeypatch, f):
+    def no_window(*args):
+        raise AssertionError("a singular curve took the window")
+
+    monkeypatch.setattr(COLENGTH, "_below_window", no_window)
+    R = ring(f"hypersurface:s=3,p=13,f={f}")
+    assert colength(R, maximal(R), 1) == every_degree_record(R, maximal(R), 1)
+
+
+def test_window_curve_with_a_non_primary_ideal_raises(monkeypatch):
+    # x*y and x*z vanish together on the four points of x = 0
+    R = ring(f"hypersurface:s=3,p=11,f={KLEIN}")
+    windows = []
+    below = COLENGTH._below_window
+    monkeypatch.setattr(
+        COLENGTH, "_below_window", lambda *args: windows.append(args) or below(*args)
+    )
+    with pytest.raises(NotPrimaryError):
+        colength(R, parse_ideal_spec(R, "x*y,x*z"), 1)
+    assert windows
 
 
 def test_monotonicity_under_extra_generators():
