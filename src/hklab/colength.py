@@ -208,16 +208,13 @@ def colength(
     degree below L closed form (``_below_window``).  Every ranked degree is
     exact, so L is only a first guess (``_window_start``).
 
-    Above the window no closed form is needed: h1 = h0 - χ, χ by
-    Riemann-Roch, is the sheaf h1 of the twisted syzygy bundle, because
-    the syzygy module is reflexive, and R_m = H⁰(O_Y(m)) on a plane curve,
-    so (R/J)_m embeds in that H¹.  The first degree U with h1(U) = 0,
-    from which on h1 stays 0 because a linear form's cokernel lives on
-    points, therefore has (R/J)_U = 0: it is the first zero piece, where
-    the loop stops anyway.  An ideal that is not primary never reaches a
-    zero piece and raises NotPrimaryError as before.  Singular curves,
-    other rings, a single generator and a smoothness matrix above
-    ``max_dim`` rank every degree.
+    Above the window no closed form is needed: R_m = H⁰(O_Y(m)) on a plane
+    curve, so (R/J)_m embeds in H¹ of the twisted syzygy bundle, and the
+    first degree where that H¹ vanishes is already the first zero piece,
+    where the loop stops.  An ideal that is not primary never reaches a
+    zero piece and raises NotPrimaryError.  Singular curves, other rings,
+    a single generator and a smoothness matrix above ``max_dim`` rank
+    every degree.
     """
     frob = frobenius_power(ring, ideal, n)
     top = sum(frob.degrees) + (ring.d or 0) + 1
