@@ -529,8 +529,8 @@ def cmd_gm(args: argparse.Namespace) -> int:
     if not args.d:
         raise SpecParseError("gm needs --d, e.g. --d 4,4,4,4")
     spec = parse_diagonal_family(args.d)
-    limits = diagonal_limits(spec)
     gv = g_value([Fraction(1, d) for d in spec.exponents])
+    limits = diagonal_limits(spec, gv)
     payload = {
         "exponents": list(spec.exponents),
         "e_hk_infinity": rational_str(limits.e_hk_infinity),

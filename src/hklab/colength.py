@@ -8,18 +8,26 @@ syzygies vanish: below a degree where one rank shows none, they vanish on
 every degree.  On a smooth plane curve the colength loop ranks only from
 such a degree, near the slope of the syzygy bundle, up to the first zero
 piece.  Standard grading makes vanishing hereditary, so the loop stops
-there.  Every colength is that of a Frobenius power J = I^[p^n], indexed by
-the exponent n as in the limit ℓ(R/I^[p^n]) / p^(n·dim R).
+there.  For the maximal ideal of a smooth plane curve those ranks use no
+normal forms: after a linear change of coordinates R is free over
+F_p[x,y] (Noether normalization), R/m^[q] is R/(x^q, y^q)·R modulo z^q,
+and each degree's map is a d×d grid of Toeplitz blocks of binary forms
+(``_NoetherModule``).  Every colength is that of a Frobenius power J =
+I^[p^n], indexed by the exponent n as in the limit ℓ(R/I^[p^n]) /
+p^(n·dim R).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hklab.fp_linalg import block_ranks
+import numpy as np
+
+from hklab.fp_linalg import PrimeField, SparseBlocks, block_ranks
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -197,7 +205,8 @@ def colength(
     dimension at least rows - cols > 0, so the loop cannot stop there.
     Consecutive such degrees are built and ranked together, as the blocks
     of one ``graded_map_entries`` call, while their summed cells stay
-    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone.
+    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone,
+    but for the window below.
 
     On a smooth plane curve with at least two generators outside (f), only
     the degrees from a start degree L to the first zero piece are ranked.
@@ -207,6 +216,14 @@ def colength(
     form acts injectively on them.  So one rank with h0(L) = 0 makes every
     degree below L closed form (``_below_window``).  Every ranked degree is
     exact, so L is only a first guess (``_window_start``).
+
+    For the maximal ideal there, ``_noether_entries`` builds each ranked
+    degree in place of ``graded_map_entries``, from z^q, ..., z^(q+d-1)
+    in R/(x^q, y^q)·R, computed once the checks of degrees 0..L have
+    passed.  Degrees L+1 through ``_window_end`` wait for one build and
+    one elimination, also when their rows <= cols; a guard that trips
+    among them first ranks those below it, which may end the record.
+    Rings where f(s, t, 1) = 0 on all of F_p^2 keep the generic builder.
 
     Above the window no closed form is needed: R_m = H⁰(O_Y(m)) on a plane
     curve, so (R/J)_m embeds in H¹ of the twisted syzygy bundle, and the
@@ -222,37 +239,61 @@ def colength(
     # graded_map_entries reduces each product, which gives the same matrix.
     # With none left, R/J = R, which has finite length only in Krull
     # dimension 0; there the map has no columns and rank 0.
-    gens = [g for g in frob.generators if not ring.normal_form(g).is_zero]
+    gens = [g for g in frob.generators if not _in_relation(ring, g)]
     if not gens and ring.krull_dim > 0:
         raise NotPrimaryError(
             "not primary: every generator lies in the relation ideal"
         )
     degrees = [g.degree for g in gens]
-    dims, ranked = [], {}
+    pieces = functools.partial(_piece_dims, ring, gens)
+    dims, ranked, end = [], {}, -1
     if _on_smooth_plane_curve(ring, degrees, max_dim):
-        dims, ranked = _below_window(ring, gens, max_dim)
+        module = _NoetherModule.of(ring, ring.field.p**n) if ideal.is_maximal else None
+        if module is not None:
+            pieces = functools.partial(_noether_dims, module)
+            end = _window_end(degrees, ring.d)
+        dims, ranked = _below_window(ring, degrees, pieces, max_dim)
     run, cells = [], 0
     for m in range(len(dims), top + 1):
-        _check_sizes(ring, degrees, [m], max_dim)
+        trip = SizeGuardError.for_degree(ring, degrees, m, max_dim)
         rows = ring.hilbert_dim(m)
         cols = sum(ring.hilbert_dim(m - e) for e in degrees)
-        if run and (m in ranked or rows <= cols or cells + rows * cols > _RUN_CELLS):
-            dims += _piece_dims(ring, gens, run)
-            run, cells = [], 0
+        waits = rows > cols or m <= end
+        if run and (trip or m in ranked or not waits or m > end and cells + rows * cols > _RUN_CELLS):
+            # a run that ends with rows > cols holds no zero piece
+            if not (trip and run[-1] > end):
+                dims += pieces(run)
+                run, cells = [], 0
+                if 0 in dims:  # later pieces are zero too
+                    break
+        if trip:
+            raise trip
         if m in ranked:  # a start degree tried before L
             dims.append(ranked[m])
         elif not cols:  # below every generator degree: (R/J)_m = R_m
             dims.append(rows)
-        elif rows <= cols:
-            dims += _piece_dims(ring, gens, [m])
-        else:
+        elif waits:
             run.append(m)
             cells += rows * cols
             continue
+        else:
+            dims += pieces([m])
         if dims[-1] == 0:  # later pieces are zero too
             break
     # a run left over holds no zero piece, so from_dims raises without it
     return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
+
+
+def _in_relation(ring: HypersurfaceRing, g: Polynomial) -> bool:
+    """Whether g lies in (f).  A monomial does exactly when f is one term
+    that divides it, which needs no normal form."""
+    if len(g.terms) > 1:
+        return ring.normal_form(g).is_zero
+    if ring.relation is None or len(ring.relation.terms) > 1:
+        return False
+    (lead,) = ring.relation.terms
+    (mono,) = g.terms
+    return all(a <= b for a, b in zip(lead, mono))
 
 
 def _check_sizes(ring: HypersurfaceRing, degrees: Sequence, ms, cap: Optional[int]) -> None:
@@ -298,11 +339,23 @@ def _window_start(degrees: Sequence, d: int) -> int:
     return math.floor(c - Fraction(max(d - 3, 0), 2)) - 1
 
 
-def _below_window(ring: HypersurfaceRing, gens: Sequence, max_dim: Optional[int]):
-    """(dims, ranked): dims holds dim (R/J)_m, J = (gens), for m = 0..L,
-    L the first start degree found where one rank shows h0(L) = 0: closed
-    forms below L, L's rank last.  ``ranked`` maps the start degrees tried
-    before L, all above it, to their pieces.
+def _window_end(degrees: Sequence, d: int) -> int:
+    """The last degree of the window that ``colength`` builds and ranks
+    together above L: one past c + 3(d-3)/2, c as in ``_window_start``.
+    On the smooth plane curves of degree 4-6 measured at n = 1, h0 and h1
+    were both positive only within c - (d-3)/2 .. c + 3(d-3)/2, so the
+    piece after that range was zero.  A guess as well: the loop goes on
+    one degree at a time past it."""
+    c = Fraction(sum(degrees), len(degrees) - 1)
+    return math.floor(c + Fraction(3 * (d - 3), 2)) + 1
+
+
+def _below_window(ring: HypersurfaceRing, degrees: Sequence, pieces, max_dim: Optional[int]):
+    """(dims, ranked): dims holds dim (R/J)_m, J generated in ``degrees``,
+    for m = 0..L, L the first start degree found where one rank shows
+    h0(L) = 0: closed forms below L, L's rank last.  ``ranked`` maps the
+    start degrees tried before L, all above it, to their pieces;
+    ``pieces(ms)`` ranks the degrees ms.
 
     L starts at ``_window_start`` and moves down by 1, 2, 4, ... while
     h0(L) > 0, and further down to a degree with rows > cols.  Such a
@@ -311,7 +364,6 @@ def _below_window(ring: HypersurfaceRing, gens: Sequence, max_dim: Optional[int]
     every degree makes too.  dims is [] once L falls below the lowest
     generator degree, where every degree is closed form without a rank.
     """
-    degrees = [g.degree for g in gens]
     low, step, ranked = _window_start(degrees, ring.d), 1, {}
     while True:
         while low >= min(degrees) and _free_part(ring, degrees, low) <= 0:
@@ -320,7 +372,7 @@ def _below_window(ring: HypersurfaceRing, gens: Sequence, max_dim: Optional[int]
             return [], ranked
         if not ranked:  # the first L; every later one is lower
             _check_sizes(ring, degrees, range(low + 1), max_dim)
-        (dim,) = _piece_dims(ring, gens, [low])
+        (dim,) = pieces([low])
         if dim == _free_part(ring, degrees, low):  # h0(L) = 0
             return [_free_part(ring, degrees, m) for m in range(low)] + [dim], ranked
         ranked[low] = dim
@@ -332,6 +384,154 @@ def _piece_dims(ring: HypersurfaceRing, gens: Sequence, degrees: list) -> list:
     elimination."""
     ranks = block_ranks(graded_map_entries(ring, gens, degrees))
     return [ring.hilbert_dim(m) - rank for m, rank in zip(degrees, ranks.tolist())]
+
+
+class _NoetherModule:
+    """R/(x^q, y^q)·R for a plane curve R = F_p[x,y,z]/(f), on which
+    R/m^[q] is the quotient by z^q.
+
+    m^[q] = (x^q, y^q, z^q) does not depend on coordinates, since (x + s·z)^q
+    = x^q + s·z^q over F_p.  So x -> x + s·z, y -> y + t·z, which turns the
+    coefficient of z^d in f into f(s, t, 1), leaves the colength alone, and
+    with f(s, t, 1) != 0 makes f monic in z after scaling: z^d = Σ_{i<d}
+    c_i·z^i with c_i a binary form of degree d - i (``tail``).  Then R is
+    free over S = F_p[x,y] with basis 1, z, ..., z^(d-1) (Noether
+    normalization), and R/(x^q, y^q)·R is M = ⊕_{k<d} A·z^k with A =
+    S/(x^q, y^q).  Its degree-N elements are (d, q) arrays: row k is the
+    binary form of degree N - k at z^k, entry b the coefficient of
+    x^(N-k-b)·y^b.  y^b with b >= q is zero in A and not stored.  An entry
+    whose x exponent is q or more is zero in A too; it is kept, since
+    products never move it to a smaller x exponent, and no map reads it.
+    """
+
+    def __init__(self, field: PrimeField, q: int, tail: tuple) -> None:
+        self.field = field
+        self.q = q
+        self.tail = tail
+
+    @classmethod
+    def of(cls, ring: HypersurfaceRing, q: int) -> Optional["_NoetherModule"]:
+        """The module of a plane curve at q, after the first shift (s, t)
+        with f(s, t, 1) != 0, t and then s counted up from 0; None when
+        f(s, t, 1) = 0 on all of F_p^2.  f(s, t, 1) has degree at most d in
+        s, so when s = 0..d all miss for one t, every s does."""
+        p, f = ring.field.p, ring.relation
+        for t in range(p):
+            for s in range(min(p, f.degree + 1)):
+                if sum(c * s**a * t**b for (a, b, _), c in f.terms.items()) % p:
+                    return cls(ring.field, q, _shifted_tail(f, s, t))
+        return None
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """W[j, k], the binary form of degree q + j - k at z^k in z^(q+j),
+        for j, k < d: z^q by repeated squaring from 1, then one factor z
+        at a time."""
+        d, q = len(self.tail), self.q
+        power, degree = np.zeros((d, q), dtype=np.int64), 0
+        power[0, 0] = 1
+        for bit in bin(q)[2:]:
+            power, degree = self._times(power, power), 2 * degree
+            if bit == "1":
+                power, degree = self._times_z(power), degree + 1
+        powers = [power]
+        while len(powers) < d:
+            powers.append(self._times_z(powers[-1]))
+        return np.stack(powers)
+
+    def _times(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        d, q, p = len(self.tail), self.q, self.field.p
+        w = np.zeros((2 * d - 1, q), dtype=np.int64)
+        for k in range(d):
+            for j in range(d):
+                w[k + j] += _convolve(u[k], v[j], p)[:q]
+        return self._reduce(w % p)
+
+    def _times_z(self, u: np.ndarray) -> np.ndarray:
+        w = np.zeros((len(u) + 1, self.q), dtype=np.int64)
+        w[1:] = u
+        return self._reduce(w)
+
+    def _reduce(self, w: np.ndarray) -> np.ndarray:
+        """Σ_e w[e]·z^e, residues, in the basis z^k, k < d: z^e =
+        z^(e-d)·Σ_i c_i·z^i, from the top e down."""
+        d, q, p = len(self.tail), self.q, self.field.p
+        for e in range(len(w) - 1, d - 1, -1):
+            for i, c in enumerate(self.tail):
+                w[e - d + i] += _convolve(w[e], c, p)[:q]
+            w[e - d : e] %= p
+        return w[:d]
+
+
+def _shifted_tail(f: Polynomial, s: int, t: int) -> tuple:
+    """c_0..c_{d-1} with z^d = Σ_i c_i·z^i modulo f(x + s·z, y + t·z, z),
+    c_i as ``_NoetherModule`` stores a binary form of degree d - i."""
+    p, d = f.field.p, f.degree
+    coeffs = [[0] * (d - k + 1) for k in range(d + 1)]
+    for (a, b, e), c in f.terms.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                term = c * math.comb(a, i) * s ** (a - i) * math.comb(b, j) * t ** (b - j)
+                coeffs[a - i + b - j + e][j] += term
+    scale = -pow(coeffs[d][0], -1, p)  # coeffs[d][0] = f(s, t, 1)
+    return tuple(np.array(row, dtype=np.int64) * scale % p for row in coeffs[:d])
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The coefficients of the product of the polynomials a and b, residues
+    mod p.  np.convolve sums min(len(a), len(b)) products of at most
+    (p-1)^2 in int64, exact while that is below 2^63.  Above that, each
+    operand is split into 16-bit halves (p < 2^32), whose products sum
+    below len·2^32."""
+    if min(len(a), len(b)) * (p - 1) ** 2 < 1 << 63:
+        return np.convolve(a, b) % p
+    a0, a1, b0, b1 = a & 0xFFFF, a >> 16, b & 0xFFFF, b >> 16
+    high = np.convolve(a1, b1) % p
+    mid = (np.convolve(a0, b1) % p + np.convolve(a1, b0) % p) % p
+    low = np.convolve(a0, b0) % p
+    return ((((high << 16) % p + mid) << 16) + low) % p
+
+
+def _span(t: int, q: int) -> np.ndarray:
+    """The y exponents b of the monomials x^(t-b)·y^b of A = F_p[x,y]/(x^q,
+    y^q) in degree t."""
+    return np.arange(max(0, t - q + 1), min(t, q - 1) + 1)
+
+
+def _noether_entries(module: _NoetherModule, degrees: Sequence) -> SparseBlocks:
+    """Multiplication by z^q from M_{m-q} to M_m for each m in ``degrees``,
+    as the blocks of one block-diagonal matrix, in order.  Row (k, b') of
+    degree m is x^(m-k-b')·y^b'·z^k and column (j, b) is x^(m-q-j-b)·y^b·z^j;
+    the entry is the coefficient of y^(b'-b) in W[j, k], so each of the
+    d×d blocks is Toeplitz."""
+    w, q, d = module.powers, module.q, len(module.tail)
+    rows, cols, values, row_bounds, ncols = [], [], [], [0], 0
+    for m in degrees:
+        into = [_span(m - k, q) for k in range(d)]
+        out_of = [_span(m - q - j, q) for j in range(d)]
+        k = np.repeat(np.arange(d), [len(b) for b in into])
+        j = np.repeat(np.arange(d), [len(b) for b in out_of])
+        shift = np.concatenate(into)[:, None] - np.concatenate(out_of)[None, :]
+        inside = (shift >= 0) & (shift < q)
+        matrix = np.where(inside, w[j[None, :], k[:, None], np.clip(shift, 0, q - 1)], 0)
+        # the blocks can be full: int32 positions take half the memory
+        r, c = np.nonzero(matrix)
+        rows.append(r.astype(np.int32) + row_bounds[-1])
+        cols.append(c.astype(np.int32) + ncols)
+        values.append(matrix[r, c].astype(module.field.dtype))
+        row_bounds.append(row_bounds[-1] + len(k))
+        ncols += len(j)
+    return SparseBlocks(
+        module.field, np.concatenate(rows), np.concatenate(cols), np.concatenate(values),
+        np.array(row_bounds), ncols,
+    )
+
+
+def _noether_dims(module: _NoetherModule, degrees: Sequence) -> list:
+    """dim (R/m^[q])_m = dim M_m - rank(z^q: M_{m-q} -> M_m) for each m in
+    ``degrees``, from one build and one elimination."""
+    entries = _noether_entries(module, degrees)
+    return (np.diff(entries.row_bounds) - block_ranks(entries)).tolist()
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

@@ -202,14 +202,19 @@ def _syzygy_degree(p: int, a: int, b: int, c: int) -> int:
     return (total - delta) // 2
 
 
-def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> List[int]:
+@functools.lru_cache(maxsize=4096)
+def _hilbert_burch(p: int, a: int, b: int, c: int, top: int) -> Tuple[int, ...]:
     """Hilbert function of F_p[x,y]/(x^a, y^b, (x+y)^c), in any order of
     a, b, c, in degrees 0..top: H(j) of the module docstring, with u from
-    ``_syzygy_degree``."""
+    ``_syzygy_degree``.  Each ramp (j-e+1)_+ adds its sign to the slope
+    from degree e on, so H is the second running sum of those signs."""
     a, b, c = sorted((a, b, c))
     u = _syzygy_degree(p, a, b, c)
-    ramps = ((0, 1), (a, -1), (b, -1), (c, -1), (u, 1), (a + b + c - u, 1))
-    return [sum(sign * max(t - e + 1, 0) for e, sign in ramps) for t in range(top + 1)]
+    kinks = [0] * (top + 1)
+    for e, sign in ((0, 1), (a, -1), (b, -1), (c, -1), (u, 1), (a + b + c - u, 1)):
+        if e <= top:
+            kinks[e] += sign
+    return tuple(itertools.accumulate(itertools.accumulate(kinks)))
 
 
 def d_f(p: int, *ks: int) -> int:
@@ -266,20 +271,42 @@ def han_monsky_colength(
     first = bisect.bisect_left(
         range(s * (q - 1) + 2), True, key=lambda m: guard(m) is not None
     )
-    dims = [0] * first
-    memo = {}
-    for r in itertools.product(range(d), repeat=s):
-        ks = tuple(sorted(-((r_i - q) // d) for r_i in r))
-        if ks[0] <= 0:
-            continue
-        if ks not in memo:
-            memo[ks] = _truncation_hilbert(p, ks, (first - 1) // d)
-        for m, dim in zip(range(sum(r), first, d), memo[ks]):
-            dims[m] += dim
+    dims = _residue_dims(p, s, d, q, first)
     try:
         return ColengthRecord.from_dims(p, n, dims, ring.krull_dim)
     except NotPrimaryError:
         raise guard(first) from None
+
+
+def _residue_dims(p: int, s: int, d: int, q: int, first: int) -> List[int]:
+    """The pieces in degrees 0..first-1 of the sum, over residue tuples r
+    in [0, d)^s, of the graded d_f of k(r), shifted by |r| (module
+    docstring).
+
+    With q = a*d + b, 0 <= b < d, k_i = ceil((q - r_i)/d) is a + 1 when
+    r_i < b and a otherwise.  So the sorted k-tuple depends only on the
+    number u of residues below b, and the tuples with a given u and |r|
+    are counted by |r| in one pass per coordinate, C(s, u) times, rather
+    than one tuple at a time.
+    """
+    a, b = divmod(q, d)
+    dims = [0] * first
+    for u in range(s + 1):
+        ks = (a,) * (s - u) + (a + 1,) * u
+        if ks[0] <= 0:
+            continue
+        counts = {0: math.comb(s, u)}  # |r| -> tuples
+        for residues in [range(b)] * u + [range(b, d)] * (s - u):
+            step = Counter()
+            for total, count in counts.items():
+                for r in residues:
+                    step[total + r] += count
+            counts = step
+        hilbert = _truncation_hilbert(p, ks, (first - 1) // d)
+        for shift, count in counts.items():
+            for m, dim in zip(range(shift, first, d), hilbert):
+                dims[m] += count * dim
+    return dims
 
 
 def d_char0(*ks: int) -> int:
@@ -339,10 +366,12 @@ def g_value(xs: Sequence) -> GValue:
     return GValue(prefactor=prefactor, lambda_terms=terms, total=total)
 
 
-def diagonal_limits(spec: DiagonalSpec) -> DiagonalLimits:
+def diagonal_limits(spec: DiagonalSpec, gv: Optional[GValue] = None) -> DiagonalLimits:
     """Limit multiplicity and its lambda=0 truncation for the diagonal
-    hypersurface, both carrying the d_1..d_s normalization."""
-    gv = g_value([Fraction(1, d) for d in spec.exponents])
+    hypersurface, both carrying the d_1..d_s normalization; ``gv`` is
+    g_value(1/d_1, .., 1/d_s) when the caller has it already."""
+    if gv is None:
+        gv = g_value([Fraction(1, d) for d in spec.exponents])
     scale = spec.product
     return DiagonalLimits(
         e_hk_infinity=scale * gv.total,

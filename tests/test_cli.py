@@ -66,6 +66,16 @@ def test_gm_quartic_normalization(tmp_path):
     assert read_json(tmp_path / "gm.json")["e_hk_infinity"] == "8/3"
 
 
+def test_gm_sums_over_sign_vectors_once(monkeypatch, tmp_path):
+    calls = []
+    g_value = hklab.diagonal.g_value
+    counted = lambda xs: calls.append(xs) or g_value(xs)  # noqa: E731
+    monkeypatch.setattr(hklab.diagonal, "g_value", counted)
+    monkeypatch.setattr(sys.modules["hklab.cli"], "g_value", counted)
+    assert main(["gm", "--d", "4,4,4,4", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_colength_csv_schema_and_values(tmp_path):
     rc = main(
         [

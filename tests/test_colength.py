@@ -1,6 +1,9 @@
 import importlib
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from hklab.colength import (
     parse_ideal_spec,
 )
 from hklab.curves import SingularCurveError, cohomology_profile, curve_geometry
-from hklab.fp_linalg import PrimeField, block_ranks, rank_mod_p
+from hklab.fp_linalg import PrimeField, block_ranks, is_prime, rank_mod_p
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -168,15 +171,20 @@ KLEIN = "x^3*y+y^3*z+z^3*x"
 
 
 def recording_builds(monkeypatch):
-    """The degrees ``colength`` builds from now on, in order."""
+    """The degrees ``colength`` builds from now on, in order, by either
+    builder: ``graded_map_entries`` or, for the maximal ideal of a smooth
+    plane curve, ``_noether_entries``.  Both take the degrees last."""
     built = []
-    build = COLENGTH.graded_map_entries
 
-    def record(ring, gens, degrees):
-        built.extend(degrees)
-        return build(ring, gens, degrees)
+    def recorder(build):
+        def record(*args):
+            built.extend(args[-1])
+            return build(*args)
 
-    monkeypatch.setattr(COLENGTH, "graded_map_entries", record)
+        return record
+
+    for name in ("graded_map_entries", "_noether_entries"):
+        monkeypatch.setattr(COLENGTH, name, recorder(getattr(COLENGTH, name)))
     return built
 
 
@@ -385,6 +393,87 @@ def test_window_curve_with_a_non_primary_ideal_raises(monkeypatch):
     with pytest.raises(NotPrimaryError):
         colength(R, parse_ideal_spec(R, "x*y,x*z"), 1)
     assert windows
+
+
+@st.composite
+def smooth_plane_curves_for_noether(draw):
+    """(ring, n): a smooth plane curve of degree 2..5 over F_p, p <= 13,
+    with n = 2 only at p <= 5; half of them pass through (0:0:1), where
+    the maximal ideal's builder has to shift."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.sampled_from([1, 2])) if p <= 5 else 1
+    d = draw(st.integers(2, 5))
+    monos = ref_monomials(3, d)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+    if draw(st.booleans()):
+        coeffs[monos.index((0, 0, d))] = 0
+    assume(any(coeffs))
+    field = PrimeField(p)
+    R = HypersurfaceRing(field, 3, Polynomial(field, 3, dict(zip(monos, coeffs))))
+    try:
+        curve_geometry(R)
+    except SingularCurveError:
+        assume(False)
+    return R, n
+
+
+@settings(max_examples=25, deadline=None)
+@given(smooth_plane_curves_for_noether())
+@example((ring("hypersurface:s=3,p=2,f=x^3+y^2*z+x*z^2+y*z^2"), 3))
+def test_maximal_ideal_by_noether_normalization_matches_every_degree(case):
+    R, n = case
+    q = R.field.p**n
+    record = colength(R, maximal(R), n)
+    # the builder needs no normal form; a ring where f(s, t, 1) = 0 on all
+    # of F_p^2 keeps the generic builder, which fills the memo
+    assert (not R._nf_memo) == (COLENGTH._NoetherModule.of(R, q) is not None)
+    assert record == every_degree_record(R, maximal(R), n)
+    # the oracle is one pure-Python rank of size q^3, which fills in on a
+    # dense f: 0.1 s at q = 7, 2-4 s at q = 11 and 9-11 s at q = 13
+    if q <= 7:
+        assert record.total == ref_artinian_colength(R.field.p, R.relation.terms, (q, q, q))
+
+
+@pytest.mark.parametrize("f, p, total", [(KLEIN, 13, 505), ("x^4*y+y^4*z+z^4*x+x^5", 11, 445)])
+def test_maximal_ideal_by_noether_normalization_matches_the_artinian_oracle(f, p, total):
+    # q^3 up to about 3000, on sparse curves through (0:0:1), where the
+    # oracle's rank stays cheap (1.6 s and 1.1 s)
+    R = ring(f"hypersurface:s=3,p={p},f={f}")
+    assert colength(R, maximal(R), 1).total == total
+    assert not R._nf_memo
+    assert ref_artinian_colength(p, R.relation.terms, (p, p, p)) == total
+
+
+def test_noether_shift_is_the_first_with_f_nonzero_at_it():
+    # x^2+y^2+z^2 is monic in z already: z^2 = -x^2 - y^2
+    conic = COLENGTH._NoetherModule.of(ring("fermat:s=3,d=2,p=61"), 61)
+    assert [c.tolist() for c in conic.tail] == [[60, 0, 60], [0, 0]]
+    # the Klein quartic vanishes at (0:0:1), so x -> x + z:
+    # z^4 = -x^3*y - (3x^2*y + y^3)*z - 3xy*z^2 - (x + y)*z^3
+    klein = COLENGTH._NoetherModule.of(ring(f"hypersurface:s=3,p=101,f={KLEIN}"), 101)
+    assert [c.tolist() for c in klein.tail] == [[0, 100, 0, 0, 0], [0, 98, 0, 100], [0, 98, 0], [100, 100]]
+    # every F_2-point with z = 1 lies on this smooth cubic
+    assert COLENGTH._NoetherModule.of(ring("hypersurface:s=3,p=2,f=x^3+y^2*z+x*z^2+y*z^2"), 2) is None
+
+
+@pytest.mark.parametrize("length", [1, 2, 5])
+def test_convolution_is_exact_on_both_sides_of_the_int64_bound(length):
+    # np.convolve sums `length` products of at most (p-1)^2: below 2^63 on
+    # the largest prime that keeps it there, above on the next prime
+    limit = math.isqrt(((1 << 63) - 1) // length)  # largest p - 1 below the bound
+    below = next(p for p in range(limit + 1, 1, -1) if is_prime(p))
+    above = next(p for p in range(limit + 2, 2 * limit) if is_prime(p))
+    assert length * (below - 1) ** 2 < 1 << 63 <= length * (above - 1) ** 2
+    rng = random.Random(length)
+    for p in (below, above):
+        for a in ([p - 1] * length, [rng.randrange(p) for _ in range(length)]):
+            b = [p - 1] * length
+            want = [
+                sum(a[i] * b[k - i] for i in range(length) if 0 <= k - i < length) % p
+                for k in range(2 * length - 1)
+            ]
+            got = COLENGTH._convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+            assert got.tolist() == want, p
 
 
 def test_monotonicity_under_extra_generators():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,9 @@ from hklab.graded import (
     parse_ring_spec,
 )
 from hklab.fp_linalg import PrimeField, rank_mod_p
+from hklab.cli import main
+
+CURVES = importlib.import_module("hklab.curves")
 
 
 def fermat(p, d=4, s=3):
@@ -371,3 +375,18 @@ def test_vanishing_clean_at_q27_with_true_slopes():
     assert rep.tail_sum == 4
     assert rep.tail_ratio == pytest.approx(4 * 3 / 729)
 
+
+
+def test_one_smoothness_rank_per_profile_job(monkeypatch, tmp_path):
+    # cohomology_profile checks its ring, and the window of the colength it
+    # runs checks it again; the Jacobian rank is taken once
+    ranks = []
+    rank = CURVES.rank_mod_p
+    monkeypatch.setattr(CURVES, "rank_mod_p", lambda m: ranks.append(m) or rank(m))
+    klein = "hypersurface:s=3,p=31,f=x^3*y+y^3*z+z^3*x"
+    cohomology_profile(parse_ring_spec(klein), parse_ideal_spec(parse_ring_spec(klein), "maximal"), 1)
+    assert len(ranks) == 1
+    for cmd in ("profile", "hn"):
+        ranks.clear()
+        assert main([cmd, "--ring", klein, "--primes", "31", "--out", str(tmp_path / cmd)]) == 0
+        assert len(ranks) == 1, cmd

@@ -19,6 +19,7 @@ from hklab.diagonal import (
     DiagonalLimits,
     DiagonalSpec,
     _hilbert_burch,
+    _residue_dims,
     _syzygy_degree,
     _truncation_hilbert,
     d_char0,
@@ -164,7 +165,7 @@ def test_hilbert_burch_matches_reference_pieces_in_any_order(p, exponents, top):
     a, b, c = exponents
     gens = [(a, {(a, 0): 1}), (b, {(0, b): 1}), (c, power_of_sum(2, c, p))]
     expected = [ref_graded_piece_dim(p, 2, gens, j) for j in range(top + 1)]
-    assert _hilbert_burch(p, a, b, c, top) == expected
+    assert _hilbert_burch(p, a, b, c, top) == tuple(expected)
 
 
 def test_d_f_input_validation():
@@ -584,3 +585,32 @@ def test_cached_colength_dispatch_matches_generic_engine(case):
     assert outcome == _outcome(lambda: colength(ring, ideal, n, cap))
     if isinstance(outcome, ColengthRecord):
         assert normalized_colength(ring, ideal, n) == outcome.normalized
+
+
+def _residue_dims_per_tuple(p, s, d, q, first):
+    """``_residue_dims`` one residue tuple r in [0, d)^s at a time."""
+    dims = [0] * first
+    memo = {}
+    for r in itertools.product(range(d), repeat=s):
+        ks = tuple(sorted(-((r_i - q) // d) for r_i in r))
+        if ks[0] <= 0:
+            continue
+        if ks not in memo:
+            memo[ks] = _truncation_hilbert(p, ks, (first - 1) // d)
+        for m, dim in zip(range(sum(r), first, d), memo[ks]):
+            dims[m] += dim
+    return dims
+
+
+PRIME_POWERS = [(p, p**n) for p in range(2, 50) if is_prime(p) for n in range(6) if p**n <= 50]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.sampled_from(PRIME_POWERS), st.data())
+@example(5, 6, (7, 49), None)
+@example(4, 4, (2, 1), None)
+def test_residue_classes_count_like_one_tuple_at_a_time(s, d, pq, data):
+    p, q = pq
+    # every degree through A's zero piece, or a guarded prefix
+    first = s * (q - 1) + 2 if data is None else data.draw(st.integers(1, s * (q - 1) + 2))
+    assert _residue_dims(p, s, d, q, first) == _residue_dims_per_tuple(p, s, d, q, first)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -308,3 +310,84 @@ def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
     expected = 300 + sum(ref_rank(b.tolist(), p) for b in small)
     assert rank_mod_p(PrimeFieldMatrix(PrimeField(p), data)) == expected
     assert stacks and all(size <= 2 * cells for size, cells in stacks)
+
+
+def _largest_prime_below(n):
+    return next(p for p in range(n - 1, 1, -1) if is_prime(p))
+
+
+def _smallest_prime_from(n):
+    return next(p for p in itertools.count(n) if is_prime(p))
+
+
+def _rank_deficient(rng, p, rows, cols, rank):
+    """A random rows x cols matrix of the given rank over F_p (with high
+    probability), as Python ints."""
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+
+# (p - 1)^2 < 2^53 exactly up to this prime, so a float64 product of two
+# residues is exact; the next prime needs the int64 elimination
+FLOAT_PRIME = 94906249
+assert (FLOAT_PRIME - 1) ** 2 < 1 << 53 <= (_smallest_prime_from(FLOAT_PRIME + 1) - 1) ** 2
+
+
+@pytest.mark.parametrize("p", [5, 401, FLOAT_PRIME, _smallest_prime_from(FLOAT_PRIME + 1)])
+def test_dense_blocks_rank_like_the_reference(p):
+    # blocks of at least _BLOCKED_ROWS rows, 4/5 full or more, go to the
+    # blocked elimination while float64 is exact, and to the stacks past that
+    rng = random.Random(p)
+    size = hklab.fp_linalg._BLOCKED_ROWS
+    shapes = [(size, size + 7, size - 20), (size + 9, size, 3), (size + 3, size + 3, size + 3)]
+    mats = [_rank_deficient(rng, p, *shape) for shape in shapes]
+    rows, cols, values, bounds, ncols = [], [], [], [0], 0
+    for mat in mats:
+        arr = np.array(mat, dtype=np.int64)
+        r, c = np.nonzero(arr)
+        rows.append(r + bounds[-1])
+        cols.append(c + ncols)
+        values.append(arr[r, c])
+        bounds.append(bounds[-1] + len(arr))
+        ncols += arr.shape[1]
+    blocks = SparseBlocks(PrimeField(p), *map(np.concatenate, (rows, cols, values)), np.array(bounds), ncols)
+    called = []
+    blocked = hklab.fp_linalg._blocked_rank
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hklab.fp_linalg, "_blocked_rank", lambda a, p: called.append(a.shape) or blocked(a, p))
+        ranks = block_ranks(blocks).tolist()
+    assert ranks == [ref_rank(mat, p) for mat in mats]
+    assert len(called) == (3 if p <= FLOAT_PRIME else 0)
+
+
+@pytest.mark.parametrize("k", [2, 4, 40])
+def test_float_products_split_their_inner_dimension_at_the_bound(k):
+    # the largest p with k·(p-1)^2 < 2^53 takes u @ v in one piece, and the
+    # next prime in pieces of at most k - 1: both exact, from entries p - 1
+    # (k = 1 ends the float path: FLOAT_PRIME)
+    largest = _largest_prime_below(math.isqrt(((1 << 53) - 1) // k) + 2)
+    past = _smallest_prime_from(largest + 1)
+    assert k * (largest - 1) ** 2 < 1 << 53 <= k * (past - 1) ** 2
+    rng = random.Random(k)
+    for p in (largest, past):
+        u = [[p - 1] * k, [rng.randrange(p) for _ in range(k)]]
+        v = [[p - 1] * 3 for _ in range(k)]
+        x = [[0, 1, p - 1], [rng.randrange(p) for _ in range(3)]]
+        want = [
+            [(x[i][j] - sum(u[i][t] * v[t][j] for t in range(k))) % p for j in range(3)]
+            for i in range(2)
+        ]
+        got = hklab.fp_linalg._minus_product(*(np.array(a, dtype=np.float64) for a in (x, u, v)), p)
+        assert got.tolist() == want, p
+
+
+def test_blocked_rank_of_random_rank_deficient_matrices():
+    rng = random.Random(7)
+    # two and three levels of halving above _BASE_ROWS, a zero matrix, and
+    # full row rank
+    for p in (3, 65521):
+        for shape in [(90, 110, 45), (140, 70, 69), (40, 40, 0), (70, 90, 70)]:
+            mat = _rank_deficient(rng, p, *shape)
+            arr = np.array(mat, dtype=np.float64)
+            assert hklab.fp_linalg._blocked_rank(arr, p) == ref_rank(mat, p), (p, shape)
