@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hklab.fp_linalg import PrimeField, SparseBlocks, block_ranks
+from hklab.fp_linalg import PrimeField, block_ranks, dense_rank
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -205,8 +205,7 @@ def colength(
     dimension at least rows - cols > 0, so the loop cannot stop there.
     Consecutive such degrees are built and ranked together, as the blocks
     of one ``graded_map_entries`` call, while their summed cells stay
-    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone,
-    but for the window below.
+    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone.
 
     On a smooth plane curve with at least two generators outside (f), only
     the degrees from a start degree L to the first zero piece are ranked.
@@ -217,13 +216,12 @@ def colength(
     degree below L closed form (``_below_window``).  Every ranked degree is
     exact, so L is only a first guess (``_window_start``).
 
-    For the maximal ideal there, ``_noether_entries`` builds each ranked
+    For the maximal ideal there, ``_noether_matrix`` builds each ranked
     degree in place of ``graded_map_entries``, from z^q, ..., z^(q+d-1)
     in R/(x^q, y^q)·R, computed once the checks of degrees 0..L have
-    passed.  Degrees L+1 through ``_window_end`` wait for one build and
-    one elimination, also when their rows <= cols; a guard that trips
-    among them first ranks those below it, which may end the record.
-    Rings where f(s, t, 1) = 0 on all of F_p^2 keep the generic builder.
+    passed, and ``dense_rank`` ranks it.  Rings where f(s, t, 1) = 0 on
+    all of F_p^2, or where q·(p-1)^2 reaches 2^63, keep the generic
+    builder.
 
     Above the window no closed form is needed: R_m = H⁰(O_Y(m)) on a plane
     curve, so (R/J)_m embeds in H¹ of the twisted syzygy bundle, and the
@@ -246,38 +244,30 @@ def colength(
         )
     degrees = [g.degree for g in gens]
     pieces = functools.partial(_piece_dims, ring, gens)
-    dims, ranked, end = [], {}, -1
+    dims, ranked = [], {}
     if _on_smooth_plane_curve(ring, degrees, max_dim):
         module = _NoetherModule.of(ring, ring.field.p**n) if ideal.is_maximal else None
         if module is not None:
             pieces = functools.partial(_noether_dims, module)
-            end = _window_end(degrees, ring.d)
         dims, ranked = _below_window(ring, degrees, pieces, max_dim)
     run, cells = [], 0
     for m in range(len(dims), top + 1):
-        trip = SizeGuardError.for_degree(ring, degrees, m, max_dim)
+        _check_sizes(ring, degrees, [m], max_dim)
         rows = ring.hilbert_dim(m)
         cols = sum(ring.hilbert_dim(m - e) for e in degrees)
-        waits = rows > cols or m <= end
-        if run and (trip or m in ranked or not waits or m > end and cells + rows * cols > _RUN_CELLS):
-            # a run that ends with rows > cols holds no zero piece
-            if not (trip and run[-1] > end):
-                dims += pieces(run)
-                run, cells = [], 0
-                if 0 in dims:  # later pieces are zero too
-                    break
-        if trip:
-            raise trip
+        if run and (m in ranked or rows <= cols or cells + rows * cols > _RUN_CELLS):
+            dims += pieces(run)
+            run, cells = [], 0
         if m in ranked:  # a start degree tried before L
             dims.append(ranked[m])
         elif not cols:  # below every generator degree: (R/J)_m = R_m
             dims.append(rows)
-        elif waits:
+        elif rows <= cols:
+            dims += pieces([m])
+        else:
             run.append(m)
             cells += rows * cols
             continue
-        else:
-            dims += pieces([m])
         if dims[-1] == 0:  # later pieces are zero too
             break
     # a run left over holds no zero piece, so from_dims raises without it
@@ -337,17 +327,6 @@ def _window_start(degrees: Sequence, d: int) -> int:
     where to rank first."""
     c = Fraction(sum(degrees), len(degrees) - 1)
     return math.floor(c - Fraction(max(d - 3, 0), 2)) - 1
-
-
-def _window_end(degrees: Sequence, d: int) -> int:
-    """The last degree of the window that ``colength`` builds and ranks
-    together above L: one past c + 3(d-3)/2, c as in ``_window_start``.
-    On the smooth plane curves of degree 4-6 measured at n = 1, h0 and h1
-    were both positive only within c - (d-3)/2 .. c + 3(d-3)/2, so the
-    piece after that range was zero.  A guess as well: the loop goes on
-    one degree at a time past it."""
-    c = Fraction(sum(degrees), len(degrees) - 1)
-    return math.floor(c + Fraction(3 * (d - 3), 2)) + 1
 
 
 def _below_window(ring: HypersurfaceRing, degrees: Sequence, pieces, max_dim: Optional[int]):
@@ -414,8 +393,12 @@ class _NoetherModule:
         """The module of a plane curve at q, after the first shift (s, t)
         with f(s, t, 1) != 0, t and then s counted up from 0; None when
         f(s, t, 1) = 0 on all of F_p^2.  f(s, t, 1) has degree at most d in
-        s, so when s = 0..d all miss for one t, every s does."""
+        s, so when s = 0..d all miss for one t, every s does.  None as well
+        when q·(p-1)^2 >= 2^63: np.convolve sums at most q products of
+        residues in int64."""
         p, f = ring.field.p, ring.relation
+        if q * (p - 1) ** 2 >= 1 << 63:
+            return None
         for t in range(p):
             for s in range(min(p, f.degree + 1)):
                 if sum(c * s**a * t**b for (a, b, _), c in f.terms.items()) % p:
@@ -444,7 +427,7 @@ class _NoetherModule:
         w = np.zeros((2 * d - 1, q), dtype=np.int64)
         for k in range(d):
             for j in range(d):
-                w[k + j] += _convolve(u[k], v[j], p)[:q]
+                w[k + j] += np.convolve(u[k], v[j])[:q] % p
         return self._reduce(w % p)
 
     def _times_z(self, u: np.ndarray) -> np.ndarray:
@@ -458,7 +441,7 @@ class _NoetherModule:
         d, q, p = len(self.tail), self.q, self.field.p
         for e in range(len(w) - 1, d - 1, -1):
             for i, c in enumerate(self.tail):
-                w[e - d + i] += _convolve(w[e], c, p)[:q]
+                w[e - d + i] += np.convolve(w[e], c)[:q] % p
             w[e - d : e] %= p
         return w[:d]
 
@@ -477,61 +460,36 @@ def _shifted_tail(f: Polynomial, s: int, t: int) -> tuple:
     return tuple(np.array(row, dtype=np.int64) * scale % p for row in coeffs[:d])
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The coefficients of the product of the polynomials a and b, residues
-    mod p.  np.convolve sums min(len(a), len(b)) products of at most
-    (p-1)^2 in int64, exact while that is below 2^63.  Above that, each
-    operand is split into 16-bit halves (p < 2^32), whose products sum
-    below len·2^32."""
-    if min(len(a), len(b)) * (p - 1) ** 2 < 1 << 63:
-        return np.convolve(a, b) % p
-    a0, a1, b0, b1 = a & 0xFFFF, a >> 16, b & 0xFFFF, b >> 16
-    high = np.convolve(a1, b1) % p
-    mid = (np.convolve(a0, b1) % p + np.convolve(a1, b0) % p) % p
-    low = np.convolve(a0, b0) % p
-    return ((((high << 16) % p + mid) << 16) + low) % p
-
-
 def _span(t: int, q: int) -> np.ndarray:
     """The y exponents b of the monomials x^(t-b)·y^b of A = F_p[x,y]/(x^q,
     y^q) in degree t."""
     return np.arange(max(0, t - q + 1), min(t, q - 1) + 1)
 
 
-def _noether_entries(module: _NoetherModule, degrees: Sequence) -> SparseBlocks:
-    """Multiplication by z^q from M_{m-q} to M_m for each m in ``degrees``,
-    as the blocks of one block-diagonal matrix, in order.  Row (k, b') of
-    degree m is x^(m-k-b')·y^b'·z^k and column (j, b) is x^(m-q-j-b)·y^b·z^j;
-    the entry is the coefficient of y^(b'-b) in W[j, k], so each of the
-    d×d blocks is Toeplitz."""
-    w, q, d = module.powers, module.q, len(module.tail)
-    rows, cols, values, row_bounds, ncols = [], [], [], [0], 0
-    for m in degrees:
-        into = [_span(m - k, q) for k in range(d)]
-        out_of = [_span(m - q - j, q) for j in range(d)]
-        k = np.repeat(np.arange(d), [len(b) for b in into])
-        j = np.repeat(np.arange(d), [len(b) for b in out_of])
-        shift = np.concatenate(into)[:, None] - np.concatenate(out_of)[None, :]
-        inside = (shift >= 0) & (shift < q)
-        matrix = np.where(inside, w[j[None, :], k[:, None], np.clip(shift, 0, q - 1)], 0)
-        # the blocks can be full: int32 positions take half the memory
-        r, c = np.nonzero(matrix)
-        rows.append(r.astype(np.int32) + row_bounds[-1])
-        cols.append(c.astype(np.int32) + ncols)
-        values.append(matrix[r, c].astype(module.field.dtype))
-        row_bounds.append(row_bounds[-1] + len(k))
-        ncols += len(j)
-    return SparseBlocks(
-        module.field, np.concatenate(rows), np.concatenate(cols), np.concatenate(values),
-        np.array(row_bounds), ncols,
-    )
+def _noether_matrix(module: _NoetherModule, m: int) -> np.ndarray:
+    """Multiplication by z^q from M_{m-q} to M_m, residues in a dense
+    matrix.  Row (k, b') is x^(m-k-b')·y^b'·z^k and column (j, b) is
+    x^(m-q-j-b)·y^b·z^j; the entry is the coefficient of y^(b'-b) in
+    W[j, k], so each of the d×d blocks is Toeplitz.  b' - b > -q, and b' -
+    b < q as well, so W with q zeros in front holds every entry."""
+    q, d = module.q, len(module.tail)
+    w = np.pad(module.powers, ((0, 0), (0, 0), (q, 0)))
+    into = [_span(m - k, q) for k in range(d)]
+    out_of = [_span(m - q - j, q) for j in range(d)]
+    k = np.repeat(np.arange(d), [len(b) for b in into])
+    j = np.repeat(np.arange(d), [len(b) for b in out_of])
+    shift = np.concatenate(into)[:, None] - np.concatenate(out_of)[None, :]
+    return w[j[None, :], k[:, None], shift + q]
 
 
 def _noether_dims(module: _NoetherModule, degrees: Sequence) -> list:
     """dim (R/m^[q])_m = dim M_m - rank(z^q: M_{m-q} -> M_m) for each m in
-    ``degrees``, from one build and one elimination."""
-    entries = _noether_entries(module, degrees)
-    return (np.diff(entries.row_bounds) - block_ranks(entries)).tolist()
+    ``degrees``."""
+    dims = []
+    for m in degrees:
+        matrix = _noether_matrix(module, m)
+        dims.append(len(matrix) - dense_rank(module.field, matrix))
+    return dims
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

@@ -7,13 +7,13 @@ diagonal toolkit needs none (Han's theorem makes it integer arithmetic).
 gives one rank per block: it peels the columns with one nonzero entry,
 splits the core that is left into the connected components of its nonzero
 pattern and eliminates them side by side in zero-padded stacks, one loop
-step per row of the tallest block and no inverse.  A block at least three
-quarters full, or a component, with at least ``_BLOCKED_ROWS`` rows and
-columns is eliminated on its own by a recursive blocked elimination (in
-the manner of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3),
-2008), whose updates are float64 matrix products that stay exact
-integers.  ``rank_mod_p`` is exactly the one-block case of
-``block_ranks``, on the nonzero entries of a dense matrix.
+step per row of the tallest block and no inverse.  A component with at
+least ``_BLOCKED_ROWS`` rows and columns is eliminated on its own by a
+recursive blocked elimination (in the manner of FFLAS-FFPACK: Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008), whose updates are float64
+matrix products that stay exact integers.  ``dense_rank`` ranks a dense
+matrix: one that large and nearly full goes to that elimination whole,
+any other is the one-block case of ``block_ranks``.
 Matrices are immutable after construction; rank works on private copies,
 so values are safe to share across threads.
 """
@@ -30,6 +30,7 @@ __all__ = [
     "PrimeFieldMatrix",
     "SparseBlocks",
     "rank_mod_p",
+    "dense_rank",
     "block_ranks",
     "is_prime",
 ]
@@ -150,14 +151,27 @@ class SparseBlocks(NamedTuple):
 
 
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
-    """Rank of ``m`` over Z/pZ: ``block_ranks`` of its nonzero entries as
-    one block."""
-    a = m.array
+    """Rank of ``m`` over Z/pZ: ``dense_rank`` of its array."""
+    return dense_rank(m.field, m.array)
+
+
+def dense_rank(field: PrimeField, a: np.ndarray) -> int:
+    """Rank over Z/pZ of the residues ``a``.  With at least
+    ``_BLOCKED_ROWS`` rows and columns and at least three quarters of its
+    entries nonzero, ``a`` goes whole to ``_blocked_rank`` while float64
+    is exact for products of residues, with no peel and no search for
+    components; otherwise ``block_ranks`` takes its nonzero entries as one
+    block.  The window matrices of the Klein quartic's maximal ideal at
+    p = 101 and 401 are 98% and 100% full; those of the Fermat sextic at
+    p = 101, 3%."""
+    nnz = np.count_nonzero(a)
+    if min(a.shape) >= _BLOCKED_ROWS and 4 * nnz >= 3 * a.size and (field.p - 1) ** 2 < _FLOAT_EXACT:
+        return _blocked_rank(np.array(a if len(a) <= a.shape[1] else a.T, dtype=np.float64), field.p)
     # half the time of np.nonzero on a 66x136 int32 matrix (numpy 2.4)
     flat = np.flatnonzero(a)
     rows, cols = np.divmod(flat, a.shape[1])
-    entries = SparseBlocks(m.field, rows, cols, a.ravel()[flat], np.array([0, len(a)]), a.shape[1])
-    return int(block_ranks(entries)[0])
+    values = a.ravel()[flat].astype(field.dtype)
+    return int(block_ranks(SparseBlocks(field, rows, cols, values, np.array([0, len(a)]), a.shape[1]))[0])
 
 
 def block_ranks(blocks: SparseBlocks) -> np.ndarray:
@@ -171,9 +185,8 @@ def block_ranks(blocks: SparseBlocks) -> np.ndarray:
     residue classes), so a block's rank is the sum of the ranks of the
     connected components of the core's nonzero pattern inside it.  Those
     are eliminated side by side, zero-padded into few stacks, whatever
-    block they come from.  Large components, and large blocks that are
-    nearly full, go to ``_blocked_rank`` instead while float64 is exact
-    for products of residues.
+    block they come from.  Large components go to ``_blocked_rank``
+    instead while float64 is exact for products of residues.
     """
     nblocks = len(blocks.row_bounds) - 1
     heights = np.diff(blocks.row_bounds)
@@ -182,30 +195,6 @@ def block_ranks(blocks: SparseBlocks) -> np.ndarray:
     rows, cols, values = blocks.rows, blocks.cols, blocks.values
     p = blocks.field.p
     float_exact = (p - 1) ** 2 < _FLOAT_EXACT
-    if float_exact and rows.size:
-        # A block at least three quarters full, with at least _BLOCKED_ROWS
-        # rows and columns that hold entries, is ranked whole by the blocked
-        # elimination, before any peel: its core would be one component.
-        # The window blocks of the Klein quartic at p = 101 and 401 are 98%
-        # and 100% full; those of the Fermat sextic at p = 101, 3%.
-        # Such a block has at least 3/4 of _BLOCKED_ROWS entries per row,
-        # which settles most sparse blocks before their columns are counted.
-        entry_block = block_of_row[rows]
-        nnz = np.bincount(entry_block, minlength=nblocks)
-        dense = (heights >= _BLOCKED_ROWS) & (4 * nnz >= 3 * _BLOCKED_ROWS * heights)
-        if dense.any():
-            col_block = np.full(blocks.ncols, -1)
-            col_block[cols] = entry_block
-            widths = np.bincount(col_block[col_block >= 0], minlength=nblocks)
-            dense &= (4 * nnz >= 3 * heights * widths) & (widths >= _BLOCKED_ROWS)
-            for b in np.flatnonzero(dense).tolist():
-                at = entry_block == b
-                local = np.cumsum(col_block == b) - 1
-                a = np.zeros((heights[b], widths[b]))
-                a[rows[at] - blocks.row_bounds[b], local[cols[at]]] = values[at]
-                ranks[b] = _blocked_rank(a if len(a) <= a.shape[1] else np.ascontiguousarray(a.T), p)
-            keep = ~dense[entry_block]
-            rows, cols, values = rows[keep], cols[keep], values[keep]
     # A column with one nonzero entry pivots at that row.  Clearing the row
     # touches no other row, so the rank is 1 + the rank without the pivot
     # row and column; columns sharing the row lose their only entry and

@@ -1,9 +1,7 @@
 import importlib
 import math
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -172,19 +170,20 @@ KLEIN = "x^3*y+y^3*z+z^3*x"
 
 def recording_builds(monkeypatch):
     """The degrees ``colength`` builds from now on, in order, by either
-    builder: ``graded_map_entries`` or, for the maximal ideal of a smooth
-    plane curve, ``_noether_entries``.  Both take the degrees last."""
+    builder: ``graded_map_entries``, which takes a list of degrees last,
+    or, for the maximal ideal of a smooth plane curve, ``_noether_matrix``,
+    which takes one degree last."""
     built = []
 
-    def recorder(build):
+    def recorder(build, degrees):
         def record(*args):
-            built.extend(args[-1])
+            built.extend(degrees(args[-1]))
             return build(*args)
 
         return record
 
-    for name in ("graded_map_entries", "_noether_entries"):
-        monkeypatch.setattr(COLENGTH, name, recorder(getattr(COLENGTH, name)))
+    monkeypatch.setattr(COLENGTH, "graded_map_entries", recorder(COLENGTH.graded_map_entries, list))
+    monkeypatch.setattr(COLENGTH, "_noether_matrix", recorder(COLENGTH._noether_matrix, lambda m: [m]))
     return built
 
 
@@ -420,6 +419,10 @@ def smooth_plane_curves_for_noether(draw):
 @settings(max_examples=25, deadline=None)
 @given(smooth_plane_curves_for_noether())
 @example((ring("hypersurface:s=3,p=2,f=x^3+y^2*z+x*z^2+y*z^2"), 3))
+# at q = 2 every piece from degree 4 on is zero, far below the degree of f;
+# the second curve needs a shift
+@example((ring("hypersurface:s=3,p=2,f=x^17+y^17+z^17+x*y^16"), 1))
+@example((ring("hypersurface:s=3,p=2,f=x^16*y+y^16*z+z^16*x"), 1))
 def test_maximal_ideal_by_noether_normalization_matches_every_degree(case):
     R, n = case
     q = R.field.p**n
@@ -456,24 +459,36 @@ def test_noether_shift_is_the_first_with_f_nonzero_at_it():
     assert COLENGTH._NoetherModule.of(ring("hypersurface:s=3,p=2,f=x^3+y^2*z+x*z^2+y*z^2"), 2) is None
 
 
-@pytest.mark.parametrize("length", [1, 2, 5])
-def test_convolution_is_exact_on_both_sides_of_the_int64_bound(length):
-    # np.convolve sums `length` products of at most (p-1)^2: below 2^63 on
-    # the largest prime that keeps it there, above on the next prime
-    limit = math.isqrt(((1 << 63) - 1) // length)  # largest p - 1 below the bound
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_noether_builder_stops_at_the_int64_convolution_bound(q):
+    # np.convolve sums at most q products of at most (p-1)^2: below 2^63 on
+    # the largest prime that keeps it there, where z^q is exact, and at or
+    # above on the next prime, which keeps the generic builder (q = 1 is
+    # PrimeField's own bound)
+    limit = math.isqrt(((1 << 63) - 1) // q)  # largest p - 1 below the bound
     below = next(p for p in range(limit + 1, 1, -1) if is_prime(p))
     above = next(p for p in range(limit + 2, 2 * limit) if is_prime(p))
-    assert length * (below - 1) ** 2 < 1 << 63 <= length * (above - 1) ** 2
-    rng = random.Random(length)
-    for p in (below, above):
-        for a in ([p - 1] * length, [rng.randrange(p) for _ in range(length)]):
-            b = [p - 1] * length
-            want = [
-                sum(a[i] * b[k - i] for i in range(length) if 0 <= k - i < length) % p
-                for k in range(2 * length - 1)
-            ]
-            got = COLENGTH._convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-            assert got.tolist() == want, p
+    assert q * (below - 1) ** 2 < 1 << 63 <= q * (above - 1) ** 2
+    # f(0, 0, 1) = 1: z^3 = p-1 times x^3 + x^2*y + x*y^2 + y^3
+    f = "x^3+x^2*y+x*y^2+y^3+z^3"
+    module = COLENGTH._NoetherModule.of(ring(f"hypersurface:s=3,p={below},f={f}"), q)
+    tail = [[below - 1] * 4, [0] * 3, [0] * 2]
+    assert [c.tolist() for c in module.tail] == tail
+    # the residues of z^q, z^(q+1), z^(q+2) in Python integers, each row
+    # k a binary form, entry b at y^b, with y^b = 0 for b >= q
+    want, power = [], [[1], [], []]
+    for e in range(q + 3):
+        if e >= q:
+            want.append([(row + [0] * q)[:q] for row in power])
+        # times z: the z^2 row moves up to z^3 and comes back as its tail
+        top = power[2]
+        power = [[0] * (len(top) + 3), list(power[0]), list(power[1])]
+        for i, a in enumerate(top):
+            for b, c in enumerate(tail[0]):
+                power[0][i + b] = (power[0][i + b] + a * c) % below
+        power = [[v % below for v in row[:q]] for row in power]
+    assert module.powers.tolist() == want
+    assert COLENGTH._NoetherModule.of(ring(f"hypersurface:s=3,p={above},f={f}"), q) is None
 
 
 def test_monotonicity_under_extra_generators():

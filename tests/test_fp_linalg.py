@@ -13,6 +13,7 @@ from hklab.fp_linalg import (
     PrimeFieldMatrix,
     SparseBlocks,
     block_ranks,
+    dense_rank,
     is_prime,
     rank_mod_p,
 )
@@ -336,8 +337,9 @@ assert (FLOAT_PRIME - 1) ** 2 < 1 << 53 <= (_smallest_prime_from(FLOAT_PRIME + 1
 
 @pytest.mark.parametrize("p", [5, 401, FLOAT_PRIME, _smallest_prime_from(FLOAT_PRIME + 1)])
 def test_dense_blocks_rank_like_the_reference(p):
-    # blocks of at least _BLOCKED_ROWS rows, 4/5 full or more, go to the
-    # blocked elimination while float64 is exact, and to the stacks past that
+    # full blocks of at least _BLOCKED_ROWS rows leave a component that
+    # large, which goes to the blocked elimination while float64 is exact,
+    # and to the stacks past that
     rng = random.Random(p)
     size = hklab.fp_linalg._BLOCKED_ROWS
     shapes = [(size, size + 7, size - 20), (size + 9, size, 3), (size + 3, size + 3, size + 3)]
@@ -359,6 +361,36 @@ def test_dense_blocks_rank_like_the_reference(p):
         ranks = block_ranks(blocks).tolist()
     assert ranks == [ref_rank(mat, p) for mat in mats]
     assert len(called) == (3 if p <= FLOAT_PRIME else 0)
+
+
+@pytest.mark.parametrize("p", [5, 401, FLOAT_PRIME, _smallest_prime_from(FLOAT_PRIME + 1)])
+def test_dense_rank_sends_large_full_matrices_to_the_blocked_elimination(p):
+    # at least _BLOCKED_ROWS rows and columns and 3/4 full: whole, and
+    # transposed when tall, while float64 is exact; smaller or emptier
+    # ones go to block_ranks
+    rng = random.Random(p)
+    size = hklab.fp_linalg._BLOCKED_ROWS
+    full = [_rank_deficient(rng, p, *shape) for shape in [(size, size + 7, size - 20), (size + 9, size, 3)]]
+    small = _rank_deficient(rng, p, size - 1, size + 30, size - 5)
+    # one zero entry in four columns, in every row: exactly 3/4 full; and
+    # one in three on shifted diagonals, at most 2/3 full
+    quarter = [[(v or 1) if c % 4 else 0 for c, v in enumerate(row[: size + 4])] for row in full[0]]
+    sparse = [[v if (r + c) % 3 else 0 for c, v in enumerate(row)] for r, row in enumerate(full[0])]
+    called = []
+    blocked = hklab.fp_linalg._blocked_rank
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hklab.fp_linalg, "_blocked_rank", lambda a, p: called.append(a.shape) or blocked(a, p))
+        for mat in [*full, small, quarter]:
+            assert dense_rank(PrimeField(p), np.array(mat, dtype=np.int64)) == ref_rank(mat, p)
+        whole = called.copy()
+        sparse_rank = dense_rank(PrimeField(p), np.array(sparse, dtype=np.int64))
+    assert sparse_rank == ref_rank(sparse, p)
+    if p <= FLOAT_PRIME:
+        assert whole == [(size, size + 7), (size, size + 9), (size, size + 4)]
+        # the half-full matrix is one component after the peel, which goes alone
+        assert called[3:] == [(size, size + 7)]
+    else:
+        assert called == []
 
 
 @pytest.mark.parametrize("k", [2, 4, 40])
