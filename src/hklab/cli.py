@@ -448,7 +448,7 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     for p in grid_primes(args):  # every prime before the first bound
         _sandwich_ring(spec, p)
     reports = [r for _, _, r in run_grid(args, lambda p, n: sandwich_check(spec, p, n))]
-    label = args.family or "custom"
+    label = args.family
     exact = [
         {
             "p": rep.p,

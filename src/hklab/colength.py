@@ -6,10 +6,11 @@ The degree-m piece of R/J is the cokernel of the multiplication map
 dim (R/J)_m.  A piece is one rank computation, or closed form where the
 syzygies vanish: below a degree where one rank shows none, they vanish on
 every degree.  On a smooth plane curve the colength loop ranks only from
-such a degree, near the slope of the syzygy bundle, up to the first zero
-piece.  Standard grading makes vanishing hereditary, so the loop stops
-there.  For the maximal ideal of a smooth plane curve those ranks use no
-normal forms: after a linear change of coordinates R is free over
+such a degree, at or below the last degree whose map has more rows than
+columns, up to the first zero piece.  Every ranked degree is one build
+and one rank.  Standard grading makes vanishing hereditary, so the loop
+stops there.  For the maximal ideal of a smooth plane curve those ranks
+use no normal forms: after a linear change of coordinates R is free over
 F_p[x,y] (Noether normalization), R/m^[q] is R/(x^q, y^q)·R modulo z^q,
 and each degree's map is a d×d grid of Toeplitz blocks of binary forms
 (``_NoetherModule``).  Every colength is that of a Frobenius power J =
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hklab.fp_linalg import PrimeField, block_ranks, dense_rank
+from hklab.fp_linalg import PrimeField, dense_rank, sparse_rank
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -45,16 +46,6 @@ __all__ = [
     "colength",
     "parse_ideal_spec",
 ]
-
-# Degrees ranked together hold at most this many matrix cells in all.  For
-# the colengths of m^[p] on the nodal cubic y^2z - x^3 - x^2z at p = 61 and
-# 67 (2 vCPUs, medians of 9 fresh processes), one degree at a time took
-# 0.102 and 0.138 s, and runs of at most 2^16, 2^17, 2^18 and unbounded
-# cells 0.106/0.152, 0.090/0.120, 0.081/0.146 and 0.137/0.155 s, with a
-# peak RSS at p = 67 of 35.9, 36.1, 36.4, 38.0 and 46.3 MB.  dense-quartic4
-# (bench/session.py, medians of 9) took 0.18-0.22 s under every bound, and
-# 42.6 MB except unbounded (62.2 MB).
-_RUN_CELLS = 1 << 17
 
 
 class NotPrimaryError(ValueError):
@@ -195,17 +186,12 @@ def colength(
     Stops at the first zero piece (with standard grading all later pieces
     vanish too); if none occurs up to sum(deg g_i) + d + 1, g_i the
     generators of J = I^[p^n], the ideal is not primary to the irrelevant
-    maximal ideal.  A ranked degree's map is built by ``graded_map_entries``
-    and ranked by ``block_ranks``.  SizeGuardError.for_degree checks every
-    degree in order through the record's end, ranked or not, so a guard
-    raises where a loop over every degree would, and before any degree at
-    or past it is built.
-
-    A degree whose matrix has more rows than columns has a piece of
-    dimension at least rows - cols > 0, so the loop cannot stop there.
-    Consecutive such degrees are built and ranked together, as the blocks
-    of one ``graded_map_entries`` call, while their summed cells stay
-    within ``_RUN_CELLS``; a degree with rows <= cols is ranked alone.
+    maximal ideal.  Each ranked degree is one build and one rank: its map
+    is built by ``graded_map_entries`` and ranked by ``sparse_rank``; a
+    degree below every generator degree needs neither.
+    SizeGuardError.for_degree checks every degree in order through the
+    record's end, ranked or not, so a guard raises where a loop over every
+    degree would, and before any degree at or past it is built.
 
     On a smooth plane curve with at least two generators outside (f), only
     the degrees from a start degree L to the first zero piece are ranked.
@@ -213,8 +199,8 @@ def colength(
     where h0(m) counts the degree-m syzygies of the g_i.  h0 cannot rise as
     m falls: the syzygies lie in ⊕_i R(-e_i), R is a domain, and a linear
     form acts injectively on them.  So one rank with h0(L) = 0 makes every
-    degree below L closed form (``_below_window``).  Every ranked degree is
-    exact, so L is only a first guess (``_window_start``).
+    degree below L closed form (``_below_window``).  L starts at the last
+    degree with more rows than columns and moves down while h0(L) > 0.
 
     For the maximal ideal there, ``_noether_matrix`` builds each ranked
     degree in place of ``graded_map_entries``, from z^q, ..., z^(q+d-1)
@@ -243,34 +229,23 @@ def colength(
             "not primary: every generator lies in the relation ideal"
         )
     degrees = [g.degree for g in gens]
-    pieces = functools.partial(_piece_dims, ring, gens)
+    piece = functools.partial(_piece_dim, ring, gens)
     dims, ranked = [], {}
     if _on_smooth_plane_curve(ring, degrees, max_dim):
         module = _NoetherModule.of(ring, ring.field.p**n) if ideal.is_maximal else None
         if module is not None:
-            pieces = functools.partial(_noether_dims, module)
-        dims, ranked = _below_window(ring, degrees, pieces, max_dim)
-    run, cells = [], 0
+            piece = functools.partial(_noether_dim, module)
+        dims, ranked = _below_window(ring, degrees, piece, max_dim)
     for m in range(len(dims), top + 1):
-        _check_sizes(ring, degrees, [m], max_dim)
-        rows = ring.hilbert_dim(m)
-        cols = sum(ring.hilbert_dim(m - e) for e in degrees)
-        if run and (m in ranked or rows <= cols or cells + rows * cols > _RUN_CELLS):
-            dims += pieces(run)
-            run, cells = [], 0
+        _check_size(ring, degrees, m, max_dim)
         if m in ranked:  # a start degree tried before L
             dims.append(ranked[m])
-        elif not cols:  # below every generator degree: (R/J)_m = R_m
-            dims.append(rows)
-        elif rows <= cols:
-            dims += pieces([m])
+        elif not any(ring.hilbert_dim(m - e) for e in degrees):  # no columns: (R/J)_m = R_m
+            dims.append(ring.hilbert_dim(m))
         else:
-            run.append(m)
-            cells += rows * cols
-            continue
+            dims.append(piece(m))
         if dims[-1] == 0:  # later pieces are zero too
             break
-    # a run left over holds no zero piece, so from_dims raises without it
     return ColengthRecord.from_dims(ring.field.p, n, dims, ring.krull_dim)
 
 
@@ -286,12 +261,11 @@ def _in_relation(ring: HypersurfaceRing, g: Polynomial) -> bool:
     return all(a <= b for a, b in zip(lead, mono))
 
 
-def _check_sizes(ring: HypersurfaceRing, degrees: Sequence, ms, cap: Optional[int]) -> None:
-    """Raise the SizeGuardError of the first degree in ``ms`` that trips."""
-    for m in ms:
-        trip = SizeGuardError.for_degree(ring, degrees, m, cap)
-        if trip is not None:
-            raise trip
+def _check_size(ring: HypersurfaceRing, degrees: Sequence, m: int, cap: Optional[int]) -> None:
+    """Raise the SizeGuardError of degree m if it trips."""
+    trip = SizeGuardError.for_degree(ring, degrees, m, cap)
+    if trip is not None:
+        raise trip
 
 
 def _free_part(ring: HypersurfaceRing, degrees: Sequence, m: int) -> int:
@@ -316,53 +290,40 @@ def _on_smooth_plane_curve(ring: HypersurfaceRing, degrees: Sequence, max_dim: O
     return True
 
 
-def _window_start(degrees: Sequence, d: int) -> int:
-    """The first start degree ``_below_window`` tries: just below the
-    window of about 2(d-3)+1 twists around c = Σ_i e_i / (k-1), k =
-    len(degrees).  A semistable syzygy bundle of rank k-1 gets sections
-    from twist c on, and the bounds on a Frobenius pullback's
-    Harder-Narasimhan gap (Trivedi, J. Algebra 284, 2005; Brenner, Math.
-    Ann. 334, 2006) put the first section about (d-3)/2 twists lower at
-    the most, for the maximal ideal at q = p.  The guess only decides
-    where to rank first."""
-    c = Fraction(sum(degrees), len(degrees) - 1)
-    return math.floor(c - Fraction(max(d - 3, 0), 2)) - 1
-
-
-def _below_window(ring: HypersurfaceRing, degrees: Sequence, pieces, max_dim: Optional[int]):
+def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Optional[int]):
     """(dims, ranked): dims holds dim (R/J)_m, J generated in ``degrees``,
     for m = 0..L, L the first start degree found where one rank shows
     h0(L) = 0: closed forms below L, L's rank last.  ``ranked`` maps the
     start degrees tried before L, all above it, to their pieces;
-    ``pieces(ms)`` ranks the degrees ms.
+    ``piece(m)`` ranks degree m.
 
-    L starts at ``_window_start`` and moves down by 1, 2, 4, ... while
-    h0(L) > 0, and further down to a degree with rows > cols.  Such a
-    piece is not zero, so the record runs past L, and the size checks of
-    degrees 0..L, made before the first L is built, are ones a loop over
-    every degree makes too.  dims is [] once L falls below the lowest
-    generator degree, where every degree is closed form without a rank.
+    L starts at the last degree of the run 0, 1, 2, ... whose matrices
+    have more rows than columns, each size-checked on the way up, and
+    moves down by 1, 2, 4, ... while h0(L) > 0.  Such a piece is not zero,
+    so the record runs past L, and the size checks of degrees 0..L, made
+    before anything is built, are ones a loop over every degree makes too.
+    With k >= 2 generators on a curve of degree d, rows minus columns
+    falls by d·(k-1) per degree once m passes every e_i + d, so the walk
+    ends.  dims is [] once L falls below the lowest generator degree,
+    where every degree is closed form without a rank.
     """
-    low, step, ranked = _window_start(degrees, ring.d), 1, {}
-    while True:
-        while low >= min(degrees) and _free_part(ring, degrees, low) <= 0:
-            low -= 1
-        if low < min(degrees):
-            return [], ranked
-        if not ranked:  # the first L; every later one is lower
-            _check_sizes(ring, degrees, range(low + 1), max_dim)
-        (dim,) = pieces([low])
-        if dim == _free_part(ring, degrees, low):  # h0(L) = 0
-            return [_free_part(ring, degrees, m) for m in range(low)] + [dim], ranked
+    free = []  # rows minus columns of degrees 0..L
+    while (part := _free_part(ring, degrees, len(free))) > 0:
+        _check_size(ring, degrees, len(free), max_dim)
+        free.append(part)
+    low, step, ranked = len(free) - 1, 1, {}
+    while low >= min(degrees):
+        dim = piece(low)
+        if dim == free[low]:  # h0(L) = 0
+            return free[: low + 1], ranked
         ranked[low] = dim
         low, step = low - step, 2 * step
+    return [], ranked
 
 
-def _piece_dims(ring: HypersurfaceRing, gens: Sequence, degrees: list) -> list:
-    """dim (R/J)_m for each m in ``degrees``, from one build and one
-    elimination."""
-    ranks = block_ranks(graded_map_entries(ring, gens, degrees))
-    return [ring.hilbert_dim(m) - rank for m, rank in zip(degrees, ranks.tolist())]
+def _piece_dim(ring: HypersurfaceRing, gens: Sequence, m: int) -> int:
+    """dim (R/J)_m from one build and one rank."""
+    return ring.hilbert_dim(m) - sparse_rank(graded_map_entries(ring, gens, m))
 
 
 class _NoetherModule:
@@ -482,14 +443,10 @@ def _noether_matrix(module: _NoetherModule, m: int) -> np.ndarray:
     return w[j[None, :], k[:, None], shift + q]
 
 
-def _noether_dims(module: _NoetherModule, degrees: Sequence) -> list:
-    """dim (R/m^[q])_m = dim M_m - rank(z^q: M_{m-q} -> M_m) for each m in
-    ``degrees``."""
-    dims = []
-    for m in degrees:
-        matrix = _noether_matrix(module, m)
-        dims.append(len(matrix) - dense_rank(module.field, matrix))
-    return dims
+def _noether_dim(module: _NoetherModule, m: int) -> int:
+    """dim (R/m^[q])_m = dim M_m - rank(z^q: M_{m-q} -> M_m)."""
+    matrix = _noether_matrix(module, m)
+    return len(matrix) - dense_rank(module.field, matrix)
 
 
 def parse_ideal_spec(ring: HypersurfaceRing, text: str) -> IdealSpec:

@@ -3,17 +3,17 @@
 The generic colength engine's graded quotient dimensions and the curve
 smoothness check reduce to ranks of matrices of residues mod p; the
 diagonal toolkit needs none (Han's theorem makes it integer arithmetic).
-``block_ranks`` takes a block-diagonal matrix as its nonzero entries and
-gives one rank per block: it peels the columns with one nonzero entry,
-splits the core that is left into the connected components of its nonzero
-pattern and eliminates them side by side in zero-padded stacks, one loop
-step per row of the tallest block and no inverse.  A component with at
-least ``_BLOCKED_ROWS`` rows and columns is eliminated on its own by a
-recursive blocked elimination (in the manner of FFLAS-FFPACK: Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008), whose updates are float64
-matrix products that stay exact integers.  ``dense_rank`` ranks a dense
-matrix: one that large and nearly full goes to that elimination whole,
-any other is the one-block case of ``block_ranks``.
+``sparse_rank`` takes a matrix as its nonzero entries: it peels the columns
+with one nonzero entry, splits the core that is left into the connected
+components of its nonzero pattern and eliminates them side by side in
+zero-padded stacks, one loop step per row of the tallest component and no
+inverse.  A component with at least ``_BLOCKED_ROWS`` rows and columns is
+eliminated on its own by a recursive blocked elimination (in the manner
+of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), whose
+updates are float64 matrix products that stay exact integers.
+``dense_rank`` ranks a dense matrix: one that large and nearly full goes
+to that elimination whole, any other goes to ``sparse_rank`` as its
+nonzero entries.
 Matrices are immutable after construction; rank works on private copies,
 so values are safe to share across threads.
 """
@@ -28,10 +28,10 @@ import numpy as np
 __all__ = [
     "PrimeField",
     "PrimeFieldMatrix",
-    "SparseBlocks",
+    "SparseMatrix",
     "rank_mod_p",
     "dense_rank",
-    "block_ranks",
+    "sparse_rank",
     "is_prime",
 ]
 
@@ -47,7 +47,7 @@ _MAX_MODULUS = 3037000499
 _FLOAT_EXACT = 1 << 53
 
 # Components with at least this many rows (and as many columns) take the
-# blocked elimination alone; smaller ones stay in stacks.  block_ranks on
+# blocked elimination alone; smaller ones stay in stacks.  Ranks of
 # random components mod 401 of rank 9/10 of their rows, 30% and 100% full
 # (2 vCPUs, best of 3), stacked / alone: 20 of 64 rows 41 / 44 and 54 /
 # 40 ms, 16 of 72 rows 47 / 49 and 57 / 42 ms, 14 of 80 rows 52 / 47 and
@@ -136,17 +136,16 @@ class PrimeFieldMatrix:
         self.array = arr
 
 
-class SparseBlocks(NamedTuple):
-    """A block-diagonal matrix over ``field`` as entries: ``values[k]`` at
-    (``rows[k]``, ``cols[k]``), each position once, every value a nonzero
-    residue.  Block b has the rows ``row_bounds[b]:row_bounds[b + 1]``, and
-    no column has entries in two blocks."""
+class SparseMatrix(NamedTuple):
+    """An ``nrows`` x ``ncols`` matrix over ``field`` as entries:
+    ``values[k]`` at (``rows[k]``, ``cols[k]``), each position once, every
+    value a nonzero residue."""
 
     field: PrimeField
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    row_bounds: np.ndarray
+    nrows: int
     ncols: int
 
 
@@ -160,10 +159,9 @@ def dense_rank(field: PrimeField, a: np.ndarray) -> int:
     ``_BLOCKED_ROWS`` rows and columns and at least three quarters of its
     entries nonzero, ``a`` goes whole to ``_blocked_rank`` while float64
     is exact for products of residues, with no peel and no search for
-    components; otherwise ``block_ranks`` takes its nonzero entries as one
-    block.  The window matrices of the Klein quartic's maximal ideal at
-    p = 101 and 401 are 98% and 100% full; those of the Fermat sextic at
-    p = 101, 3%."""
+    components; otherwise ``sparse_rank`` takes its nonzero entries.  The
+    window matrices of the Klein quartic's maximal ideal at p = 101 and
+    401 are 98% and 100% full; those of the Fermat sextic at p = 101, 3%."""
     nnz = np.count_nonzero(a)
     if min(a.shape) >= _BLOCKED_ROWS and 4 * nnz >= 3 * a.size and (field.p - 1) ** 2 < _FLOAT_EXACT:
         return _blocked_rank(np.array(a if len(a) <= a.shape[1] else a.T, dtype=np.float64), field.p)
@@ -171,48 +169,44 @@ def dense_rank(field: PrimeField, a: np.ndarray) -> int:
     flat = np.flatnonzero(a)
     rows, cols = np.divmod(flat, a.shape[1])
     values = a.ravel()[flat].astype(field.dtype)
-    return int(block_ranks(SparseBlocks(field, rows, cols, values, np.array([0, len(a)]), a.shape[1]))[0])
+    return sparse_rank(SparseMatrix(field, rows, cols, values, *a.shape))
 
 
-def block_ranks(blocks: SparseBlocks) -> np.ndarray:
-    """The rank over Z/pZ of each block of ``blocks``.
+def sparse_rank(a: SparseMatrix) -> int:
+    """The rank of ``a`` over Z/pZ.
 
     A structural pass peels off columns whose active part has a single
     nonzero entry; Frobenius-power ideals produce matrices where most
     columns are of this kind.  The core it leaves is block diagonal up to
     permutations whenever the matrix is homogeneous for a grading finer
     than the degree (for a diagonal relation and m^[q], the Han-Monsky
-    residue classes), so a block's rank is the sum of the ranks of the
-    connected components of the core's nonzero pattern inside it.  Those
-    are eliminated side by side, zero-padded into few stacks, whatever
-    block they come from.  Large components go to ``_blocked_rank``
+    residue classes), so its rank is the sum of the ranks of the connected
+    components of its nonzero pattern.  Those are eliminated side by side,
+    zero-padded into few stacks.  Large components go to ``_blocked_rank``
     instead while float64 is exact for products of residues.
     """
-    nblocks = len(blocks.row_bounds) - 1
-    heights = np.diff(blocks.row_bounds)
-    block_of_row = np.repeat(np.arange(nblocks), heights)
-    ranks = np.zeros(nblocks, dtype=np.int64)
-    rows, cols, values = blocks.rows, blocks.cols, blocks.values
-    p = blocks.field.p
+    rows, cols, values = a.rows, a.cols, a.values
+    p = a.field.p
     float_exact = (p - 1) ** 2 < _FLOAT_EXACT
+    rank = 0
     # A column with one nonzero entry pivots at that row.  Clearing the row
     # touches no other row, so the rank is 1 + the rank without the pivot
     # row and column; columns sharing the row lose their only entry and
     # drop out with it.
-    count = np.bincount(cols, minlength=blocks.ncols)
+    count = np.bincount(cols, minlength=a.ncols)
     while True:
         single = count[cols] == 1
         if not single.any():
             break
-        pivot = np.zeros(len(block_of_row), dtype=bool)
+        pivot = np.zeros(a.nrows, dtype=bool)
         pivot[rows[single]] = True
-        ranks += np.bincount(block_of_row[pivot], minlength=nblocks)
+        rank += int(np.count_nonzero(pivot))
         cleared = pivot[rows]
-        count -= np.bincount(cols[cleared], minlength=blocks.ncols)
+        count -= np.bincount(cols[cleared], minlength=a.ncols)
         rows, cols, values = rows[~cleared], cols[~cleared], values[~cleared]
     if not rows.size:
-        return ranks
-    comp, i, j, shapes = _components(rows, cols, len(block_of_row), blocks.ncols)
+        return rank
+    comp, i, j, shapes = _components(rows, cols, a.nrows, a.ncols)
     # large components go alone to the blocked elimination
     alone = (shapes[:, 0] >= _BLOCKED_ROWS) & float_exact
     small = np.flatnonzero(~alone)
@@ -226,18 +220,13 @@ def block_ranks(blocks: SparseBlocks) -> np.ndarray:
         stack[ids], slot[ids] = k, np.arange(len(ids))
     by_stack = np.argsort(stack[comp], kind="stable")
     ends = np.cumsum(np.bincount(stack[comp], minlength=len(stacks))).tolist()
-    comp_rank = np.zeros(len(shapes), dtype=np.int64)
     for ids, lo, hi in zip(stacks, [0, *ends], ends):
         at = by_stack[lo:hi]
         shape = (len(ids), shapes[ids[-1], 0], shapes[ids, 1].max())
-        out = np.zeros(shape, dtype=np.float64 if alone[ids[0]] else blocks.field.dtype)
+        out = np.zeros(shape, dtype=np.float64 if alone[ids[0]] else a.field.dtype)
         out[slot[comp[at]], i[at], j[at]] = values[at]
-        comp_rank[ids] = _blocked_rank(out[0], p) if alone[ids[0]] else _stacked_rank(out, p)
-    # every component lies inside one block: that of any of its rows
-    comp_block = np.zeros(len(shapes), dtype=np.int64)
-    comp_block[comp] = block_of_row[rows]
-    np.add.at(ranks, comp_block, comp_rank)
-    return ranks
+        rank += _blocked_rank(out[0], p) if alone[ids[0]] else int(_stacked_rank(out, p).sum())
+    return rank
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int):

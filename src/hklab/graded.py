@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, SparseBlocks
+from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, SparseMatrix
 
 __all__ = [
     "Monomial",
@@ -482,23 +482,21 @@ class HypersurfaceRing:
         bounds = np.searchsorted(owner[keep], np.arange(len(batch) + 1))
         return exps[order[keep]], sums[nonzero], bounds
 
-    def _nf_gather(self, monos: np.ndarray, m: np.ndarray):
-        """Normal forms of the monomials in the rows of ``monos``, row k of
-        degree m[k].
+    def _nf_gather(self, monos: np.ndarray, m: int):
+        """Normal forms of the degree-m monomials in the rows of ``monos``.
 
         Returns (src, codes, coeffs): NF(monos[src[j]]) has coefficient
-        coeffs[j] at the standard monomial of ``_graded_codes`` code
-        codes[j], and each (src, codes) pair occurs once.  Uses NF(mu_S *
-        nu) = nu * NF(mu_S), so only the distinct S-parts mu_S are looked
-        up in the memo.
+        coeffs[j] at the standard monomial of ``_lex_ranks`` code codes[j],
+        and each (src, codes) pair occurs once.  Uses NF(mu_S * nu) = nu *
+        NF(mu_S), so only the distinct S-parts mu_S are looked up in the
+        memo.
         """
-        top = int(m.max())
-        table = self._table(top)
+        table = self._table(m)
         support = list(self._support)
         parts = monos[:, support]
-        # (mu_S, top - |mu_S|) is a degree-top monomial in |S| + 1
-        # variables; its rank is an exact integer code of mu_S.
-        codes = _lex_ranks(np.column_stack([parts, top - parts.sum(axis=1)]), top, table)
+        # (mu_S, m - |mu_S|) is a degree-m monomial in |S| + 1 variables;
+        # its rank is an exact integer code of mu_S.
+        codes = _lex_ranks(np.column_stack([parts, m - parts.sum(axis=1)]), m, table)
         _, pick, which = np.unique(codes, return_index=True, return_inverse=True)
         keys = [tuple(k) for k in parts[pick].tolist()]
         self._fill_nf_memo(keys)
@@ -515,7 +513,7 @@ class HypersurfaceRing:
         term = shift + np.arange(len(src))
         nu = monos.copy()
         nu[:, support] = 0
-        return src, _graded_codes(exps[term] + nu[src], m[src], table), coeffs[term]
+        return src, _lex_ranks(exps[term] + nu[src], m, table), coeffs[term]
 
     def normal_form(self, g: Polynomial) -> Polynomial:
         """Remainder of g under division by the relation: no term divisible
@@ -602,58 +600,41 @@ def _lex_ranks(monos: np.ndarray, m, table: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _graded_codes(monos: np.ndarray, m: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rank of each row of ``monos``, of degree m[k] for row k, among all
-    monomials in as many variables ordered by degree, then in descending
-    grevlex: its ``_lex_ranks`` plus the C(m - 1 + s, s) monomials of lower
-    degree, which is table[m, s] - table[m, s - 1] by Pascal's rule."""
-    s = monos.shape[1]
-    return _lex_ranks(monos, m, table) + table[m, s] - table[m, s - 1]
-
-
-def graded_map_entries(ring: HypersurfaceRing, gens: Sequence, degrees: Sequence) -> SparseBlocks:
-    """The maps of ``graded_map_matrix`` in each of ``degrees`` as the
-    blocks of one block-diagonal matrix, in order: block b is the matrix
-    of degree degrees[b], its rows and columns after those of the blocks
-    before it.
+def graded_map_entries(ring: HypersurfaceRing, gens: Sequence, m: int) -> SparseMatrix:
+    """The map of ``graded_map_matrix`` as the entries of a sparse matrix.
 
     No column is reduced on its own.  Writing each term of g_i as c_t*mu_t
     and each column monomial as u, the column of g_i*u is
     sum_t c_t * NF(mu_t*u), and NF(mu_t*u) = nu * NF(mu_S) where mu_S is the
     part of mu_t*u on the variables of LT(f) and nu the rest; NF(mu_S) comes
-    from the ring's memo, in one gather for every degree.  Generators need
-    not be reduced first.
+    from the ring's memo, in one gather.  Generators need not be reduced
+    first.
     """
     for g in gens:
         if g.field.p != ring.field.p or g.nvars != ring.s:
             raise ValueError("polynomial lives in a different ring")
         if g.is_zero or not g.is_homogeneous:
             raise ValueError("generators must be nonzero homogeneous")
-    p, s = ring.field.p, ring.s
-    row_codes, row_bounds = [], [0]
+    p = ring.field.p
+    row_ranks = ring._basis(m)[1]
     products = []
-    chunks = []  # (first column, coefficient, degree) per product array
+    chunks = []  # (first column, coefficient) per product array
     ncols = 0
-    for m in degrees:
-        ranks = ring._basis(m)[1]
-        # the standard monomials' _graded_codes: C(m - 1 + s, s) precede degree m
-        row_codes.append(ranks + math.comb(max(m, 0) + s - 1, s))
-        row_bounds.append(row_bounds[-1] + len(ranks))
-        blocks = {e: ring.monomial_basis(m - e) for e in {g.degree for g in gens}}
-        for g in gens:
-            block = blocks[g.degree]
-            for mono, c in g.terms.items():
-                products.append(block + mono)
-                chunks.append((ncols, c, m))
-            ncols += len(block)
+    blocks = {e: ring.monomial_basis(m - e) for e in {g.degree for g in gens}}
+    for g in gens:
+        block = blocks[g.degree]
+        for mono, c in g.terms.items():
+            products.append(block + mono)
+            chunks.append((ncols, c))
+        ncols += len(block)
     sizes = np.array([len(b) for b in products], dtype=np.int64)
     if not sizes.sum():
         empty = np.zeros(0, dtype=np.int64)
-        return SparseBlocks(ring.field, empty, empty, empty, np.array(row_bounds), ncols)
-    first, coeff, degree = (np.repeat(np.array(v, dtype=np.int64), sizes) for v in zip(*chunks))
+        return SparseMatrix(ring.field, empty, empty, empty, len(row_ranks), ncols)
+    first, coeff = (np.repeat(np.array(v, dtype=np.int64), sizes) for v in zip(*chunks))
     col = first + np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    src, codes, coeffs = ring._nf_gather(np.concatenate(products), degree)
-    rows = np.searchsorted(np.concatenate(row_codes), codes)
+    src, codes, coeffs = ring._nf_gather(np.concatenate(products), m)
+    rows = np.searchsorted(row_ranks, codes)
     # c*coeff < p^2 fits int64 for every accepted p; the terms of one
     # generator can meet at one (row, col), so entries are merged there
     key = rows * ncols + col[src]
@@ -663,21 +644,21 @@ def graded_map_entries(ring: HypersurfaceRing, gens: Sequence, degrees: Sequence
     values = np.add.reduceat((coeff[src] * coeffs % p)[order], starts) % p
     nonzero = values != 0
     rows, cols = np.divmod(key[starts[nonzero]], ncols)
-    return SparseBlocks(ring.field, rows, cols, values[nonzero], np.array(row_bounds), ncols)
+    return SparseMatrix(ring.field, rows, cols, values[nonzero], len(row_ranks), ncols)
 
 
 def graded_map_matrix(
     ring: HypersurfaceRing, gens: Sequence, m: int
 ) -> PrimeFieldMatrix:
-    """Matrix of (v_i) |-> sum g_i * v_i from ⊕_i R_{m-e_i} to R_m: the one
-    block of ``graded_map_entries`` for degree m, dense.
+    """Matrix of (v_i) |-> sum g_i * v_i from ⊕_i R_{m-e_i} to R_m:
+    ``graded_map_entries``, dense.
 
     Columns run over the generators in order and, within one generator, over
     monomial_basis(ring, m - e_i); rows over monomial_basis(ring, m).
     Generators of degree > m contribute empty blocks.
     """
-    entries = graded_map_entries(ring, gens, [m])
-    arr = np.zeros((entries.row_bounds[-1], entries.ncols), dtype=ring.field.dtype)
+    entries = graded_map_entries(ring, gens, m)
+    arr = np.zeros((entries.nrows, entries.ncols), dtype=ring.field.dtype)
     arr[entries.rows, entries.cols] = entries.values
     return PrimeFieldMatrix(ring.field, arr)
 

@@ -16,7 +16,7 @@ from hklab.colength import (
     parse_ideal_spec,
 )
 from hklab.curves import SingularCurveError, cohomology_profile, curve_geometry
-from hklab.fp_linalg import PrimeField, block_ranks, is_prime, rank_mod_p
+from hklab.fp_linalg import PrimeField, is_prime, rank_mod_p, sparse_rank
 from hklab.graded import (
     HypersurfaceRing,
     Polynomial,
@@ -170,39 +170,35 @@ KLEIN = "x^3*y+y^3*z+z^3*x"
 
 def recording_builds(monkeypatch):
     """The degrees ``colength`` builds from now on, in order, by either
-    builder: ``graded_map_entries``, which takes a list of degrees last,
-    or, for the maximal ideal of a smooth plane curve, ``_noether_matrix``,
-    which takes one degree last."""
+    builder: ``graded_map_entries`` or, for the maximal ideal of a smooth
+    plane curve, ``_noether_matrix``; each takes one degree last."""
     built = []
 
-    def recorder(build, degrees):
+    def recorder(build):
         def record(*args):
-            built.extend(degrees(args[-1]))
+            built.append(args[-1])
             return build(*args)
 
         return record
 
-    monkeypatch.setattr(COLENGTH, "graded_map_entries", recorder(COLENGTH.graded_map_entries, list))
-    monkeypatch.setattr(COLENGTH, "_noether_matrix", recorder(COLENGTH._noether_matrix, lambda m: [m]))
+    monkeypatch.setattr(COLENGTH, "graded_map_entries", recorder(COLENGTH.graded_map_entries))
+    monkeypatch.setattr(COLENGTH, "_noether_matrix", recorder(COLENGTH._noether_matrix))
     return built
 
 
-@pytest.mark.parametrize("run_cells", [1, 1 << 40])
-def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, run_cells):
+def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch):
     # q = 7 on the nodal cubic, a singular curve that ranks every degree:
     # degrees 7..10 have more rows than columns, and the cap 26 first trips
-    # at degree 9, while 7 and 8 wait in one run (with runs of one degree,
-    # 8 closes the run of 7 and waits)
+    # at degree 9, after 7 and 8 are built
     R = ring(f"hypersurface:s=3,p=7,f={NODAL_CUBIC}")
     built = recording_builds(monkeypatch)
-    monkeypatch.setattr(COLENGTH, "_RUN_CELLS", run_cells)
     trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 26) for m in range(30))
     first = next(t for t in trips if t is not None)
     with pytest.raises(SizeGuardError) as info:
         colength(R, maximal(R), 1, max_dim=26)
     got = info.value
     assert (got.m, got.rows, got.cols) == (first.m, first.rows, first.cols) == (9, 27, 18)
-    assert built == ([] if run_cells > 1 else [7])
+    assert built == [7, 8]
 
 
 def test_guard_on_a_window_curve_trips_where_every_degree_would(monkeypatch):
@@ -261,17 +257,11 @@ def test_colength_matches_reference_whether_runs_split_or_not(case):
     relation = [] if R.relation is None else [(R.d, R.relation.terms)]
     frob = frobenius_power(R, ideal, n)
     gens = relation + [(g.degree, g.terms) for g in frob.generators]
-    total = ref_ideal_colength(R.field.p, R.s, gens)
-    # runs of one degree each, the default bound, and one run for every
-    # degree with more rows than columns
-    for run_cells in (1, COLENGTH._RUN_CELLS, 1 << 40):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(COLENGTH, "_RUN_CELLS", run_cells)
-            record = colength(R, ideal, n)
-        assert record.total == total, run_cells
-        # each degree's rank, not only their sum
-        want = [ref_graded_piece_dim(R.field.p, R.s, gens, m) for m in range(len(record.dims))]
-        assert list(record.dims) == want, run_cells
+    record = colength(R, ideal, n)
+    assert record.total == ref_ideal_colength(R.field.p, R.s, gens)
+    # each degree's rank, not only their sum
+    want = [ref_graded_piece_dim(R.field.p, R.s, gens, m) for m in range(len(record.dims))]
+    assert list(record.dims) == want
 
 
 def every_degree_record(R, ideal, n):
@@ -280,8 +270,7 @@ def every_degree_record(R, ideal, n):
     frob = frobenius_power(R, ideal, n)
     dims = []
     for m in range(sum(frob.degrees) + R.d + 2):
-        (rank,) = block_ranks(graded_map_entries(R, frob.generators, [m])).tolist()
-        dims.append(R.hilbert_dim(m) - rank)
+        dims.append(R.hilbert_dim(m) - sparse_rank(graded_map_entries(R, frob.generators, m)))
         if not dims[-1]:
             break
     return ColengthRecord.from_dims(R.field.p, n, dims, R.krull_dim)
@@ -327,8 +316,11 @@ def smooth_plane_curves(draw):
 def test_window_matches_ranking_every_degree(case):
     R, ideal, n = case
     ideal = ideal or maximal(R)
-    record = colength(R, ideal, n)
+    with pytest.MonkeyPatch.context() as patch:
+        built = recording_builds(patch)
+        record = colength(R, ideal, n)
     assert record == every_degree_record(R, ideal, n)
+    assert len(set(built)) == len(built)  # no degree is built twice
     q = R.field.p**n
     # the oracle is one pure-Python rank of size q^3: 0.15-0.5 s at q = 9
     if ideal.is_maximal and q <= 8:
@@ -347,12 +339,13 @@ def test_window_matches_ranking_every_degree(case):
 def test_a_start_above_the_window_moves_down_to_the_same_record(monkeypatch, spec, text):
     R = ring(spec)
     ideal = parse_ideal_spec(R, text)
-    want = colength(R, ideal, 1)
     built = recording_builds(monkeypatch)
-    # far above the window: the start first drops to the last degree with
-    # more rows than columns, whose piece has h0 > 0 on these inputs
-    monkeypatch.setattr(COLENGTH, "_window_start", lambda degrees, d: sum(degrees))
-    assert colength(R, ideal, 1) == want
+    # the start is the last degree with more rows than columns, whose
+    # piece has h0 > 0 on these inputs
+    assert colength(R, ideal, 1) == every_degree_record(R, ideal, 1)
+    degrees = frobenius_power(R, ideal, 1).degrees
+    wide = [m for m in range(sum(degrees) + R.d + 2) if COLENGTH._free_part(R, degrees, m) > 0]
+    assert built[0] == wide[-1]
     assert built[1] < built[0]  # the start moved down
     assert len(set(built)) == len(built)  # and no degree was built twice
 

@@ -11,11 +11,11 @@ import hklab.fp_linalg
 from hklab.fp_linalg import (
     PrimeField,
     PrimeFieldMatrix,
-    SparseBlocks,
-    block_ranks,
+    SparseMatrix,
     dense_rank,
     is_prime,
     rank_mod_p,
+    sparse_rank,
 )
 
 from oracles import ref_rank
@@ -257,7 +257,7 @@ def block_entries(draw):
             rng = np.random.default_rng(seed)
             block = rng.integers(1, p, (h, w)) * (rng.integers(0, keep, (h, w)) == 0)
         blocks.append(block)
-    heights = [b.shape[0] for b in blocks]
+    nrows = sum(b.shape[0] for b in blocks)
     ncols = sum(b.shape[1] for b in blocks)
     shuffle = np.array(draw(st.permutations(range(ncols))), dtype=np.int64)
     rows, cols, values = [], [], []
@@ -271,8 +271,7 @@ def block_entries(draw):
         left += block.shape[1]
     rows, cols, values = (np.concatenate(a).astype(np.int64) for a in (rows, cols, values))
     order = np.array(draw(st.permutations(range(len(rows)))), dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(heights)])
-    entries = SparseBlocks(PrimeField(p), rows[order], cols[order], values[order], bounds, ncols)
+    entries = SparseMatrix(PrimeField(p), rows[order], cols[order], values[order], nrows, ncols)
     return p, blocks, entries
 
 
@@ -280,7 +279,7 @@ def block_entries(draw):
 @given(block_entries())
 def test_block_ranks_match_reference_per_block(case):
     p, blocks, entries = case
-    assert block_ranks(entries).tolist() == [ref_rank(b.tolist(), p) for b in blocks]
+    assert sparse_rank(entries) == sum(ref_rank(b.tolist(), p) for b in blocks)
 
 
 def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
@@ -344,22 +343,22 @@ def test_dense_blocks_rank_like_the_reference(p):
     size = hklab.fp_linalg._BLOCKED_ROWS
     shapes = [(size, size + 7, size - 20), (size + 9, size, 3), (size + 3, size + 3, size + 3)]
     mats = [_rank_deficient(rng, p, *shape) for shape in shapes]
-    rows, cols, values, bounds, ncols = [], [], [], [0], 0
+    rows, cols, values, nrows, ncols = [], [], [], 0, 0
     for mat in mats:
         arr = np.array(mat, dtype=np.int64)
         r, c = np.nonzero(arr)
-        rows.append(r + bounds[-1])
+        rows.append(r + nrows)
         cols.append(c + ncols)
         values.append(arr[r, c])
-        bounds.append(bounds[-1] + len(arr))
+        nrows += arr.shape[0]
         ncols += arr.shape[1]
-    blocks = SparseBlocks(PrimeField(p), *map(np.concatenate, (rows, cols, values)), np.array(bounds), ncols)
+    blocks = SparseMatrix(PrimeField(p), *map(np.concatenate, (rows, cols, values)), nrows, ncols)
     called = []
     blocked = hklab.fp_linalg._blocked_rank
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hklab.fp_linalg, "_blocked_rank", lambda a, p: called.append(a.shape) or blocked(a, p))
-        ranks = block_ranks(blocks).tolist()
-    assert ranks == [ref_rank(mat, p) for mat in mats]
+        rank = sparse_rank(blocks)
+    assert rank == sum(ref_rank(mat, p) for mat in mats)
     assert len(called) == (3 if p <= FLOAT_PRIME else 0)
 
 
@@ -367,7 +366,7 @@ def test_dense_blocks_rank_like_the_reference(p):
 def test_dense_rank_sends_large_full_matrices_to_the_blocked_elimination(p):
     # at least _BLOCKED_ROWS rows and columns and 3/4 full: whole, and
     # transposed when tall, while float64 is exact; smaller or emptier
-    # ones go to block_ranks
+    # ones go to sparse_rank
     rng = random.Random(p)
     size = hklab.fp_linalg._BLOCKED_ROWS
     full = [_rank_deficient(rng, p, *shape) for shape in [(size, size + 7, size - 20), (size + 9, size, 3)]]
@@ -383,8 +382,8 @@ def test_dense_rank_sends_large_full_matrices_to_the_blocked_elimination(p):
         for mat in [*full, small, quarter]:
             assert dense_rank(PrimeField(p), np.array(mat, dtype=np.int64)) == ref_rank(mat, p)
         whole = called.copy()
-        sparse_rank = dense_rank(PrimeField(p), np.array(sparse, dtype=np.int64))
-    assert sparse_rank == ref_rank(sparse, p)
+        emptier = dense_rank(PrimeField(p), np.array(sparse, dtype=np.int64))
+    assert emptier == ref_rank(sparse, p)
     if p <= FLOAT_PRIME:
         assert whole == [(size, size + 7), (size, size + 9), (size, size + 4)]
         # the half-full matrix is one component after the peel, which goes alone
