@@ -35,6 +35,7 @@ from oracles import (
 
 # the module, which the package's colength function shadows as an attribute
 COLENGTH = importlib.import_module("hklab.colength")
+FP_LINALG = importlib.import_module("hklab.fp_linalg")
 
 
 def ring(spec):
@@ -186,12 +187,15 @@ def recording_builds(monkeypatch):
     return built
 
 
-def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch):
+@pytest.mark.parametrize("blocked_rows", [1, 1 << 40])
+def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, blocked_rows):
     # q = 7 on the nodal cubic, a singular curve that ranks every degree:
     # degrees 7..10 have more rows than columns, and the cap 26 first trips
-    # at degree 9, after 7 and 8 are built
+    # at degree 9, after 7 and 8 are built and ranked, whether every
+    # component goes to the blocked kernel or none does
     R = ring(f"hypersurface:s=3,p=7,f={NODAL_CUBIC}")
     built = recording_builds(monkeypatch)
+    monkeypatch.setattr(FP_LINALG, "_BLOCKED_ROWS", blocked_rows)
     trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 26) for m in range(30))
     first = next(t for t in trips if t is not None)
     with pytest.raises(SizeGuardError) as info:
