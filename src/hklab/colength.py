@@ -5,14 +5,14 @@ The degree-m piece of R/J is the cokernel of the multiplication map
 (``curves.cohomology_profile``), has dimension Σ_i dim R_{m-e_i} - dim R_m +
 dim (R/J)_m.  A piece is one rank computation, or closed form where the
 syzygies vanish: below a degree where one rank shows none, they vanish on
-every degree.  On a smooth plane curve the colength loop ranks only from
-such a degree, at or below the last degree whose map has more rows than
-columns, up to the first zero piece.  Every ranked degree is one build
-and one rank.  Standard grading makes vanishing hereditary, so the loop
-stops there.  For the maximal ideal of a smooth plane curve those ranks
-use no normal forms: after a linear change of coordinates R is free over
-F_p[x,y] (Noether normalization), R/m^[q] is R/(x^q, y^q)·R modulo z^q,
-and each degree's map is a d×d grid of Toeplitz blocks of binary forms
+every degree.  On a ring of positive Krull dimension the colength loop
+ranks only from such a degree, at or below the last degree whose map has
+more rows than columns, up to the first zero piece.  Every ranked degree
+is one build and one rank.  Standard grading makes vanishing hereditary,
+so the loop stops there.  For the maximal ideal of a plane curve those
+ranks use no normal forms: after a linear change of coordinates R is free
+over F_p[x,y] (Noether normalization), R/m^[q] is R/(x^q, y^q)·R modulo
+z^q, and each degree's map is a d×d grid of Toeplitz blocks of binary forms
 (``_NoetherModule``).  Every colength is that of a Frobenius power J =
 I^[p^n], indexed by the exponent n as in the limit ℓ(R/I^[p^n]) /
 p^(n·dim R).
@@ -193,29 +193,27 @@ def colength(
     record's end, ranked or not, so a guard raises where a loop over every
     degree would, and before any degree at or past it is built.
 
-    On a smooth plane curve with at least two generators outside (f), only
-    the degrees from a start degree L to the first zero piece are ranked.
-    With e_i = deg g_i, dim (R/J)_m = dim R_m - Σ_i dim R_{m-e_i} + h0(m),
-    where h0(m) counts the degree-m syzygies of the g_i.  h0 cannot rise as
-    m falls: the syzygies lie in ⊕_i R(-e_i), R is a domain, and a linear
-    form acts injectively on them.  So one rank with h0(L) = 0 makes every
-    degree below L closed form (``_below_window``).  L starts at the last
-    degree with more rows than columns and moves down while h0(L) > 0.
+    On a ring of positive Krull dimension with at least two generators
+    outside (f), only the degrees from a start degree L to the first zero
+    piece are ranked.  With e_i = deg g_i, dim (R/J)_m = dim R_m - Σ_i dim
+    R_{m-e_i} + h0(m), where h0(m) counts the degree-m syzygies of the g_i.
+    h0 cannot rise as m falls: over the algebraic closure some linear form
+    ℓ does not divide f, so it is a nonzerodivisor on R, multiplying by ℓ
+    maps the degree-m syzygies injectively into the degree-(m+1) ones, and
+    ranks do not change under field extension.  So one rank with
+    h0(L) = 0 makes every degree below L closed form (``_below_window``).
+    L starts at the last degree with more rows than columns and moves down
+    while h0(L) > 0.  Above L every degree is ranked up to the first zero
+    piece; an ideal that is not primary never reaches one and raises
+    NotPrimaryError.  Krull dimension 0, where no linear form is a
+    nonzerodivisor, and a single generator rank every degree.
 
-    For the maximal ideal there, ``_noether_matrix`` builds each ranked
-    degree in place of ``graded_map_entries``, from z^q, ..., z^(q+d-1)
-    in R/(x^q, y^q)·R, computed once the checks of degrees 0..L have
-    passed, and ``dense_rank`` ranks it.  Rings where f(s, t, 1) = 0 on
-    all of F_p^2, or where q·(p-1)^2 reaches 2^63, keep the generic
+    For the maximal ideal of a plane curve, ``_noether_matrix`` builds each
+    ranked degree in place of ``graded_map_entries``, from z^q, ...,
+    z^(q+d-1) in R/(x^q, y^q)·R, computed once the checks of degrees 0..L
+    have passed, and ``dense_rank`` ranks it.  Rings where f(s, t, 1) = 0
+    on all of F_p^2, or where q·(p-1)^2 reaches 2^63, keep the generic
     builder.
-
-    Above the window no closed form is needed: R_m = H⁰(O_Y(m)) on a plane
-    curve, so (R/J)_m embeds in H¹ of the twisted syzygy bundle, and the
-    first degree where that H¹ vanishes is already the first zero piece,
-    where the loop stops.  An ideal that is not primary never reaches a
-    zero piece and raises NotPrimaryError.  Singular curves, other rings,
-    a single generator and a smoothness matrix above ``max_dim`` rank
-    every degree.
     """
     frob = frobenius_power(ring, ideal, n)
     top = sum(frob.degrees) + (ring.d or 0) + 1
@@ -231,7 +229,7 @@ def colength(
     degrees = [g.degree for g in gens]
     piece = functools.partial(_piece_dim, ring, gens)
     dims, ranked = [], {}
-    if _on_smooth_plane_curve(ring, degrees, max_dim):
+    if ring.krull_dim > 0 and len(degrees) > 1:
         module = _NoetherModule.of(ring, ring.field.p**n) if ideal.is_maximal else None
         if module is not None:
             piece = functools.partial(_noether_dim, module)
@@ -274,22 +272,6 @@ def _free_part(ring: HypersurfaceRing, degrees: Sequence, m: int) -> int:
     return ring.hilbert_dim(m) - sum(ring.hilbert_dim(m - e) for e in degrees)
 
 
-def _on_smooth_plane_curve(ring: HypersurfaceRing, degrees: Sequence, max_dim: Optional[int]) -> bool:
-    """Whether R is a smooth plane curve and ``degrees`` has at least two
-    entries; False as well when the smoothness check's matrix would trip
-    ``max_dim``, which a loop over every degree might never do."""
-    # curves imports this module
-    from hklab.curves import SingularCurveError, curve_geometry
-
-    if ring.s != 3 or ring.relation is None or len(degrees) < 2:
-        return False
-    try:
-        curve_geometry(ring, max_dim)
-    except (SingularCurveError, SizeGuardError):
-        return False
-    return True
-
-
 def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Optional[int]):
     """(dims, ranked): dims holds dim (R/J)_m, J generated in ``degrees``,
     for m = 0..L, L the first start degree found where one rank shows
@@ -302,10 +284,12 @@ def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Opt
     moves down by 1, 2, 4, ... while h0(L) > 0.  Such a piece is not zero,
     so the record runs past L, and the size checks of degrees 0..L, made
     before anything is built, are ones a loop over every degree makes too.
-    With k >= 2 generators on a curve of degree d, rows minus columns
-    falls by d·(k-1) per degree once m passes every e_i + d, so the walk
-    ends.  dims is [] once L falls below the lowest generator degree,
-    where every degree is closed form without a rank.
+    With k >= 2 generators, rows minus columns behaves like
+    (1-k)·c·m^(δ-1) for large m, where c·m^(δ-1) leads dim R_m and δ >= 1
+    is the Krull dimension, so it turns negative and the walk ends; with
+    k = 1 and δ >= 2 it stays positive.  dims is [] once L falls below the
+    lowest generator degree, where every degree is closed form without a
+    rank.
     """
     free = []  # rows minus columns of degrees 0..L
     while (part := _free_part(ring, degrees, len(free))) > 0:
@@ -352,13 +336,14 @@ class _NoetherModule:
     @classmethod
     def of(cls, ring: HypersurfaceRing, q: int) -> Optional["_NoetherModule"]:
         """The module of a plane curve at q, after the first shift (s, t)
-        with f(s, t, 1) != 0, t and then s counted up from 0; None when
-        f(s, t, 1) = 0 on all of F_p^2.  f(s, t, 1) has degree at most d in
-        s, so when s = 0..d all miss for one t, every s does.  None as well
-        when q·(p-1)^2 >= 2^63: np.convolve sums at most q products of
-        residues in int64."""
+        with f(s, t, 1) != 0, t and then s counted up from 0; None off a
+        plane curve (three variables, one relation) and when f(s, t, 1) =
+        0 on all of F_p^2.  f(s, t, 1) has degree at most d in s, so when
+        s = 0..d all miss for one t, every s does.  None as well when
+        q·(p-1)^2 >= 2^63: np.convolve sums at most q products of residues
+        in int64."""
         p, f = ring.field.p, ring.relation
-        if q * (p - 1) ** 2 >= 1 << 63:
+        if ring.s != 3 or f is None or q * (p - 1) ** 2 >= 1 << 63:
             return None
         for t in range(p):
             for s in range(min(p, f.degree + 1)):

@@ -123,8 +123,7 @@ def curve_geometry(ring: HypersurfaceRing, max_dim: Optional[int] = None) -> Cur
     quotient vanishes from degree 3D-2 on, and ranks do not change under
     field extension.  Conversely, a zero piece makes every later piece
     zero, so S/J has finite length.  SizeGuardError is raised instead of
-    building that matrix when it has more than ``max_dim`` rows or columns,
-    on every call; the rank itself is taken once per ring.
+    building that matrix when it has more than ``max_dim`` rows or columns.
     """
     if ring.relation is None or ring.s != 3:
         raise ValueError("need a plane curve: three variables, one relation")
@@ -136,11 +135,7 @@ def curve_geometry(ring: HypersurfaceRing, max_dim: Optional[int] = None) -> Cur
     trip = SizeGuardError.for_degree(ambient, [g.degree for g in gens], top, max_dim)
     if trip is not None:
         raise trip
-    # cohomology_profile checks its ring, and so does the window of the
-    # colength it runs: the ring keeps the verdict
-    if ring._smooth is None:
-        ring._smooth = rank_mod_p(graded_map_matrix(ambient, gens, top)) == ambient.hilbert_dim(top)
-    if not ring._smooth:
+    if rank_mod_p(graded_map_matrix(ambient, gens, top)) != ambient.hilbert_dim(top):
         raise SingularCurveError(
             "singular curve: not primary: no graded piece vanished by the cap"
         )

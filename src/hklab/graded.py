@@ -234,7 +234,6 @@ class HypersurfaceRing:
             self._powers_lock = threading.Lock()
         self._binomials = np.zeros((0, s + 1), dtype=np.int64)
         self._nf_memo = {}
-        self._smooth = None  # the Jacobian rank's verdict, once curves.curve_geometry takes it
 
     @property
     def d(self) -> Optional[int]:

@@ -26,8 +26,8 @@ def normalized_colength(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> Fra
 
     Always ``colength``, never the diagonal block decomposition, so
     ``diagonal.sandwich_check`` compares its d_f bounds with an independent
-    value: ranks, plus closed forms below the first degree with syzygies
-    on a smooth plane curve.
+    value: ranks, plus closed forms below a degree whose rank shows no
+    syzygy.
     """
     return colength(ring, ideal, n).normalized
 

@@ -378,8 +378,7 @@ def test_vanishing_clean_at_q27_with_true_slopes():
 
 
 def test_one_smoothness_rank_per_profile_job(monkeypatch, tmp_path):
-    # cohomology_profile checks its ring, and the window of the colength it
-    # runs checks it again; the Jacobian rank is taken once
+    # cohomology_profile checks its ring; the colength it runs does not
     ranks = []
     rank = CURVES.rank_mod_p
     monkeypatch.setattr(CURVES, "rank_mod_p", lambda m: ranks.append(m) or rank(m))
