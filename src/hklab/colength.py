@@ -129,8 +129,11 @@ class ColengthRecord:
         """The record of the pieces ``dims`` of R/I^[q], kept through the
         first zero piece: with standard grading R is generated in degree 1,
         so a zero piece of R/I^[q] makes every later piece zero.
-        NotPrimaryError when no piece is zero."""
+        ValueError on a negative piece; NotPrimaryError when no piece is
+        zero."""
         dims = tuple(dims)
+        if any(v < 0 for v in dims):
+            raise ValueError(f"negative piece {min(dims)}")
         if 0 not in dims:
             raise NotPrimaryError("not primary: no graded piece vanished by the cap")
         dims = dims[: dims.index(0) + 1]
@@ -194,24 +197,23 @@ def colength(
     degree would, and before any degree at or past it is built.
 
     On a ring of positive Krull dimension with at least two generators
-    outside (f), only the degrees from a start degree L to the first zero
-    piece are ranked.  With e_i = deg g_i, dim (R/J)_m = dim R_m - Σ_i dim
-    R_{m-e_i} + h0(m), where h0(m) counts the degree-m syzygies of the g_i.
-    h0 cannot rise as m falls: over the algebraic closure some linear form
-    ℓ does not divide f, so it is a nonzerodivisor on R, multiplying by ℓ
-    maps the degree-m syzygies injectively into the degree-(m+1) ones, and
-    ranks do not change under field extension.  So one rank with
-    h0(L) = 0 makes every degree below L closed form (``_below_window``).
-    L starts at the last degree with more rows than columns and moves down
-    while h0(L) > 0.  Above L every degree is ranked up to the first zero
-    piece; an ideal that is not primary never reaches one and raises
+    outside (f), only the degrees above L0, the last degree with h0 = 0,
+    are ranked up to the first zero piece, plus a few probes.  With e_i =
+    deg g_i, dim (R/J)_m = dim R_m - Σ_i dim R_{m-e_i} + h0(m), where
+    h0(m) counts the degree-m syzygies of the g_i.  h0 cannot rise as m
+    falls: over the algebraic closure some linear form ℓ does not divide
+    f, so it is a nonzerodivisor on R, multiplying by ℓ maps the degree-m
+    syzygies injectively into the degree-(m+1) ones, and ranks do not
+    change under field extension.  So every piece of 0..L0 is closed form,
+    and ``_below_window`` finds L0; the loop reuses its probes' ranks.  An
+    ideal that is not primary never reaches a zero piece and raises
     NotPrimaryError.  Krull dimension 0, where no linear form is a
     nonzerodivisor, and a single generator rank every degree.
 
     For the maximal ideal of a plane curve, ``_noether_matrix`` builds each
     ranked degree in place of ``graded_map_entries``, from z^q, ...,
-    z^(q+d-1) in R/(x^q, y^q)·R, computed once the checks of degrees 0..L
-    have passed, and ``dense_rank`` ranks it.  Rings where f(s, t, 1) = 0
+    z^(q+d-1) in R/(x^q, y^q)·R, computed once the size checks of the walk
+    up have passed, and ``dense_rank`` ranks it.  Rings where f(s, t, 1) = 0
     on all of F_p^2, or where q·(p-1)^2 reaches 2^63, keep the generic
     builder.
     """
@@ -228,17 +230,16 @@ def colength(
         )
     degrees = [g.degree for g in gens]
     piece = functools.partial(_piece_dim, ring, gens)
-    dims, ranked = [], {}
+    dims = []
     if ring.krull_dim > 0 and len(degrees) > 1:
         module = _NoetherModule.of(ring, ring.field.p**n) if ideal.is_maximal else None
         if module is not None:
             piece = functools.partial(_noether_dim, module)
-        dims, ranked = _below_window(ring, degrees, piece, max_dim)
+        piece = functools.cache(piece)  # the window search's probes above L0 serve the loop too
+        dims = _below_window(ring, degrees, piece, max_dim)
     for m in range(len(dims), top + 1):
         _check_size(ring, degrees, m, max_dim)
-        if m in ranked:  # a start degree tried before L
-            dims.append(ranked[m])
-        elif not any(ring.hilbert_dim(m - e) for e in degrees):  # no columns: (R/J)_m = R_m
+        if not any(ring.hilbert_dim(m - e) for e in degrees):  # no columns: (R/J)_m = R_m
             dims.append(ring.hilbert_dim(m))
         else:
             dims.append(piece(m))
@@ -272,37 +273,39 @@ def _free_part(ring: HypersurfaceRing, degrees: Sequence, m: int) -> int:
     return ring.hilbert_dim(m) - sum(ring.hilbert_dim(m - e) for e in degrees)
 
 
-def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Optional[int]):
-    """(dims, ranked): dims holds dim (R/J)_m, J generated in ``degrees``,
-    for m = 0..L, L the first start degree found where one rank shows
-    h0(L) = 0: closed forms below L, L's rank last.  ``ranked`` maps the
-    start degrees tried before L, all above it, to their pieces;
-    ``piece(m)`` ranks degree m.
+def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Optional[int]) -> list:
+    """dim (R/J)_m, J generated in ``degrees``, for m = 0..L0, all closed
+    form; ``piece(m)`` ranks degree m.
 
-    L starts at the last degree of the run 0, 1, 2, ... whose matrices
-    have more rows than columns, each size-checked on the way up, and
-    moves down by 1, 2, 4, ... while h0(L) > 0.  Such a piece is not zero,
-    so the record runs past L, and the size checks of degrees 0..L, made
-    before anything is built, are ones a loop over every degree makes too.
-    With k >= 2 generators, rows minus columns behaves like
-    (1-k)·c·m^(δ-1) for large m, where c·m^(δ-1) leads dim R_m and δ >= 1
-    is the Krull dimension, so it turns negative and the walk ends; with
-    k = 1 and δ >= 2 it stays positive.  dims is [] once L falls below the
-    lowest generator degree, where every degree is closed form without a
-    rank.
+    The walk starts at the last degree of the run 0, 1, 2, ... whose
+    matrices have more rows than columns, each size-checked on the way up,
+    moves down by 1, 2, 4, ... while h0 > 0, and then bisects between the
+    last start with h0 > 0 and the first with h0 = 0.  h0 is nonnegative
+    and nondecreasing, so this finds L0, the last degree at or below the
+    start with h0 = 0; below the lowest generator degree h0 = 0 needs no
+    rank.  A degree with h0 > 0 has a nonzero piece, so the record runs
+    past every probe, and the size checks of the walk up, made before
+    anything is built, are ones a loop over every degree makes too.  With
+    k >= 2 generators, rows minus columns behaves like (1-k)·c·m^(δ-1) for
+    large m, where c·m^(δ-1) leads dim R_m and δ >= 1 is the Krull
+    dimension, so it turns negative and the walk up ends; with k = 1 and
+    δ >= 2 it stays positive.
     """
-    free = []  # rows minus columns of degrees 0..L
+    free = []  # rows minus columns of degrees 0..start
     while (part := _free_part(ring, degrees, len(free))) > 0:
         _check_size(ring, degrees, len(free), max_dim)
         free.append(part)
-    low, step, ranked = len(free) - 1, 1, {}
-    while low >= min(degrees):
-        dim = piece(low)
-        if dim == free[low]:  # h0(L) = 0
-            return free[: low + 1], ranked
-        ranked[low] = dim
-        low, step = low - step, 2 * step
-    return [], ranked
+
+    def vanishes(m: int) -> bool:  # h0(m) = 0
+        return m < min(degrees) or piece(m) == free[m]
+
+    high, low, step = len(free), len(free) - 1, 1
+    while not vanishes(low):
+        high, low, step = low, low - step, 2 * step
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if vanishes(mid) else (low, mid)
+    return free[: low + 1]
 
 
 def _piece_dim(ring: HypersurfaceRing, gens: Sequence, m: int) -> int:

@@ -218,14 +218,17 @@ def cohomology_profile(
 def estimate_hn_profile(profile: CohomologyProfile) -> HNProfile:
     """Read the slope profile off the plateau structure of Δh⁰.
 
-    A plateau is at least max(3, theta+2) consecutive equal differences at a
-    value degY·R with integer cumulative rank R; the top plateau (R the
-    syzygy rank, one less than the number of generators) must additionally
-    have h¹ = 0, which pins total-degree conservation exactly: the last
-    cumulative degree must be the generators' degree sum.  Cumulative
-    degrees D_k come from the exact line h⁰(m) = degY(m·R_k - q·D_k) +
-    R_k(1-g) evaluated at the right end b of each plateau.  The
-    first-nonzero twist is reported only as a diagnostic.
+    On a smooth plane curve h⁰ is convex with 0 <= Δh⁰ <= degY·(syzygy
+    rank), so a profile of another shape is ambiguous; under that shape
+    the plateaus come in increasing rank along m, and one ordered pass
+    reads them.  A plateau is at least max(3, theta+2) consecutive equal
+    differences at a value degY·R with integer cumulative rank R; the top
+    plateau (R the syzygy rank, one less than the number of generators)
+    must additionally have h¹ = 0, which pins total-degree conservation
+    exactly: the last cumulative degree must be the generators' degree
+    sum.  Cumulative degrees D_k come from the exact line h⁰(m) =
+    degY(m·R_k - q·D_k) + R_k(1-g) evaluated at the right end b of each
+    plateau.  The first-nonzero twist is reported only as a diagnostic.
     """
     geom = profile.geom
     degy = geom.deg_y
@@ -236,7 +239,15 @@ def estimate_hn_profile(profile: CohomologyProfile) -> HNProfile:
     h0 = profile.h0
     h1 = profile.h1
     deltas = [h0[m] - h0[m - 1] for m in range(1, profile.m_max + 1)]
-    selected = {}
+    bound = rank_total * degy
+    steps = [0, *deltas, bound]
+    if any(lo > hi for lo, hi in zip(steps, steps[1:])):
+        raise AmbiguousPlateauError(
+            f"ambiguous plateau: Δh⁰ is negative, falls, or exceeds rank·deg Y = {bound}"
+        )
+    pairs = []
+    prev_rank = 0
+    prev_d = Fraction(0)
     b = 0
     for value, run in itertools.groupby(deltas):  # Δh⁰(m) = value on m = a..b
         a, b = b + 1, b + len(list(run))
@@ -248,10 +259,6 @@ def estimate_hn_profile(profile: CohomologyProfile) -> HNProfile:
                 f"not a multiple of deg Y = {degy}"
             )
         r_cum = value // degy
-        if r_cum > rank_total:
-            raise AmbiguousPlateauError(
-                f"ambiguous plateau: cumulative rank {r_cum} exceeds {rank_total}"
-            )
         if r_cum == rank_total:
             # keep only the trailing h1 = 0 stretch; it certifies the exact
             # line and with it degree conservation
@@ -260,28 +267,13 @@ def estimate_hn_profile(profile: CohomologyProfile) -> HNProfile:
                 m -= 1
             if b - m < tol:
                 continue
-            a = m + 1
-        selected[r_cum] = (a, b)
-    if rank_total not in selected:
-        raise ProfileTooShortError("profile too short: no stable top plateau with h1 = 0")
-    ranks = sorted(selected)
-    # plateaus must appear in increasing-rank order along m
-    spans = [selected[r] for r in ranks]
-    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-        if not b1 < a2:
-            raise AmbiguousPlateauError(
-                "ambiguous plateau: overlapping plateaus for different ranks"
-            )
-    pairs = []
-    prev_rank = 0
-    prev_d = Fraction(0)
-    for r_cum in ranks:
-        b = selected[r_cum][1]
         d_cum = Fraction(degy * b * r_cum + r_cum * (1 - g) - h0[b], q * degy)
         r_k = r_cum - prev_rank
         nu_k = (d_cum - prev_d) / r_k
         pairs.append((nu_k, r_k))
         prev_rank, prev_d = r_cum, d_cum
+    if prev_rank != rank_total:
+        raise ProfileTooShortError("profile too short: no stable top plateau with h1 = 0")
     sum_d = sum(profile.degrees)
     if prev_d != sum_d:
         raise AmbiguousPlateauError(

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from hklab.colength import ColengthRecord, IdealSpec, NotPrimaryError, colength
+from hklab.colength import ColengthRecord, IdealSpec, colength
 from hklab.diagonal import han_monsky_applies, han_monsky_colength
 from hklab.graded import HypersurfaceRing
 
@@ -87,7 +87,7 @@ def _inconsistency(
     own dims."""
     try:
         expected = ColengthRecord.from_dims(p, n, record.dims, krull_dim)
-    except NotPrimaryError as exc:
+    except ValueError as exc:  # NotPrimaryError too
         return f"dims: {exc}"
     wrong = [
         f"{field} = {value!r}, expected {getattr(expected, field)!r}"

@@ -375,6 +375,26 @@ def test_window_builds_at_most_two_flanks_and_the_gap(monkeypatch, spec, total, 
     assert 0 < len(built) <= most
 
 
+def test_window_search_stops_at_the_last_degree_without_syzygies(monkeypatch):
+    # The nodal cubic at p = 101: the walk starts at U = 151, the last
+    # degree with more rows than columns, and moves down to 120, well
+    # below L0 = 135, the last degree with h0 = 0; the first zero piece is
+    # E = 168.  A bisection between 120 and 136 finds L0, so about
+    # log2(U - e_min + 2) + 1 degrees up to L0 are built, not every one
+    R = ring(f"hypersurface:s=3,p=101,f={NODAL_CUBIC}")
+    expected = every_degree_record(R, maximal(R), 1)
+    built = recording_builds(monkeypatch)
+    assert colength(R, maximal(R), 1) == expected
+    degrees = (101, 101, 101)
+    free = [COLENGTH._free_part(R, degrees, m) for m in range(len(expected.dims))]
+    zero_h0 = [m for m, (dim, part) in enumerate(zip(expected.dims, free)) if dim == part]
+    u = max(m for m, part in enumerate(free) if part > 0)
+    l0 = max(m for m in zero_h0 if m <= u)
+    assert (l0, u, len(expected.dims) - 1) == (135, 151, 168)
+    assert len([m for m in built if m <= l0]) <= math.ceil(math.log2(u - 101 + 2)) + 1 == 7
+    assert len(set(built)) == len(built)  # no degree is built twice
+
+
 # the product of the 7 lines of P^2(F_2): every F_2-linear form is a zero
 # divisor on R, though a linear form over the algebraic closure is not
 SEVEN_LINES = "x^4*y^2*z+x^4*y*z^2+x^2*y*z^4+x^2*y^4*z+x*y^4*z^2+x*y^2*z^4"

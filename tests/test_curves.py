@@ -223,6 +223,27 @@ def test_profile_h0_matches_per_twist_ranks(spec, ideal, q):
     assert prof.h0 == per_twist_h0(ring, I, n, prof.m_max)
 
 
+@pytest.mark.parametrize(
+    "spec,ideal,n",
+    [
+        (KLEIN.format(p=13), "maximal", 1),
+        (KLEIN.format(p=31), "maximal", 1),
+        (KLEIN.format(p=31), "x^2,y,z", 1),
+        (KLEIN.format(p=11), "x,y^2,z^3", 1),
+        ("fermat:s=3,d=4,p=7", "maximal", 2),
+    ],
+)
+def test_h0_is_convex_with_slope_at_most_rank_times_degree(spec, ideal, n):
+    # the shape estimate_hn_profile trusts: on a smooth plane curve Δh⁰ is
+    # nondecreasing, from at least 0 to at most rank·deg Y
+    ring = parse_ring_spec(spec)
+    prof = cohomology_profile(ring, parse_ideal_spec(ring, ideal), n)
+    deltas = [b - a for a, b in zip(prof.h0, prof.h0[1:])]
+    assert deltas[0] >= 0
+    assert deltas[-1] <= (len(prof.degrees) - 1) * prof.geom.deg_y
+    assert all(a <= b for a, b in zip(deltas, deltas[1:]))
+
+
 # -------------------------------------------------------------- HN estimation
 
 
@@ -330,7 +351,7 @@ def test_out_of_order_plateaus_are_ambiguous():
         geom=geom,
         degrees=(1, 1, 1),
     )
-    with pytest.raises(AmbiguousPlateauError, match="overlapping"):
+    with pytest.raises(AmbiguousPlateauError, match="falls"):
         estimate_hn_profile(fake)
 
 

@@ -156,6 +156,25 @@ def test_cached_colength_discards_entry_with_interior_zero_piece(tmp_path, caplo
     assert "inconsistent" in caplog.text
 
 
+def test_cached_colength_discards_entry_with_negative_piece(tmp_path, caplog):
+    # the total and every later piece match, and the last piece is zero
+    ring = parse_ring_spec("hypersurface:s=3,p=7,f=x^3*y+y^3*z+z^3*x")
+    ideal = IdealSpec.maximal_ideal(ring)
+    record = colength(ring, ideal, 1)
+    bad = dataclasses.replace(record, dims=(1, 14, -5) + record.dims[3:])
+    assert record.dims[:4] == (1, 3, 6, 10) and sum(bad.dims) == record.total
+    store = ResultStore(tmp_path)
+    key = ResultStore.key(
+        7, 1, ring.canonical_string(), ideal.canonical_string(), "0.1.0"
+    )
+    store.put(key, bad)
+    with caplog.at_level("WARNING"):
+        rec = cached_colength(store, ring, ideal, 1)
+    assert rec == record
+    assert store.get(key) == rec
+    assert "inconsistent" in caplog.text
+
+
 def test_cached_colength_without_store():
     ring = parse_ring_spec("fermat:s=3,d=4,p=3")
     ideal = IdealSpec.maximal_ideal(ring)
