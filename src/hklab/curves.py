@@ -136,9 +136,7 @@ def curve_geometry(ring: HypersurfaceRing, max_dim: Optional[int] = None) -> Cur
     if trip is not None:
         raise trip
     if rank_mod_p(graded_map_matrix(ambient, gens, top)) != ambient.hilbert_dim(top):
-        raise SingularCurveError(
-            "singular curve: not primary: no graded piece vanished by the cap"
-        )
+        raise SingularCurveError(f"singular curve: the Jacobian quotient is nonzero in degree {top}")
     return CurveGeometry(deg_y=d, genus=(d - 1) * (d - 2) // 2, theta=d - 3)
 
 

@@ -4,13 +4,15 @@ The generic colength engine's graded quotient dimensions and the curve
 smoothness check reduce to ranks of matrices of residues mod p; the
 diagonal toolkit needs none (Han's theorem makes it integer arithmetic).
 ``sparse_rank`` takes a matrix as its nonzero entries: it peels the columns
-with one nonzero entry, splits the core that is left into the connected
-components of its nonzero pattern and eliminates them side by side in
-zero-padded stacks, one loop step per row of the tallest component and no
-inverse.  A component with at least ``_BLOCKED_ROWS`` rows and columns is
-eliminated on its own by a recursive blocked elimination (in the manner
-of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), whose
-updates are float64 matrix products that stay exact integers.
+with one nonzero entry and splits the core that is left into the connected
+components of its nonzero pattern.  A component with at least
+``_BLOCKED_ROWS`` rows and columns is eliminated on its own: by a recursive
+blocked elimination (in the manner of FFLAS-FFPACK: Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008), whose updates are float64 matrix products
+that stay exact integers, while float64 is exact for products of
+residues, and past that as a stack of one.  All the smaller components
+are eliminated side by side in one zero-padded stack, one loop step per
+row of the tallest component and no inverse.
 ``dense_rank`` ranks a dense matrix: one that large and nearly full goes
 to that elimination whole, any other goes to ``sparse_rank`` as its
 nonzero entries.
@@ -47,7 +49,7 @@ _MAX_MODULUS = 3037000499
 _FLOAT_EXACT = 1 << 53
 
 # Components with at least this many rows (and as many columns) take the
-# blocked elimination alone; smaller ones stay in stacks.  Ranks of
+# blocked elimination alone; smaller ones share one stack.  Ranks of
 # random components mod 401 of rank 9/10 of their rows, 30% and 100% full
 # (2 vCPUs, best of 3), stacked / alone: 20 of 64 rows 41 / 44 and 54 /
 # 40 ms, 16 of 72 rows 47 / 49 and 57 / 42 ms, 14 of 80 rows 52 / 47 and
@@ -181,9 +183,11 @@ def sparse_rank(a: SparseMatrix) -> int:
     permutations whenever the matrix is homogeneous for a grading finer
     than the degree (for a diagonal relation and m^[q], the Han-Monsky
     residue classes), so its rank is the sum of the ranks of the connected
-    components of its nonzero pattern.  Those are eliminated side by side,
-    zero-padded into few stacks.  Large components go to ``_blocked_rank``
-    instead while float64 is exact for products of residues.
+    components of its nonzero pattern.  A component with at least
+    ``_BLOCKED_ROWS`` rows is eliminated alone: by ``_blocked_rank`` while
+    float64 is exact for products of residues, and otherwise as a stack of
+    one.  All the smaller components share one zero-padded stack and one
+    ``_stacked_rank`` call.
     """
     rows, cols, values = a.rows, a.cols, a.values
     p = a.field.p
@@ -207,25 +211,20 @@ def sparse_rank(a: SparseMatrix) -> int:
     if not rows.size:
         return rank
     comp, i, j, shapes = _components(rows, cols, a.nrows, a.ncols)
-    # large components go alone to the blocked elimination
-    alone = (shapes[:, 0] >= _BLOCKED_ROWS) & float_exact
-    small = np.flatnonzero(~alone)
-    stacks = [[k] for k in np.flatnonzero(alone).tolist()]
-    if small.size:
-        stacks += [small[ids].tolist() for ids in _stacks(shapes[small])]
-    # each component's stack and slot in it; entries grouped by stack
-    stack = np.zeros(len(shapes), dtype=np.int64)
-    slot = np.zeros(len(shapes), dtype=np.int64)
-    for k, ids in enumerate(stacks):
-        stack[ids], slot[ids] = k, np.arange(len(ids))
-    by_stack = np.argsort(stack[comp], kind="stable")
-    ends = np.cumsum(np.bincount(stack[comp], minlength=len(stacks))).tolist()
-    for ids, lo, hi in zip(stacks, [0, *ends], ends):
-        at = by_stack[lo:hi]
-        shape = (len(ids), shapes[ids[-1], 0], shapes[ids, 1].max())
-        out = np.zeros(shape, dtype=np.float64 if alone[ids[0]] else a.field.dtype)
+    # a component of at least _BLOCKED_ROWS rows is eliminated alone; all
+    # the smaller ones share one zero-padded stack
+    alone = shapes[:, 0] >= _BLOCKED_ROWS
+    groups = [[k] for k in np.flatnonzero(alone).tolist()]
+    if not alone.all():
+        groups.append(np.flatnonzero(~alone))
+    for ids in groups:
+        slot = np.full(len(shapes), -1)
+        slot[ids] = np.arange(len(ids))
+        at = slot[comp] >= 0
+        blocked = alone[ids[0]] and float_exact
+        out = np.zeros((len(ids), *shapes[ids].max(axis=0)), dtype=np.float64 if blocked else a.field.dtype)
         out[slot[comp[at]], i[at], j[at]] = values[at]
-        rank += _blocked_rank(out[0], p) if alone[ids[0]] else int(_stacked_rank(out, p).sum())
+        rank += _blocked_rank(out[0], p) if blocked else int(_stacked_rank(out, p).sum())
     return rank
 
 
@@ -272,27 +271,6 @@ def _local_index(group: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     local = np.empty(len(group), dtype=np.int64)
     local[order] = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return local
-
-
-def _stacks(shapes: np.ndarray) -> list:
-    """Blocks of the (rows, cols) ``shapes`` grouped into stacks: per stack
-    the indices of its blocks, the tallest last.  Blocks go into stacks in
-    increasing shape, and a stack is closed before its padded cells would
-    exceed twice its blocks' cells."""
-    stacks, stack = [], []
-    cells = wide = 0
-    for k in np.lexsort((shapes[:, 1], shapes[:, 0])).tolist():
-        h, w = shapes[k].tolist()
-        # the newest block is the tallest, so the padded size is known on the spot
-        if stack and (len(stack) + 1) * h * max(wide, w) > 2 * (cells + h * w):
-            stacks.append(stack)
-            stack = []
-            cells = wide = 0
-        stack.append(k)
-        cells += h * w
-        wide = max(wide, w)
-    stacks.append(stack)
-    return stacks
 
 
 def _stacked_rank(a: np.ndarray, p: int) -> np.ndarray:

@@ -577,7 +577,9 @@ def test_math_errors_exit_1(tmp_path, capsys, monkeypatch):
         )
         == 1
     )
-    # singular curve: every partial of the quartic vanishes mod 2
+    # singular curve: every partial of the quartic vanishes mod 2, so S/J
+    # is nonzero in degree 3*4 - 2
+    capsys.readouterr()
     assert (
         main(
             ["hn", "--ring", "fermat:s=3,d=4,p=2", "--primes", "2", "--n", "1"]
@@ -585,6 +587,7 @@ def test_math_errors_exit_1(tmp_path, capsys, monkeypatch):
         )
         == 1
     )
+    assert "singular curve: the Jacobian quotient is nonzero in degree 10" in capsys.readouterr().err
     # underdetermined fit
     assert (
         main(

@@ -282,36 +282,6 @@ def test_block_ranks_match_reference_per_block(case):
     assert sparse_rank(entries) == sum(ref_rank(b.tolist(), p) for b in blocks)
 
 
-def test_padded_stacks_stay_within_twice_their_cells(monkeypatch):
-    # One 300x300 block of full rank beside fifty 2x2 blocks: padding every
-    # small block to 300x300 would take 51 times the cells.
-    p = 101
-    rng = np.random.default_rng(3)
-    lower = np.tril(rng.integers(0, p, (300, 300)), -1) + np.eye(300, dtype=np.int64)
-    upper = np.triu(rng.integers(0, p, (300, 300)), 1) + np.diag(rng.integers(1, p, 300))
-    big = lower @ upper % p  # det = product of upper's diagonal, nonzero mod p
-    small = [rng.integers(0, p, (2, 2)) for _ in range(50)]
-    data = np.zeros((400, 400), dtype=np.int64)
-    data[:300, :300] = big
-    for k, block in enumerate(small):
-        data[300 + 2 * k : 302 + 2 * k, 300 + 2 * k : 302 + 2 * k] = block
-    data = data[rng.permutation(400)][:, rng.permutation(400)]
-    stacks = []
-    plan = hklab.fp_linalg._stacks
-
-    def record(shapes):
-        out = plan(shapes)
-        for ids in out:
-            padded = len(ids) * shapes[ids[-1], 0] * shapes[ids, 1].max()
-            stacks.append((padded, int(np.prod(shapes[ids], axis=1).sum())))
-        return out
-
-    monkeypatch.setattr(hklab.fp_linalg, "_stacks", record)
-    expected = 300 + sum(ref_rank(b.tolist(), p) for b in small)
-    assert rank_mod_p(PrimeFieldMatrix(PrimeField(p), data)) == expected
-    assert stacks and all(size <= 2 * cells for size, cells in stacks)
-
-
 def _largest_prime_below(n):
     return next(p for p in range(n - 1, 1, -1) if is_prime(p))
 
@@ -332,6 +302,58 @@ def _rank_deficient(rng, p, rows, cols, rank):
 # residues is exact; the next prime needs the int64 elimination
 FLOAT_PRIME = 94906249
 assert (FLOAT_PRIME - 1) ** 2 < 1 << 53 <= (_smallest_prime_from(FLOAT_PRIME + 1) - 1) ** 2
+
+
+def _kernel_inputs(p, extra=()):
+    """The rank of a 400x400 matrix mod p, a 300x300 block of full rank
+    beside fifty 2x2 blocks and the blocks ``extra``, all under shuffled
+    rows and columns, against the reference, and the shapes of the arrays
+    handed to the two kernels: (blocked, stacked)."""
+    rng = np.random.default_rng(3)
+    lower = np.tril(rng.integers(0, p, (300, 300)), -1) + np.eye(300, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (300, 300)), 1) + np.diag(rng.integers(1, p, 300))
+    big = lower @ upper % p  # det = product of upper's diagonal, nonzero mod p
+    # no zero entry, so the peel leaves every 2x2 block whole
+    small = [rng.integers(1, p, (2, 2)) for _ in range(50)]
+    blocks = [big, *small, *extra]
+    data = np.zeros(tuple(sum(b.shape[k] for b in blocks) for k in (0, 1)), dtype=np.int64)
+    top = left = 0
+    for block in blocks:
+        data[top : top + block.shape[0], left : left + block.shape[1]] = block
+        top += block.shape[0]
+        left += block.shape[1]
+    data = data[rng.permutation(len(data))][:, rng.permutation(data.shape[1])]
+    blocked, stacked = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, seen in (("_blocked_rank", blocked), ("_stacked_rank", stacked)):
+            kernel = getattr(hklab.fp_linalg, name)
+            patch.setattr(hklab.fp_linalg, name, lambda a, p, k=kernel, s=seen: s.append(a.shape) or k(a, p))
+        rank = rank_mod_p(PrimeFieldMatrix(PrimeField(p), data))
+    assert rank == 300 + sum(ref_rank(b.tolist(), p) for b in blocks[1:])
+    return blocked, stacked
+
+
+@pytest.mark.parametrize("p", [101, _smallest_prime_from(FLOAT_PRIME + 1)])
+def test_large_components_go_alone_and_the_rest_share_one_stack(p):
+    # padding each 2x2 block to 300x300 would take 51 times the cells: the
+    # large block goes alone, the small ones share one stack
+    blocked, stacked = _kernel_inputs(p)
+    if p == 101:
+        assert blocked == [(300, 300)] and stacked == [(50, 2, 2)]
+    else:
+        assert blocked == [] and sorted(stacked) == [(1, 300, 300), (50, 2, 2)]
+
+
+def test_the_stack_takes_components_just_below_the_blocked_size():
+    # past FLOAT_PRIME a component of _BLOCKED_ROWS rows is a stack of one,
+    # and one row fewer joins the 2x2 blocks in the shared stack
+    p = _smallest_prime_from(FLOAT_PRIME + 1)
+    rng = np.random.default_rng(5)
+    size = hklab.fp_linalg._BLOCKED_ROWS
+    extra = [rng.integers(1, p, (size, size)), rng.integers(1, p, (size - 1, size - 1))]
+    blocked, stacked = _kernel_inputs(p, extra)
+    assert blocked == []
+    assert sorted(stacked) == [(1, size, size), (1, 300, 300), (51, size - 1, size - 1)]
 
 
 @pytest.mark.parametrize("p", [5, 401, FLOAT_PRIME, _smallest_prime_from(FLOAT_PRIME + 1)])
