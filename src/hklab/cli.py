@@ -1,8 +1,9 @@
 """Experiment front end: grids over (p, n), disk caching, CSV/JSON export.
 
 Exit codes: 0 success, 2 unparseable input (flags, ring/ideal specs,
-config file), 3 matrix-size guard tripped, 1 mathematical failure
-(non-primary ideal, singular curve, short profile, ...).
+config file) or an unusable --out or --cache path, 3 matrix-size guard
+tripped, 1 mathematical failure (non-primary ideal, singular curve, short
+profile, ...).
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def _validate(args: argparse.Namespace) -> None:
         raise SpecParseError(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "cap", 1) < 1:  # every run would trip at degree 0
         raise SpecParseError(f"--cap must be >= 1, got {args.cap}")
+    for flag in ("out", "cache"):  # fail before the work, not after it
+        path = getattr(args, flag, None)
+        if path is not None and path.exists() and not path.is_dir():
+            raise SpecParseError(f"--{flag} {path} is not a directory")
     if getattr(args, "ring", None) and args.family:
         ring = parse_ring_spec(args.ring)
         family = family_ring(args.family, ring.field.p)
@@ -174,6 +179,8 @@ def parse_primes(text: str) -> List[int]:
                 v = int(tok)
                 if not is_prime(v):
                     raise ValueError(f"not prime: {v}")
+                if v in primes:
+                    raise ValueError(f"repeated prime {v}")
                 primes.append(v)
     except ValueError as exc:
         raise SpecParseError(f"bad --primes {text!r}: {exc}") from None
@@ -189,6 +196,9 @@ def parse_n_list(text: str) -> List[int]:
         raise SpecParseError(f"bad --n {text!r}") from None
     if not ns or any(n < 1 for n in ns):
         raise SpecParseError(f"bad --n {text!r}: exponents must be >= 1")
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise SpecParseError(f"bad --n {text!r}: repeated exponent {n}")
     return ns
 
 
@@ -484,7 +494,7 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     if not args.family:
         raise SpecParseError("convergence needs --family")
-    if len(set(parse_n_list(args.n_list))) != 1:
+    if len(parse_n_list(args.n_list)) != 1:
         raise SpecParseError("convergence needs a single --n")
     references = {}
     for p in grid_primes(args):  # every reference before the first colength
@@ -576,7 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse: usage errors, bad config values, --help
         return exc.code if isinstance(exc.code, int) else 2
-    except SpecParseError as exc:
+    except (SpecParseError, OSError) as exc:  # OSError: an unusable --out or --cache
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

@@ -150,32 +150,22 @@ class ColengthRecord:
             "normalized": f"{self.normalized.numerator}/{self.normalized.denominator}",
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ColengthRecord":
-        num, _, den = data["normalized"].partition("/")
-        return cls(
-            p=int(data["p"]),
-            n=int(data["n"]),
-            q=int(data["q"]),
-            dims=tuple(int(v) for v in data["dims"]),
-            total=int(data["total"]),
-            normalized=Fraction(int(num), int(den)),
-        )
-
 
 def frobenius_power(ring: HypersurfaceRing, ideal: IdealSpec, n: int) -> IdealSpec:
     """(f_1, ..., f_s) -> (f_1^q, ..., f_s^q) for q = p^n, p the ring's
     characteristic.
 
-    Computed by n-fold p-th powering: in characteristic p the p-th power is
-    additive, so each step just multiplies exponents by p.
+    In characteristic p the q-th power is additive and c^q = c on residues,
+    so (Σ c_i x^a_i)^q = Σ c_i x^(q·a_i): one pass moves only the exponents.
     """
     if n < 0:
         raise ValueError(f"Frobenius exponent must be >= 0, got {n}")
-    gens = ideal.generators
-    for _ in range(n):
-        gens = tuple(g.pth_power() for g in gens)
-    return IdealSpec(gens)
+    q = ring.field.p**n
+    powers = []
+    for g in ideal.generators:
+        terms = {tuple(e * q for e in m): c for m, c in g.terms.items()}
+        powers.append(Polynomial(g.field, g.nvars, terms))
+    return IdealSpec(tuple(powers))
 
 
 def colength(

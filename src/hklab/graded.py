@@ -136,16 +136,6 @@ class Polynomial:
                 out[dm] = out.get(dm, 0) + c * m[i]
         return Polynomial(self.field, self.nvars, out)
 
-    def pth_power(self) -> "Polynomial":
-        # (sum c_i x^a_i)^p = sum c_i^p x^(p a_i) in characteristic p, and
-        # c^p = c on residues, so only exponents move.
-        p = self.field.p
-        return Polynomial(
-            self.field,
-            self.nvars,
-            {tuple(e * p for e in m): c for m, c in self.terms.items()},
-        )
-
     # -- comparison / rendering ---------------------------------------------
 
     def __eq__(self, other: object) -> bool:

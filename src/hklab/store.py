@@ -47,22 +47,19 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str) -> Optional[ColengthRecord]:
+    def get(self, key: str):
+        """The JSON stored under ``key``; None when there is no entry, or
+        with a warning when it is not UTF-8 JSON or is null."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return ColengthRecord.from_json_dict(payload)
+                stored = json.load(fh)
+            if stored is None:  # would read as no entry
+                raise ValueError("null entry")
+            return stored
         except FileNotFoundError:
             return None
-        except (
-            json.JSONDecodeError,
-            AttributeError,
-            KeyError,
-            TypeError,
-            ValueError,
-            ZeroDivisionError,
-        ) as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             log.warning("discarding corrupt cache entry %s: %s", path.name, exc)
             return None
 
@@ -79,22 +76,18 @@ class ResultStore:
                 os.unlink(tmp)
 
 
-def _inconsistency(
-    record: ColengthRecord, p: int, n: int, krull_dim: int
-) -> Optional[str]:
-    """Why a cached record cannot be the colength it is stored under, or
-    None when it is the record ``ColengthRecord.from_dims`` builds from its
-    own dims."""
-    try:
-        expected = ColengthRecord.from_dims(p, n, record.dims, krull_dim)
-    except ValueError as exc:  # NotPrimaryError too
-        return f"dims: {exc}"
-    wrong = [
-        f"{field} = {value!r}, expected {getattr(expected, field)!r}"
-        for field, value in vars(record).items()
-        if value != getattr(expected, field)
-    ]
-    return "; ".join(wrong) or None
+def _served(stored, p: int, n: int, krull_dim: int) -> ColengthRecord:
+    """The record ``ColengthRecord.from_dims`` builds from the requested p
+    and n and the stored dims.  ValueError unless every piece is a JSON
+    integer and that record serializes to exactly ``stored``; KeyError or
+    TypeError when ``stored`` has no dims to read."""
+    dims = stored["dims"]
+    if not all(type(v) is int for v in dims):  # a float, string or bool
+        raise ValueError("a piece is not an integer")
+    record = ColengthRecord.from_dims(p, n, dims, krull_dim)
+    if record.to_json_dict() != stored:
+        raise ValueError(f"not the record of its dims at p={p}, n={n}")
+    return record
 
 
 def cached_colength(
@@ -115,9 +108,9 @@ def cached_colength(
     ideal goes to the generic ``colength``.  Both take the same arguments,
     give the same record and raise the same SizeGuardError.
 
-    Served from the store when it holds an entry under the same key that is
-    consistent with the request; any other entry is discarded with a
-    warning, recomputed and overwritten.
+    Served from the store when ``_served`` accepts its entry under the same
+    key; any other entry is discarded with a warning, recomputed and
+    overwritten.
     """
     from hklab import __version__
 
@@ -126,12 +119,12 @@ def cached_colength(
         p, n, ring.canonical_string(), ideal.canonical_string(), __version__
     )
     if store is not None:
-        hit = store.get(key)
-        if hit is not None:
-            problem = _inconsistency(hit, p, n, ring.krull_dim)
-            if problem is None:
-                return hit
-            log.warning("discarding inconsistent cache entry %s: %s", key, problem)
+        stored = store.get(key)
+        if stored is not None:
+            try:
+                return _served(stored, p, n, ring.krull_dim)
+            except (KeyError, TypeError, ValueError) as exc:  # NotPrimaryError too
+                log.warning("discarding inconsistent cache entry %s: %s", key, exc)
     engine = han_monsky_colength if han_monsky_applies(ring, ideal) else colength
     record = engine(ring, ideal, n, max_dim)
     if store is not None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hklab.diagonal
+import hklab.store
 from hklab.cli import COMMANDS, build_parser, main, parse_primes, rational_str
 from hklab.graded import SpecParseError
 
@@ -328,6 +329,53 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(chang + ["--n", "1,2"] + out) == 2
     assert "--n" in capsys.readouterr().err
     assert not (tmp_path / "limits.json").exists()
+
+
+def test_repeated_grid_values_exit_2(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    chang = ["--family", "chang-quartic"]
+    cases = [
+        (["colength", *chang, "--primes", "7,7"], "bad --primes '7,7': repeated prime 7"),
+        (["colength", *chang, "--primes", "7", "--n", "1,1"], "bad --n '1,1': repeated exponent 1"),
+        (["convergence", *chang, "--primes", "7,7,11,13,17"], "repeated prime 7"),
+    ]
+    for argv, message in cases:
+        assert main(argv + out) == 2
+        assert message in capsys.readouterr().err
+    # a config file's values go through the same parsers
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=chang-quartic\nprimes=7,11,7\n", encoding="utf-8")
+    assert main(["colength", "--config", str(cfg)] + out) == 2
+    assert "repeated prime 7" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_unusable_out_or_cache_path_exits_2(tmp_path, capsys, monkeypatch):
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    argv = ["colength", "--family", "chang-quartic", "--primes", "7"]
+    runs = []
+    real = hklab.store.han_monsky_colength
+    monkeypatch.setattr(
+        hklab.store,
+        "han_monsky_colength",
+        lambda *args: runs.append(args) or real(*args),
+    )
+    # a path that exists and is not a directory fails before any colength
+    for flag in ("--out", "--cache"):
+        assert main(argv + [flag, str(plain)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {plain} is not a directory\n"
+    assert runs == []
+    # a cache entry that is a directory
+    cache = tmp_path / "cache"
+    assert main(argv + ["--cache", str(cache), "--out", str(tmp_path)]) == 0
+    (entry,) = cache.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    capsys.readouterr()
+    assert main(argv + ["--cache", str(cache), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(entry) in err and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2():

@@ -327,13 +327,6 @@ def test_piece_dims_against_reference():
             assert got == want
 
 
-def test_pth_power_example():
-    field = PrimeField(3)
-    g = parse_polynomial(field, 2, "x^2+x*y")
-    cubed = g.pth_power()
-    assert cubed == parse_polynomial(field, 2, "x^6+x^3*y^3")
-
-
 def test_derivative():
     field = PrimeField(7)
     g = parse_polynomial(field, 3, "x^4+y^4+z^4")

@@ -25,7 +25,7 @@ def test_round_trip(tmp_path):
     store = ResultStore(tmp_path)
     key = ResultStore.key(3, 1, "ring", "ideal", "v1")
     store.put(key, sample_record())
-    assert store.get(key) == sample_record()
+    assert store.get(key) == sample_record().to_json_dict()
 
 
 def test_get_on_empty_store(tmp_path):
@@ -38,16 +38,10 @@ def test_corrupt_entry_treated_as_absent(tmp_path, caplog):
     key = ResultStore.key(3, 1, "r", "i", "v")
     store.put(key, sample_record())
     path = tmp_path / f"{key}.json"
-    path.write_text("{not json", encoding="utf-8")
-    with caplog.at_level("WARNING"):
-        assert store.get(key) is None
-    assert "corrupt" in caplog.text
-    caplog.clear()
-    # parseable JSON whose fields have the wrong types
-    for normalized in (3, "1/0"):
-        payload = sample_record().to_json_dict()
-        payload["normalized"] = normalized
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    # not JSON; not UTF-8; JSON, but null
+    for raw in (b"{not json", b'{"p": "\xff"}', b"null"):
+        caplog.clear()
+        path.write_bytes(raw)
         with caplog.at_level("WARNING"):
             assert store.get(key) is None
         assert "corrupt" in caplog.text
@@ -77,7 +71,7 @@ def test_concurrent_writers_leave_valid_entry(tmp_path):
     for t in threads:
         t.join()
     winner = store.get(key)
-    assert winner in records
+    assert winner in [rec.to_json_dict() for rec in records]
     # no stray temp files survive
     assert list(tmp_path.glob("*.tmp")) == []
 
@@ -91,7 +85,7 @@ def test_cached_colength_computes_and_stores(tmp_path):
     key = ResultStore.key(
         3, 1, ring.canonical_string(), ideal.canonical_string(), "0.1.0"
     )
-    assert store.get(key) == rec
+    assert store.get(key) == rec.to_json_dict()
 
 
 def _planted(tmp_path, record):
@@ -117,7 +111,7 @@ def test_cached_colength_reads_planted_entry(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         rec = cached_colength(store, ring, ideal, 1)
     assert rec.total == 27
-    assert store.get(key) == rec
+    assert store.get(key) == rec.to_json_dict()
     assert "inconsistent" in caplog.text
 
 
@@ -139,7 +133,7 @@ def test_cached_colength_discards_inconsistent_entry(tmp_path, change, caplog):
     with caplog.at_level("WARNING"):
         rec = cached_colength(store, ring, ideal, 1)
     assert rec == sample_record()
-    assert store.get(key) == rec
+    assert store.get(key) == rec.to_json_dict()
     assert "inconsistent" in caplog.text
 
 
@@ -152,7 +146,7 @@ def test_cached_colength_discards_entry_with_interior_zero_piece(tmp_path, caplo
     with caplog.at_level("WARNING"):
         rec = cached_colength(store, ring, ideal, 1)
     assert rec == record
-    assert store.get(key) == rec
+    assert store.get(key) == rec.to_json_dict()
     assert "inconsistent" in caplog.text
 
 
@@ -171,7 +165,7 @@ def test_cached_colength_discards_entry_with_negative_piece(tmp_path, caplog):
     with caplog.at_level("WARNING"):
         rec = cached_colength(store, ring, ideal, 1)
     assert rec == record
-    assert store.get(key) == rec
+    assert store.get(key) == rec.to_json_dict()
     assert "inconsistent" in caplog.text
 
 
@@ -189,3 +183,32 @@ def test_generator_order_shares_cache():
     key_a = ResultStore.key(3, 1, ring.canonical_string(), a.canonical_string(), "v")
     key_b = ResultStore.key(3, 1, ring.canonical_string(), b.canonical_string(), "v")
     assert key_a == key_b
+
+
+def _edited(**fields):
+    return {**sample_record().to_json_dict(), **fields}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _edited(normalized=3),
+        _edited(normalized="1/0"),
+        _edited(dims=[1, 3, 6, 7.5, 6, 3, 1, 0]),
+        _edited(dims=[1, 3, 6, "7", 6, 3, 1, 0]),
+        _edited(dims=[True, 3, 6, 7, 6, 3, 1, 0]),
+        _edited(source="edited by hand"),
+        [sample_record().to_json_dict()],
+    ],
+    ids=["int-normalized", "zero-denominator", "float", "string", "bool", "extra-key", "list"],
+)
+def test_cached_colength_discards_entry_that_is_not_its_record(tmp_path, payload, caplog):
+    # none of these is the sample record's own JSON, though the float,
+    # string, bool and extra-key entries coerce back to it field by field
+    store, ring, ideal, key = _planted(tmp_path, sample_record())
+    (tmp_path / f"{key}.json").write_text(json.dumps(payload), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        rec = cached_colength(store, ring, ideal, 1)
+    assert rec == sample_record()
+    assert store.get(key) == rec.to_json_dict()
+    assert "inconsistent" in caplog.text
