@@ -2,6 +2,18 @@
 hypersurfaces, syzygy-bundle cohomology on plane curves, slope-profile
 estimation, and exact limit-multiplicity formulas."""
 
+import os as _os
+import sys as _sys
+
+# hk-lab parallelizes with --jobs, and its BLAS products are small, so
+# OpenBLAS runs single-threaded unless the user chose a thread count.
+# OpenBLAS reads the variable once, when numpy first loads it.
+if "numpy" not in _sys.modules and not any(
+    var in _os.environ
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from hklab.fp_linalg import PrimeField, PrimeFieldMatrix, is_prime, rank_mod_p
 from hklab.graded import (
     HypersurfaceRing,

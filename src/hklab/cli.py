@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -248,14 +248,42 @@ def grid_primes(args: argparse.Namespace) -> List[int]:
 
 
 def run_grid(args: argparse.Namespace, job) -> list:
-    """(p, n, job(p, n)) in grid order over ``grid_primes`` x --n; --jobs
-    threads run the jobs."""
+    """(p, n, job(p, n)) in grid order over ``grid_primes`` x --n.
+
+    At --jobs 1 the caller runs the points in grid order; otherwise --jobs
+    threads take them in grid order.  After a job raises no further point
+    starts, and the error of the first failed point in grid order is raised.
+    """
     pairs = [(p, n) for p in grid_primes(args) for n in parse_n_list(args.n_list)]
     jobs = getattr(args, "jobs", 1)  # limits has no --jobs
     if jobs == 1:
         return [(p, n, job(p, n)) for p, n in pairs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda pn: (*pn, job(*pn)), pairs))
+    results = [None] * len(pairs)
+    errors = {}  # grid index -> what its job raised
+    points = iter(enumerate(pairs))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                point = None if errors else next(points, None)
+            if point is None:
+                return
+            index, (p, n) = point
+            try:
+                results[index] = (p, n, job(p, n))
+            except BaseException as exc:  # re-raised in the caller, as Executor.map does
+                with lock:
+                    errors[index] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(jobs, len(pairs)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def write_json(path: Path, obj) -> None:

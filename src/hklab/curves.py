@@ -167,6 +167,17 @@ def default_m_max(q: int, degrees: Sequence, theta: int) -> int:
     return max(math.ceil(Fraction(2 * q * sum(degrees), rank)), top + max(3, theta + 2))
 
 
+def _hilbert_dims(ring: HypersurfaceRing, m_max: int) -> list:
+    """dim R_m for m = 0..m_max: R has Hilbert series (1 - t^d)/(1 - t)^s,
+    so these are the s running sums of the coefficients of 1 - t^d."""
+    dims = [1] + [0] * m_max
+    if ring.d is not None and ring.d <= m_max:
+        dims[ring.d] = -1
+    for _ in range(ring.s):
+        dims = list(itertools.accumulate(dims))
+    return dims
+
+
 def cohomology_profile(
     ring: HypersurfaceRing,
     ideal: IdealSpec,
@@ -180,7 +191,7 @@ def cohomology_profile(
     (R/I^[q])_m, so h⁰ = Σ_i dim R_{m-q·e_i} - dim R_m + dim (R/I^[q])_m.
     One ``cached_colength`` record gives every twist: its pieces past the
     record are zero.  The dim R terms index one list of Hilbert dimensions
-    and χ is linear in m, so the rest is integer arithmetic.  ``max_dim``
+    and χ is linear in m, so the rest is list arithmetic.  ``max_dim``
     guards the smoothness check's matrix and the colength's matrices.
     """
     geom = curve_geometry(ring, max_dim)
@@ -195,15 +206,16 @@ def cohomology_profile(
     # the guarded record comes before the twist tables, which have about 3q
     # entries: a guard that trips must not wait for them
     dims = cached_colength(None, ring, ideal, n, max_dim).dims
-    twists = range(m_max + 1)
-    chi = tuple(syzygy_euler_char(geom, ideal.degrees, q, m) for m in twists)
-    hilbert = [ring.hilbert_dim(m) for m in twists]
-    h0 = tuple(
-        sum(hilbert[m - q * e] for e in ideal.degrees if q * e <= m)
-        - hilbert[m]
-        + (dims[m] if m < len(dims) else 0)
-        for m in twists
-    )
+    size = m_max + 1
+    chi0 = syzygy_euler_char(geom, ideal.degrees, q, 0)
+    slope = syzygy_euler_char(geom, ideal.degrees, q, 1) - chi0
+    chi = tuple(range(chi0, chi0 + slope * size, slope))  # slope = rank·degY > 0
+    hilbert = _hilbert_dims(ring, m_max)
+    pieces = list(dims[:size]) + [0] * (size - len(dims))
+    h0 = [a - b for a, b in zip(pieces, hilbert)]
+    for e in ideal.degrees:  # + dim R_{m - q·e}
+        h0[q * e :] = [a + b for a, b in zip(h0[q * e :], hilbert)]
+    h0 = tuple(h0)
     h1 = tuple(a - b for a, b in zip(h0, chi))
     if any(v < 0 for v in h1):
         raise RuntimeError("h1 negative: rank computation is inconsistent")

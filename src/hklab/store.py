@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
 from pathlib import Path
@@ -23,7 +22,13 @@ from hklab.graded import HypersurfaceRing
 
 __all__ = ["ResultStore", "cached_colength"]
 
-log = logging.getLogger(__name__)
+
+def _warn_discarded(what: str, name: str, exc: Exception) -> None:
+    """Warn that the ``what`` entry ``name`` is discarded.  ``logging`` is
+    imported here, on the rare run that warns, not with hk-lab."""
+    import logging
+
+    logging.getLogger(__name__).warning("discarding %s cache entry %s: %s", what, name, exc)
 
 
 class ResultStore:
@@ -60,7 +65,7 @@ class ResultStore:
         except FileNotFoundError:
             return None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            log.warning("discarding corrupt cache entry %s: %s", path.name, exc)
+            _warn_discarded("corrupt", path.name, exc)
             return None
 
     def put(self, key: str, record: ColengthRecord) -> None:
@@ -115,16 +120,16 @@ def cached_colength(
     from hklab import __version__
 
     p = ring.field.p
-    key = ResultStore.key(
-        p, n, ring.canonical_string(), ideal.canonical_string(), __version__
-    )
     if store is not None:
+        key = ResultStore.key(
+            p, n, ring.canonical_string(), ideal.canonical_string(), __version__
+        )
         stored = store.get(key)
         if stored is not None:
             try:
                 return _served(stored, p, n, ring.krull_dim)
             except (KeyError, TypeError, ValueError) as exc:  # NotPrimaryError too
-                log.warning("discarding inconsistent cache entry %s: %s", key, exc)
+                _warn_discarded("inconsistent", key, exc)
     engine = han_monsky_colength if han_monsky_applies(ring, ideal) else colength
     record = engine(ring, ideal, n, max_dim)
     if store is not None:

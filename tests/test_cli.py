@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 import hklab.diagonal
 import hklab.store
-from hklab.cli import COMMANDS, build_parser, main, parse_primes, rational_str
+from hklab.cli import COMMANDS, build_parser, main, parse_primes, rational_str, run_grid
 from hklab.graded import SpecParseError
 
 
@@ -183,6 +186,60 @@ def test_jobs_flag_keeps_output_deterministic(tmp_path):
     assert (tmp_path / "serial" / "convergence.csv").read_bytes() == (
         tmp_path / "par" / "convergence.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("primes, trip", [("7,101", "5002x16"), ("101,7", "5002x0")])
+def test_grid_reports_the_first_failed_point(tmp_path, capsys, monkeypatch, primes, trip, jobs):
+    # both points trip the size guard; the first in grid order is reported
+    started = []
+
+    def counted(store, ring, *args, **kwargs):
+        started.append(ring.field.p)
+        return hklab.store.cached_colength(store, ring, *args, **kwargs)
+
+    monkeypatch.setattr("hklab.cli.cached_colength", counted)
+    argv = ["colength", "--family", "chang-quartic", "--n", "2", "--primes", primes]
+    assert main(argv + ["--jobs", jobs, "--out", str(tmp_path)]) == 3
+    assert f"needs a {trip} matrix" in capsys.readouterr().err
+    if jobs == "1":  # no point after the failing one runs
+        assert started == [int(primes.split(",")[0])]
+
+
+def test_run_grid_raises_the_first_failure_in_grid_order():
+    # p=3 fails only after p=5 has failed, and p=7 never starts
+    failed = threading.Event()
+    started = []
+
+    def job(p, n):
+        started.append(p)
+        if p == 3:
+            failed.wait(timeout=30)
+            raise ValueError("p=3")
+        if p == 5:
+            failed.set()
+            raise ValueError("p=5")
+
+    args = argparse.Namespace(primes="3,5,7", n_list="1", jobs=2)
+    with pytest.raises(ValueError, match="p=3"):
+        run_grid(args, job)
+    assert sorted(started) == [3, 5]
+
+
+def test_run_grid_runs_every_point_once_in_grid_order():
+    # more threads than cores, switching often: each point runs exactly once
+    # and the results keep grid order
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        args = argparse.Namespace(primes="3..997", n_list="1,2", jobs=8)
+        grid = run_grid(args, lambda p, n: runs.append((p, n)) or p * n)
+    finally:
+        sys.setswitchinterval(interval)
+    expected = [(p, n) for p in parse_primes("3..997") for n in (1, 2)]
+    assert grid == [(p, n, p * n) for p, n in expected]
+    assert sorted(runs) == expected
 
 
 def test_hn_report(tmp_path):
@@ -524,6 +581,49 @@ def test_runs_never_import_numpy_ma(tmp_path):
     if proc.stdout.strip() == "preloaded":
         pytest.skip("import numpy alone loads numpy.ma")
     assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+STARTUP = """
+import json, os, sys
+watched = ("logging", "concurrent.futures")
+preloaded = [name for name in watched if name in sys.modules]
+if sys.argv[2] == "numpy-first":
+    import numpy
+sys.path.insert(0, sys.argv[1])
+import hklab.cli
+print(json.dumps({
+    "preloaded": preloaded,
+    "loaded": [name for name in watched if name in sys.modules],
+    "env": {key: os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+}))
+"""
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_import_loads_only_what_a_run_uses():
+    # hk-lab runs OpenBLAS single-threaded unless the user chose a thread
+    # count, and loads neither logging nor concurrent.futures
+    src = Path(__file__).resolve().parent.parent / "src"
+    cases = [
+        ({}, "plain", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "plain", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+        ({"OMP_NUM_THREADS": "2"}, "plain", {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+        ({}, "numpy-first", {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}),
+    ]
+    for user, order, env in cases:
+        base = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP, str(src), order],
+            env={**base, **user},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["env"] == env, (user, order)
+        if not result["preloaded"]:
+            assert result["loaded"] == [], (user, order)
 
 
 def test_ring_contradicting_family_exits_2(tmp_path):
