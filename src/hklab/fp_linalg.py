@@ -3,6 +3,8 @@
 The generic colength engine's graded quotient dimensions and the curve
 smoothness check reduce to ranks of matrices of residues mod p; the
 diagonal toolkit needs none (Han's theorem makes it integer arithmetic).
+The plane-curve colength needs the row degrees of a polynomial matrix over
+F_p[y] once row-reduced, which ``reduced_row_degrees`` gives.
 ``sparse_rank`` takes a matrix as its nonzero entries: it peels the columns
 with one nonzero entry and splits the core that is left into the connected
 components of its nonzero pattern.  A component with at least
@@ -13,9 +15,9 @@ that stay exact integers, while float64 is exact for products of
 residues, and past that as a stack of one.  All the smaller components
 are eliminated side by side in one zero-padded stack, one loop step per
 row of the tallest component and no inverse.
-``dense_rank`` ranks a dense matrix: one that large and nearly full goes
-to that elimination whole, any other goes to ``sparse_rank`` as its
-nonzero entries.
+``dense_rank`` ranks a dense matrix, such as the Jacobian matrix of the
+smoothness check: one that large and nearly full goes to that elimination
+whole, any other goes to ``sparse_rank`` as its nonzero entries.
 Matrices are immutable after construction; rank works on private copies,
 so values are safe to share across threads.
 """
@@ -34,6 +36,7 @@ __all__ = [
     "rank_mod_p",
     "dense_rank",
     "sparse_rank",
+    "reduced_row_degrees",
     "is_prime",
 ]
 
@@ -161,9 +164,7 @@ def dense_rank(field: PrimeField, a: np.ndarray) -> int:
     ``_BLOCKED_ROWS`` rows and columns and at least three quarters of its
     entries nonzero, ``a`` goes whole to ``_blocked_rank`` while float64
     is exact for products of residues, with no peel and no search for
-    components; otherwise ``sparse_rank`` takes its nonzero entries.  The
-    window matrices of the Klein quartic's maximal ideal at p = 101 and
-    401 are 98% and 100% full; those of the Fermat sextic at p = 101, 3%."""
+    components; otherwise ``sparse_rank`` takes its nonzero entries."""
     nnz = np.count_nonzero(a)
     if min(a.shape) >= _BLOCKED_ROWS and 4 * nnz >= 3 * a.size and (field.p - 1) ** 2 < _FLOAT_EXACT:
         return _blocked_rank(np.array(a if len(a) <= a.shape[1] else a.T, dtype=np.float64), field.p)
@@ -384,3 +385,65 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     quotient *= p
     x -= quotient
     return x
+
+
+def reduced_row_degrees(field: PrimeField, rows: np.ndarray) -> list:
+    """The row degrees of a full-rank matrix over F_p[y] once row-reduced
+    by Mulders–Storjohann simple transformations (J. Symbolic Comput. 35,
+    2003), which ``rows`` undergoes in place.
+
+    rows[r, t, c] is a residue, the coefficient of y^(t - s_c) in entry
+    (r, c) for column shifts s_c >= 0, so a row's degree for the shifts,
+    max_c(deg + s_c), is its last t with a nonzero entry, its top.
+
+    A row's leading position is its last column with a nonzero entry at
+    its top degree.  Rows are inserted one at a time into a set with
+    distinct leading positions (weak Popov form, which is row-reduced):
+    while a row leads where a set row does, the one of higher degree loses
+    that entry to a multiple y^δ·λ of the other, which lowers its degree
+    or moves its leading position left.  Each step updates the reduced
+    row up to its top only, and its new top is found by scanning down from
+    the old one.  Rows in the set are kept as residues; a row being reduced
+    is reduced mod p only on entering the set, or before its entries could
+    pass 2^63 in int64.
+    """
+    p = field.p
+    limit = max(1, (1 << 62) // (p - 1) ** 2)
+    tops, leads = [], []
+    for row in rows:
+        t = int(np.flatnonzero(row.any(axis=1))[-1])
+        tops.append(t)
+        leads.append(int(np.flatnonzero(row[t])[-1]))
+    pending = [0] * len(rows)  # updates since the row was last reduced mod p
+    owner = {}  # leading position -> the set row that leads there
+    for a in range(len(rows)):
+        while True:
+            t, c = tops[a], leads[a]
+            b = owner.get(c)
+            if b is None or tops[b] > t:  # a enters the set; b, if any, leaves it
+                if pending[a]:
+                    rows[a, : t + 1] %= p
+                    pending[a] = 0
+                owner[c] = a
+                if b is None:
+                    break
+                a = b
+                continue
+            top = tops[b]
+            factor = int(rows[a, t, c]) * pow(int(rows[b, top, c]), -1, p) % p
+            rows[a, t - top : t + 1] -= factor * rows[b, : top + 1]
+            pending[a] += 1
+            if pending[a] == limit:
+                rows[a, : t + 1] %= p
+                pending[a] = 0
+            # columns past c are zero at t in both rows, and c cancels
+            entries = rows[a, t, :c].tolist()
+            while True:
+                while entries and not entries[-1] % p:
+                    entries.pop()
+                if entries:
+                    break
+                t -= 1
+                entries = rows[a, t].tolist()
+            tops[a], leads[a] = t, len(entries) - 1
+    return tops

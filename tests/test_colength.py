@@ -16,6 +16,7 @@ from hklab.colength import (
     parse_ideal_spec,
 )
 from hklab.curves import cohomology_profile
+from hklab.diagonal import han_monsky_colength
 from hklab.fp_linalg import PrimeField, is_prime, rank_mod_p, sparse_rank
 from hklab.graded import (
     HypersurfaceRing,
@@ -171,31 +172,45 @@ KLEIN = "x^3*y+y^3*z+z^3*x"
 
 
 def recording_builds(monkeypatch):
-    """The degrees ``colength`` builds from now on, in order, by either
-    builder: ``graded_map_entries`` or, for the maximal ideal of a plane
-    curve, ``_noether_matrix``; each takes one degree last."""
+    """The degrees ``colength`` builds from now on, in order, by
+    ``graded_map_entries``, which takes one degree last."""
     built = []
+    build = COLENGTH.graded_map_entries
 
-    def recorder(build):
-        def record(*args):
-            built.append(args[-1])
-            return build(*args)
+    def record(*args):
+        built.append(args[-1])
+        return build(*args)
 
-        return record
-
-    monkeypatch.setattr(COLENGTH, "graded_map_entries", recorder(COLENGTH.graded_map_entries))
-    monkeypatch.setattr(COLENGTH, "_noether_matrix", recorder(COLENGTH._noether_matrix))
+    monkeypatch.setattr(COLENGTH, "graded_map_entries", record)
     return built
+
+
+def refusing_the_lattice(monkeypatch):
+    """Make ``_NoetherModule.of`` refuse every ring, as it refuses one where
+    f(s, t, 1) = 0 on all of F_p^2, so that plane curves take the window
+    loop that such rings keep."""
+    monkeypatch.setattr(COLENGTH._NoetherModule, "of", lambda *args: None)
+
+
+def recording_reductions(monkeypatch):
+    """The (shifts, c) of every ``_lattice_degrees`` call from now on."""
+    calls = []
+    degrees = COLENGTH._lattice_degrees
+    monkeypatch.setattr(
+        COLENGTH, "_lattice_degrees", lambda *args: calls.append(degrees(*args)) or calls[-1]
+    )
+    return calls
 
 
 @pytest.mark.parametrize("blocked_rows", [1, 1 << 40])
 def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, blocked_rows):
-    # q = 7 on the nodal cubic: degrees 7..10 have more rows than columns,
-    # the window ranks 10 and then 9, where h0 = 0, and the loop above it
-    # ranks 11.  The cap 36 first trips at degree 12, the record's zero
-    # piece, before it is built, whether every component goes to the
-    # blocked kernel or none does
+    # q = 7 on the nodal cubic, on the window loop: degrees 7..10 have
+    # more rows than columns, the window ranks 10 and then 9, where h0 = 0,
+    # and the loop above it ranks 11.  The cap 36 first trips at degree 12,
+    # the record's zero piece, before it is built, whether every component
+    # goes to the blocked kernel or none does
     R = ring(f"hypersurface:s=3,p=7,f={NODAL_CUBIC}")
+    refusing_the_lattice(monkeypatch)
     built = recording_builds(monkeypatch)
     monkeypatch.setattr(FP_LINALG, "_BLOCKED_ROWS", blocked_rows)
     trips = (SizeGuardError.for_degree(R, (7, 7, 7), m, 36) for m in range(30))
@@ -208,17 +223,19 @@ def test_guard_inside_a_run_raises_before_building_its_degree(monkeypatch, block
 
 
 def test_guard_on_a_window_curve_trips_where_every_degree_would(monkeypatch):
-    # The Klein quartic at p = 37 ranks only degrees 54..56.  Every cap
-    # trips at the first degree through the record's end that a loop over
-    # every degree size-checks, with nothing built at or past it.
+    # The Klein quartic at p = 37 takes the lattice.  Every cap trips at
+    # the first degree through the record's end that a loop over every
+    # degree size-checks: at once below the generator degree 37, where no
+    # reduction runs, and after the reduction from there on
     R = ring(f"hypersurface:s=3,p=37,f={KLEIN}")
     full = colength(R, maximal(R), 1)
     built = recording_builds(monkeypatch)
-    windows = 0
+    reductions = recording_reductions(monkeypatch)
+    after = 0
     for cap in range(1, 240):
         trips = (SizeGuardError.for_degree(R, (37, 37, 37), m, cap) for m in range(len(full.dims)))
         want = next((t for t in trips if t is not None), None)
-        built.clear()
+        reductions.clear()
         if want is None:
             assert colength(R, maximal(R), 1, max_dim=cap) == full, cap
             continue
@@ -226,9 +243,10 @@ def test_guard_on_a_window_curve_trips_where_every_degree_would(monkeypatch):
             colength(R, maximal(R), 1, max_dim=cap)
         got = info.value
         assert (got.m, got.rows, got.cols) == (want.m, want.rows, want.cols), cap
-        assert all(m < got.m for m in built), (cap, built)
-        windows += bool(built)
-    assert windows  # some trips came after the window's first rank
+        assert len(reductions) == (got.m >= 37), cap
+        after += got.m >= 37
+    assert not built
+    assert after  # some trips came after the reduction
 
 
 # Small rings with a pure-power, a multi-support or no leading term.
@@ -291,22 +309,39 @@ def every_degree_record(R, ideal, n):
     return ColengthRecord.from_dims(R.field.p, n, dims, R.krull_dim)
 
 
+# ideals other than m, for which the lattice needs x^N or y^N, N the end
+# of R/I, once the shift moves x or y
+NAMED_IDEALS = ["x^2,y,z", "x,y^2,z^3", "x+y,y^2-x*z,z^3"]
+
+
+def plane_case(spec, text="maximal", n=1):
+    R = ring(spec)
+    return R, parse_ideal_spec(R, text), n
+
+
 @st.composite
 def plane_curves(draw):
-    """(ring, ideal, n): a plane curve, smooth or not, of degree 1..5 over
-    F_p, p <= 13, with n = 2 only at p <= 5; the ideal is the maximal one,
-    pure powers of the variables, or pure powers and one more form."""
+    """(ring, ideal, n): a plane curve, smooth or not, reduced or not, of
+    degree 1..6 over F_p, p <= 13, with n up to 3 at p = 2, up to 2 at p =
+    3 and 5 (3 for the maximal ideal at p = 3), else 1, and degree at most
+    5 at q = 25 and 3 at q = 27; the ideal is the maximal one, a named
+    one, pure powers of the variables, or pure powers and one more form."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    n = draw(st.sampled_from([1, 2])) if p <= 5 else 1
-    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["maximal", "named", "powers", "extra"]))
+    most = {2: 3, 3: 3 if kind == "maximal" else 2, 5: 2}.get(p, 1)
+    n = draw(st.integers(1, most))
+    # the loop over every degree ranks 3q + d matrices of up to d(3q + d)
+    # rows, so q = 27 keeps to small d
+    d = draw(st.integers(1, 6 if p**n < 25 else 5 if p**n == 25 else 3))
     monos = ref_monomials(3, d)
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
     assume(any(coeffs))
     field = PrimeField(p)
     R = HypersurfaceRing(field, 3, Polynomial(field, 3, dict(zip(monos, coeffs))))
-    kind = draw(st.sampled_from(["maximal", "powers", "extra"]))
     if kind == "maximal":
         return R, maximal(R), n
+    if kind == "named":
+        return R, parse_ideal_spec(R, draw(st.sampled_from(NAMED_IDEALS))), n
     powers = draw(st.lists(st.integers(1, 3 if n == 1 else 2), min_size=3, max_size=3))
     gens = [
         Polynomial(field, 3, {tuple(e * (j == i) for j in range(3)): 1})
@@ -321,21 +356,74 @@ def plane_curves(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(plane_curves())
-@example((ring(f"hypersurface:s=3,p=5,f={KLEIN}"), None, 1))
-@example((ring("fermat:s=3,d=2,p=7"), None, 1))
-@example((ring("hypersurface:s=3,p=2,f=x+y+z"), None, 2))
+@example(plane_case(f"hypersurface:s=3,p=5,f={KLEIN}"))
+@example(plane_case("fermat:s=3,d=2,p=7"))
+@example(plane_case("hypersurface:s=3,p=2,f=x+y+z", n=2))
+# a double line and a line, a sextic, and a curve whose every F_2-point
+# has z = 1, which keeps the window loop
+@example(plane_case("hypersurface:s=3,p=5,f=x^2*z", n=2))
+@example(plane_case("hypersurface:s=3,p=3,f=x^2*z", "x,y^2,z^3", 2))
+@example(plane_case("hypersurface:s=3,p=7,f=x^2*z", "x+y,y^2-x*z,z^3"))
+@example(plane_case("hypersurface:s=3,p=3,f=x^6+y^6+z^6+x^2*y^2*z^2", "x^2,y,z"))
+@example(plane_case("hypersurface:s=3,p=3,f=x^3+y^3+z^3", n=3))
+@example(plane_case("hypersurface:s=3,p=2,f=x^2*y+x*y^2", "x,y^2,z^3", 2))
 def test_window_matches_ranking_every_degree(case):
     R, ideal, n = case
-    ideal = ideal or maximal(R)
+    q = R.field.p**n
     with pytest.MonkeyPatch.context() as patch:
         built = recording_builds(patch)
+        reductions = recording_reductions(patch)
         record = colength(R, ideal, n)
     assert record == every_degree_record(R, ideal, n)
+    # the lattice runs wherever the ring has a shift with f(s, t, 1) != 0
+    assert len(reductions) == (COLENGTH._NoetherModule.of(R, q) is not None)
     assert len(set(built)) == len(built)  # no degree is built twice
-    q = R.field.p**n
     # the oracle is one pure-Python rank of size q^3: 0.15-0.5 s at q = 9
     if ideal.is_maximal and q <= 8:
         assert record.total == ref_artinian_colength(R.field.p, R.relation.terms, (q, q, q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(plane_curves())
+@example(plane_case(f"hypersurface:s=3,p=101,f={KLEIN}"))
+@example(plane_case(f"hypersurface:s=3,p=11,f={NODAL_CUBIC}", "x+y,y^2-x*z,z^3"))
+# x -> x + z turns x^2 into x^2 + 2xz + z^2, whose terms lie in (x^2) and
+# (z), so the lattice has the three generators x^2q, y^q and z^q
+@example(plane_case(f"hypersurface:s=3,p=13,f={KLEIN}", "x^2,y,z"))
+def test_lattice_degrees_count_sum_and_duality(case):
+    # K = ⊕_j A(-c_j) has rank (k-1)·d; the Hilbert series numerator of
+    # R/J vanishes to order 2 at 1, so Σ_j c_j = Σ_(i,j) (E_i + j) - Σ_(k<d)
+    # k; and with three generators the syzygy bundle V has rank 2, V* =
+    # V(Σ E_i), and Serre duality with ω = O(d-3) pairs the c_j
+    R, ideal, n = case
+    with pytest.MonkeyPatch.context() as patch:
+        reductions = recording_reductions(patch)
+        colength(R, ideal, n)
+    assume(reductions)
+    ((shifts, c),) = reductions
+    d, k = R.d, len(shifts) // R.d
+    assert c == sorted(c) and len(c) == (k - 1) * d
+    assert sum(c) == sum(shifts) - d * (d - 1) // 2
+    if k == 3:
+        total = sum(shifts[::d]) + d - 1
+        assert [a + b for a, b in zip(c, reversed(c))] == [total] * (2 * d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (61, 1), (101, 1)]),
+)
+def test_lattice_matches_han_monsky_on_fermat_curves(d, pn):
+    # Han–Monsky counts residue classes with no matrix at all, so it is
+    # an oracle for the maximal ideal of x^d + y^d + z^d, reduced or not
+    p, n = pn
+    R = ring(f"fermat:s=3,d={d},p={p}")
+    with pytest.MonkeyPatch.context() as patch:
+        reductions = recording_reductions(patch)
+        record = colength(R, maximal(R), n)
+    assert reductions
+    assert record == han_monsky_colength(R, maximal(R), n)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +438,7 @@ def test_window_matches_ranking_every_degree(case):
 def test_a_start_above_the_window_moves_down_to_the_same_record(monkeypatch, spec, text):
     R = ring(spec)
     ideal = parse_ideal_spec(R, text)
+    refusing_the_lattice(monkeypatch)
     built = recording_builds(monkeypatch)
     # the start is the last degree with more rows than columns, whose
     # piece has h0 > 0 on these inputs
@@ -366,10 +455,11 @@ def test_a_start_above_the_window_moves_down_to_the_same_record(monkeypatch, spe
     [(f"hypersurface:s=3,p=101,f={KLEIN}", 30603, 5), ("fermat:s=3,d=2,p=61", 5581, 2)],
 )
 def test_window_builds_at_most_two_flanks_and_the_gap(monkeypatch, spec, total, most):
-    # 2(d-3) + 3 degrees: 5 on the Klein quartic (150..154 at p = 101),
-    # and 2 on the conic (90, 91 at p = 61), where every degree from q on
-    # was built before
+    # on the window loop, 2(d-3) + 3 degrees: 5 on the Klein quartic
+    # (150..154 at p = 101), and 2 on the conic (90, 91 at p = 61), where
+    # every degree from q on was built before
     R = ring(spec)
+    refusing_the_lattice(monkeypatch)
     built = recording_builds(monkeypatch)
     assert colength(R, maximal(R), 1).total == total
     assert 0 < len(built) <= most
@@ -380,9 +470,11 @@ def test_window_search_stops_at_the_last_degree_without_syzygies(monkeypatch):
     # degree with more rows than columns, and moves down to 120, well
     # below L0 = 135, the last degree with h0 = 0; the first zero piece is
     # E = 168.  A bisection between 120 and 136 finds L0, so about
-    # log2(U - e_min + 2) + 1 degrees up to L0 are built, not every one
+    # log2(U - e_min + 2) + 1 degrees up to L0 are built, not every one,
+    # when the window loop runs
     R = ring(f"hypersurface:s=3,p=101,f={NODAL_CUBIC}")
     expected = every_degree_record(R, maximal(R), 1)
+    refusing_the_lattice(monkeypatch)
     built = recording_builds(monkeypatch)
     assert colength(R, maximal(R), 1) == expected
     degrees = (101, 101, 101)
@@ -401,14 +493,15 @@ SEVEN_LINES = "x^4*y^2*z+x^4*y*z^2+x^2*y*z^4+x^2*y^4*z+x*y^4*z^2+x*y^2*z^4"
 
 
 @pytest.mark.parametrize(
-    "spec, n, total",
+    "spec, n, total, window",
     [
-        (f"hypersurface:s=3,p=13,f={NODAL_CUBIC}", 1, 389),
-        ("hypersurface:s=3,p=13,f=x^2*y^2+y^2*z^2+z^2*x^2", 1, 505),
-        ("hypersurface:s=4,p=7,f=x^4+y^4+z^4+w^4+x*y*z*w", 1, 891),
-        ("hypersurface:s=2,p=7,f=x^3+y^3", 1, 19),
-        (f"hypersurface:s=3,p=2,f={SEVEN_LINES}", 1, 8),
-        (f"hypersurface:s=3,p=2,f={SEVEN_LINES}", 2, 64),
+        (f"hypersurface:s=3,p=13,f={NODAL_CUBIC}", 1, 389, False),
+        ("hypersurface:s=3,p=13,f=x^2*y^2+y^2*z^2+z^2*x^2", 1, 505, False),
+        ("hypersurface:s=4,p=7,f=x^4+y^4+z^4+w^4+x*y*z*w", 1, 891, True),
+        ("hypersurface:s=2,p=7,f=x^3+y^3", 1, 19, True),
+        (f"hypersurface:s=3,p=2,f={SEVEN_LINES}", 1, 8, True),
+        (f"hypersurface:s=3,p=2,f={SEVEN_LINES}", 2, 64, True),
+        ("hypersurface:s=3,p=2,f=x^2*y+x*y^2", 2, 40, True),
     ],
     ids=[
         NODAL_CUBIC,
@@ -417,17 +510,22 @@ SEVEN_LINES = "x^4*y^2*z+x^4*y*z^2+x^2*y*z^4+x^2*y^4*z+x*y^4*z^2+x*y^2*z^4"
         "s=2:x^3+y^3",
         "seven-lines-n=1",
         "seven-lines-n=2",
+        "x^2*y+x*y^2-n=2",
     ],
 )
-def test_singular_curves_and_other_rings_take_the_window(monkeypatch, spec, n, total):
+def test_singular_curves_and_other_rings_take_the_window(monkeypatch, spec, n, total, window):
+    # Singular plane curves take the lattice.  Rings that are not plane
+    # curves, and plane curves with f(s, t, 1) = 0 on all of F_p^2, such
+    # as x^2*y+x*y^2 (st(s+t) over F_2), keep the window loop
     windows = []
     below = COLENGTH._below_window
     monkeypatch.setattr(
         COLENGTH, "_below_window", lambda *args: windows.append(args) or below(*args)
     )
+    reductions = recording_reductions(monkeypatch)
     R = ring(spec)
     record = colength(R, maximal(R), n)
-    assert windows
+    assert (bool(windows), bool(reductions)) == (window, not window)
     assert record == every_degree_record(R, maximal(R), n)
     assert record.total == total
 
@@ -444,7 +542,8 @@ def test_colength_takes_no_smoothness_rank(monkeypatch):
 
 
 def test_window_curve_with_a_non_primary_ideal_raises(monkeypatch):
-    # x*y and x*z vanish together on the four points of x = 0
+    # x*y and x*z vanish together on the four points of x = 0; the
+    # lattice learns it from the record of R/I, which the window loop ranks
     R = ring(f"hypersurface:s=3,p=11,f={KLEIN}")
     windows = []
     below = COLENGTH._below_window
@@ -454,6 +553,13 @@ def test_window_curve_with_a_non_primary_ideal_raises(monkeypatch):
     with pytest.raises(NotPrimaryError):
         colength(R, parse_ideal_spec(R, "x*y,x*z"), 1)
     assert windows
+    # a record with no end runs past every degree, so with a cap the first
+    # degree that trips raises, here one above the generator degree 22
+    trips = (SizeGuardError.for_degree(R, (22, 22), m, 100) for m in range(100))
+    want = next(t for t in trips if t is not None)
+    with pytest.raises(SizeGuardError) as info:
+        colength(R, parse_ideal_spec(R, "x*y,x*z"), 1, max_dim=100)
+    assert (info.value.m, info.value.rows, info.value.cols) == (want.m, want.rows, want.cols) == (26, 102, 28)
 
 
 @st.composite
@@ -544,7 +650,7 @@ def test_noether_builder_stops_at_the_int64_convolution_bound(q):
             for b, c in enumerate(tail[0]):
                 power[0][i + b] = (power[0][i + b] + a * c) % below
         power = [[v % below for v in row[:q]] for row in power]
-    assert module.powers.tolist() == want
+    assert [module.power(e).tolist() for e in range(q, q + 3)] == want
     assert COLENGTH._NoetherModule.of(ring(f"hypersurface:s=3,p={above},f={f}"), q) is None
 
 
