@@ -15,9 +15,8 @@ that stay exact integers, while float64 is exact for products of
 residues, and past that as a stack of one.  All the smaller components
 are eliminated side by side in one zero-padded stack, one loop step per
 row of the tallest component and no inverse.
-``dense_rank`` ranks a dense matrix, such as the Jacobian matrix of the
-smoothness check: one that large and nearly full goes to that elimination
-whole, any other goes to ``sparse_rank`` as its nonzero entries.
+``rank_mod_p`` ranks a dense matrix, such as the Jacobian matrix of the
+smoothness check, as ``sparse_rank`` of its nonzero entries.
 Matrices are immutable after construction; rank works on private copies,
 so values are safe to share across threads.
 """
@@ -34,7 +33,6 @@ __all__ = [
     "PrimeFieldMatrix",
     "SparseMatrix",
     "rank_mod_p",
-    "dense_rank",
     "sparse_rank",
     "reduced_row_degrees",
     "is_prime",
@@ -155,24 +153,12 @@ class SparseMatrix(NamedTuple):
 
 
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
-    """Rank of ``m`` over Z/pZ: ``dense_rank`` of its array."""
-    return dense_rank(m.field, m.array)
-
-
-def dense_rank(field: PrimeField, a: np.ndarray) -> int:
-    """Rank over Z/pZ of the residues ``a``.  With at least
-    ``_BLOCKED_ROWS`` rows and columns and at least three quarters of its
-    entries nonzero, ``a`` goes whole to ``_blocked_rank`` while float64
-    is exact for products of residues, with no peel and no search for
-    components; otherwise ``sparse_rank`` takes its nonzero entries."""
-    nnz = np.count_nonzero(a)
-    if min(a.shape) >= _BLOCKED_ROWS and 4 * nnz >= 3 * a.size and (field.p - 1) ** 2 < _FLOAT_EXACT:
-        return _blocked_rank(np.array(a if len(a) <= a.shape[1] else a.T, dtype=np.float64), field.p)
+    """Rank of ``m`` over Z/pZ: ``sparse_rank`` of its nonzero entries."""
+    a = m.array
     # half the time of np.nonzero on a 66x136 int32 matrix (numpy 2.4)
     flat = np.flatnonzero(a)
     rows, cols = np.divmod(flat, a.shape[1])
-    values = a.ravel()[flat].astype(field.dtype)
-    return sparse_rank(SparseMatrix(field, rows, cols, values, *a.shape))
+    return sparse_rank(SparseMatrix(m.field, rows, cols, a.ravel()[flat], *a.shape))
 
 
 def sparse_rank(a: SparseMatrix) -> int:

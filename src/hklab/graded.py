@@ -14,15 +14,12 @@ Divisibility by LT(f) depends only on the exponents on S = supp(LT(f)), so
 NF(mu_S * nu) = nu * NF(mu_S) for a monomial mu_S in the variables of S and
 any monomial nu in the others.  Each ring keeps a memo of NF(mu_S), filled
 on demand without a division loop: LT(f) = T mod f with T = LT(f) -
-f/lc(f), so NF(x^beta * LT(f)^J) is a combination of the memo entries of
-the smaller support parts of x^beta * LT(f)^(J-j) * T^j, with j the largest
-power of two that divides J.  The fill takes one numpy step per depth of
-that recursion, at most one per binary digit of J where one LT at a time
-took J.  ``normal_form`` and the
-graded multiplication matrices are gathers from the memo.  The monomial
-order is graded reverse lexicographic with x_1 > x_2 > ... > x_s
-throughout; nothing here is meaningful for any other order, so it is not
-configurable.
+f/lc(f), so NF(x^beta * LT(f)) is a combination of the memo entries of the
+smaller support parts of x^beta * T, one LT at a time.  The fill takes one
+numpy step per depth of that recursion.  ``normal_form`` and the graded
+multiplication matrices are gathers from the memo.  The monomial order is
+graded reverse lexicographic with x_1 > x_2 > ... > x_s throughout;
+nothing here is meaningful for any other order, so it is not configurable.
 
 ``relation=None`` gives the ambient polynomial ring itself; the smoothness
 check on curves needs quotients of that ring, and everything degreewise
@@ -34,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -169,17 +166,6 @@ class Polynomial:
         return f"Polynomial(p={self.field.p}, {self})"
 
 
-class _TailPower(NamedTuple):
-    """One power of T = LT(f) - f/lc(f): its exponent rows and coefficients,
-    the rows' columns on S = supp(LT(f)), and the rows with those columns
-    zeroed."""
-
-    exps: np.ndarray
-    coeffs: np.ndarray
-    parts: np.ndarray
-    nu: np.ndarray
-
-
 def _binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
@@ -215,13 +201,15 @@ class HypersurfaceRing:
             lt = relation.leading_monomial()
             self._lt = lt
             self._support = support = tuple(i for i, e in enumerate(lt) if e)
-            # T = LT(f) - f/lc(f), the first of the powers T^(2^k) that
-            # _tail_power squares on demand
+            # T = LT(f) - f/lc(f): the coefficients of its terms, their
+            # parts on S and the rest of each term
             lc_inv = field.inv(relation.terms[lt])
             tail = [(m, -c * lc_inv % field.p) for m, c in relation.terms.items() if m != lt]
             exps = np.array([m for m, _ in tail], dtype=np.int64).reshape(-1, s)
-            self._powers = (self._tail_terms(exps, np.array([c for _, c in tail], dtype=np.int64)),)
-            self._powers_lock = threading.Lock()
+            self._tail_coeffs = np.array([c for _, c in tail], dtype=np.int64)
+            self._tail_parts = exps[:, list(support)]
+            self._tail_nu = exps.copy()
+            self._tail_nu[:, list(support)] = 0
         self._binomials = np.zeros((0, s + 1), dtype=np.int64)
         self._nf_memo = {}
 
@@ -308,18 +296,17 @@ class HypersurfaceRing:
 
         Entries are (int64 exponent rows, int64 coefficients), the rows in
         descending grevlex.  A standard mu_S is its own normal form.
-        Otherwise ``_nf_parts`` writes mu_S = x^beta * LT^J and rewrites it
-        as x^beta * LT^(J-j) * T^j mod f; each term of that product is
-        nu_t * mu_t, mu_t its part on S and nu_t the rest, so NF(mu_S) is
-        the sum of c_t * nu_t * NF(mu_t) over the terms c_t * t of T^j:
-        multiplying by nu_t keeps a monomial standard, because divisibility
-        by LT reads only the exponents on S.  Every term of T is below LT in
-        grevlex, so each such product term is below mu_S, and so is its part
-        mu_t (mu_t >= mu_S would give nu_t * mu_t >= mu_S).  Grevlex is a
-        well-order, so the recursion ends, and every entry is the exact
-        normal form.  It is walked with an explicit stack, and the entries
-        are filled by depth, one numpy step per depth, with equal terms
-        merged by their lex rank.
+        Otherwise ``_nf_parts`` writes mu_S = x^beta * LT and rewrites it
+        as x^beta * T mod f; each term of that product is nu_t * mu_t, mu_t
+        its part on S and nu_t the rest, so NF(mu_S) is the sum of c_t *
+        nu_t * NF(mu_t) over the terms c_t * t of T: multiplying by nu_t
+        keeps a monomial standard, because divisibility by LT reads only
+        the exponents on S.  Every term of T is below LT in grevlex, so each
+        such product term is below mu_S, and so is its part mu_t (mu_t >=
+        mu_S would give nu_t * mu_t >= mu_S).  Grevlex is a well-order, so
+        the recursion ends, and every entry is the exact normal form.  It is
+        walked with an explicit stack, and the entries are filled by depth,
+        one numpy step per depth, with equal terms merged by their lex rank.
         """
         memo = self._nf_memo
         deps = {}
@@ -331,7 +318,7 @@ class HypersurfaceRing:
                 continue
             if key not in deps:
                 deps[key] = self._nf_parts(key)
-            parts = () if deps[key] is None else deps[key][1]
+            parts = deps[key] or ()
             missing = [k for k in parts if k not in memo and k not in depth]
             if missing:
                 todo += [key, *missing]
@@ -359,83 +346,28 @@ class HypersurfaceRing:
                 memo[key] = (exps[bounds[j] : bounds[j + 1]], coeffs[bounds[j] : bounds[j + 1]])
 
     def _nf_parts(self, key: tuple):
-        """None when mu_S = ``key`` is standard.  Otherwise (k, parts): with
-        mu_S = x^beta * LT^J, J as large as possible, NF(mu_S) is built from
-        the power T^j = ``_powers[k]``, j = 2^k dividing J, and parts[i] is
-        the part on S of x^beta * LT^(J-j) * (term i of T^j)."""
+        """None when mu_S = ``key`` is standard.  Otherwise the list of the
+        |T| parts on S of x^beta * t, one for each term t of T, where mu_S =
+        x^beta * LT."""
         if self._lt is None:
             return None
-        lt = [self._lt[i] for i in self._support]
-        J = min(a // b for a, b in zip(key, lt))
-        if not J:
+        base = [a - self._lt[i] for a, i in zip(key, self._support)]
+        if min(base) < 0:
             return None
-        k = self._tail_power(J)
-        base = [a - (b << k) for a, b in zip(key, lt)]
-        return k, list(map(tuple, (self._powers[k].parts + base).tolist()))
-
-    def _tail_power(self, J: int) -> int:
-        """The k of the largest power of two j = 2^k that divides J and whose
-        T^j has at most j * |T| terms, as has every T^i for the powers of two
-        i < j.
-
-        Each term of a power is one memo part, and j single steps read j
-        times |T| parts, so a jump by T^j reads no more parts than the steps
-        it replaces; a dense tail keeps j = 1.  A chain of jumps takes one step
-        per binary digit of J.  Jumping by the largest power of two that
-        divides J, not the largest below it, lands the parts of nearby keys
-        on the same multiples of powers of two, so they share memo entries:
-        the Klein quartic x^3*y+y^3*z+z^3*x at p = 401 merges 27M terms so,
-        63M with the largest power below J and 23M one LT at a time.  The
-        powers are squared on demand and cached; the squaring stops at the
-        first power over its bound, marked by a None.
-        """
-        low = (J & -J).bit_length()
-        with self._powers_lock:  # the tuple only grows, so a k once read stays valid
-            powers = self._powers
-            while powers[-1] is not None and len(powers) < low:
-                k = len(powers)
-                square = self._square(powers[-1], k)
-                if len(square.coeffs) > len(powers[0].coeffs) << k:
-                    square = None
-                powers = self._powers = powers + (square,)
-        k = min(low, len(powers)) - 1
-        return k if powers[k] is not None else k - 1
-
-    def _square(self, power: _TailPower, k: int) -> _TailPower:
-        """T^(2^k) from T^(2^(k-1)) = ``power``; equal monomials merged and
-        the terms that vanish mod p dropped.  Each product of two residues
-        is below p^2 < 2^63 for every accepted p, and is reduced before the
-        sums, which have at most |power|^2 terms each below p."""
-        p, s = self.field.p, self.s
-        exps = (power.exps[:, None, :] + power.exps[None, :, :]).reshape(-1, s)
-        coeffs = (power.coeffs[:, None] * power.coeffs[None, :] % p).ravel()
-        degree = self._d << k
-        codes = _lex_ranks(exps, degree, self._table(degree))
-        order = np.argsort(codes, kind="stable")
-        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-        sums = np.add.reduceat(coeffs[order], starts) % p
-        nonzero = sums != 0
-        return self._tail_terms(exps[order[starts[nonzero]]], sums[nonzero])
-
-    def _tail_terms(self, exps: np.ndarray, coeffs: np.ndarray) -> _TailPower:
-        """A power of T from its exponent rows and coefficients."""
-        support = list(self._support)
-        nu = exps.copy()
-        nu[:, support] = 0
-        return _TailPower(exps, coeffs, exps[:, support], nu)
+        return list(map(tuple, (self._tail_parts + base).tolist()))
 
     def _nf_combine(self, batch: list, deps: dict):
         """NF(mu_S) for every non-standard mu_S in ``batch`` from the memo
         entries of its parts, as (exponent rows, coefficients, bounds): the
         terms of batch[j] are rows bounds[j]:bounds[j + 1].
 
-        Each product of a memo coefficient and a power's coefficient is
-        below p^2 < 2^63 for every accepted p and is reduced before the
-        merge, so a merged sum of n terms stays below n * p, far inside
-        int64 for any batch that fits in memory.
+        Each product of a memo coefficient and T's coefficient is below p^2
+        < 2^63 for every accepted p and is reduced before the merge, so a
+        merged sum of n terms stays below n * p, far inside int64 for any
+        batch that fits in memory.
         """
         p = self.field.p
-        parts = [self._nf_memo[k] for key in batch for k in deps[key][1]]
+        parts = [self._nf_memo[k] for key in batch for k in deps[key]]
         lens = np.array([len(c) for _, c in parts], dtype=np.int64)
         if not lens.sum():  # f has no tail, or every part reduces to 0
             return (
@@ -443,21 +375,10 @@ class HypersurfaceRing:
                 np.zeros(0, dtype=np.int64),
                 np.zeros(len(batch) + 1, dtype=np.int64),
             )
-        # The terms of every cached power, one after another: term[i] is the
-        # row there of the power term whose part is parts[i].
-        powers = [w for w in self._powers if w is not None]
-        sizes = np.array([len(w.coeffs) for w in powers], dtype=np.int64)
-        ks = [deps[key][0] for key in batch]
-        counts = sizes[ks]
-        start = (np.cumsum(sizes) - sizes)[ks] - (np.cumsum(counts) - counts)
-        term = np.repeat(start, counts) + np.arange(len(parts))
-        part_owner = np.repeat(np.arange(len(batch)), counts)
-        piece = np.repeat(np.arange(len(parts)), lens)
-        owner, row = part_owner[piece], term[piece]
-        nu = np.concatenate([w.nu for w in powers])
-        scale = np.concatenate([w.coeffs for w in powers])
-        exps = np.concatenate([e for e, _ in parts]) + nu[row]
-        coeffs = np.concatenate([c for _, c in parts]) * scale[row] % p
+        # every key has |T| parts, and parts[i] comes from term i mod |T|
+        owner, row = np.divmod(np.repeat(np.arange(len(parts)), lens), len(self._tail_coeffs))
+        exps = np.concatenate([e for e, _ in parts]) + self._tail_nu[row]
+        coeffs = np.concatenate([c for _, c in parts]) * self._tail_coeffs[row] % p
         degrees = np.array([sum(key) for key in batch], dtype=np.int64)
         codes = _lex_ranks(exps, degrees[owner], self._table(int(degrees.max())))
         order = np.lexsort((codes, owner))

@@ -12,7 +12,6 @@ from hklab.fp_linalg import (
     PrimeField,
     PrimeFieldMatrix,
     SparseMatrix,
-    dense_rank,
     is_prime,
     rank_mod_p,
     sparse_rank,
@@ -385,33 +384,29 @@ def test_dense_blocks_rank_like_the_reference(p):
 
 
 @pytest.mark.parametrize("p", [5, 401, FLOAT_PRIME, _smallest_prime_from(FLOAT_PRIME + 1)])
-def test_dense_rank_sends_large_full_matrices_to_the_blocked_elimination(p):
-    # at least _BLOCKED_ROWS rows and columns and 3/4 full: whole, and
-    # transposed when tall, while float64 is exact; smaller or emptier
-    # ones go to sparse_rank
+def test_rank_mod_p_sends_large_full_matrices_to_the_blocked_elimination(p):
+    # a full matrix of at least _BLOCKED_ROWS rows and columns is one
+    # component after the peel, which goes to the blocked elimination alone,
+    # transposed when tall, while float64 is exact; so is the 2/3 full one
     rng = random.Random(p)
     size = hklab.fp_linalg._BLOCKED_ROWS
     full = [_rank_deficient(rng, p, *shape) for shape in [(size, size + 7, size - 20), (size + 9, size, 3)]]
     small = _rank_deficient(rng, p, size - 1, size + 30, size - 5)
-    # one zero entry in four columns, in every row: exactly 3/4 full; and
-    # one in three on shifted diagonals, at most 2/3 full
+    # every fourth column zero, which leaves a component of 63 columns for
+    # the stack; and one zero in three on shifted diagonals, 2/3 full
     quarter = [[(v or 1) if c % 4 else 0 for c, v in enumerate(row[: size + 4])] for row in full[0]]
     sparse = [[v if (r + c) % 3 else 0 for c, v in enumerate(row)] for r, row in enumerate(full[0])]
     called = []
     blocked = hklab.fp_linalg._blocked_rank
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hklab.fp_linalg, "_blocked_rank", lambda a, p: called.append(a.shape) or blocked(a, p))
-        for mat in [*full, small, quarter]:
-            assert dense_rank(PrimeField(p), np.array(mat, dtype=np.int64)) == ref_rank(mat, p)
-        whole = called.copy()
-        emptier = dense_rank(PrimeField(p), np.array(sparse, dtype=np.int64))
-    assert emptier == ref_rank(sparse, p)
+        for mat in [*full, small, quarter, sparse]:
+            called.append(None)
+            assert rank_mod_p(PrimeFieldMatrix(PrimeField(p), mat)) == ref_rank(mat, p)
     if p <= FLOAT_PRIME:
-        assert whole == [(size, size + 7), (size, size + 9), (size, size + 4)]
-        # the half-full matrix is one component after the peel, which goes alone
-        assert called[3:] == [(size, size + 7)]
+        assert called == [None, (size, size + 7), None, (size, size + 9), None, None, None, (size, size + 7)]
     else:
-        assert called == []
+        assert called == [None] * 5
 
 
 @pytest.mark.parametrize("k", [2, 4, 40])
