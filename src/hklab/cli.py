@@ -80,14 +80,10 @@ _COMMAND_FLAGS = {
 COMMANDS = tuple(_COMMAND_FLAGS)
 
 
-def build_parser(
-    config: Optional[dict] = None, command: Optional[str] = None
-) -> argparse.ArgumentParser:
-    """The hk-lab parser; ``config`` values (flag -> string) replace the
-    defaults.  Every subcommand is registered, so usage, choices and error
-    text stay whole, but with ``command`` only that subcommand gets its flags:
-    each ``add_argument`` builds a ``HelpFormatter``, and all of them
-    together cost milliseconds per parse."""
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The hk-lab parser, every subcommand with its flags; ``config`` values
+    (flag -> string) replace the defaults.  ``main`` runs it only on an argv
+    that ``_plain_args`` does not read: help, usage errors and bad values."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="hk-lab",
@@ -96,13 +92,48 @@ def build_parser(
     subs = parser.add_subparsers(dest="command", required=True)
     for name, flags in _COMMAND_FLAGS.items():
         add = subs.add_parser(name).add_argument
-        if command not in (None, name):
-            continue
         for flag in flags:
             dest, kind, default, text = _FLAGS[flag]
             default = config.get(flag, default)
             add(f"--{flag}", dest=dest, type=kind, default=default, help=text)
     return parser
+
+
+def _plain_args(
+    argv: Sequence[str], config: Optional[dict] = None
+) -> Optional[argparse.Namespace]:
+    """``build_parser(config).parse_args(argv)`` without building a parser,
+    or None where argparse must parse argv or reject it in its own words.
+
+    argv must be a subcommand and then ``--flag value`` pairs, each flag one
+    of that subcommand's spelled in full and no value starting with '-'.
+    As in argparse, each given value is converted with the flag's type, the
+    last of a repeated flag wins, and a string default (from ``_FLAGS`` or
+    the config) is converted only when its flag is not given; a conversion
+    that fails returns None.  Building the parser costs milliseconds, about
+    as much as a small run's engine work.
+    """
+    if not argv or argv[0] not in _COMMAND_FLAGS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMAND_FLAGS[argv[0]]
+    config = config or {}
+    given = {}  # flag -> its value, converted
+    try:
+        for option, value in zip(argv[1::2], argv[2::2]):
+            flag = option[2:]
+            if option[:2] != "--" or flag not in flags or value[:1] == "-":
+                return None
+            given[flag] = _FLAGS[flag][1](value)
+        args = argparse.Namespace(command=argv[0])
+        for flag in flags:
+            dest, kind, default, _ = _FLAGS[flag]
+            value = given.get(flag, config.get(flag, default))
+            # converts a string default; a given value that is still a str
+            # has type str, and str() returns it unchanged
+            setattr(args, dest, kind(value) if isinstance(value, str) else value)
+    except (TypeError, ValueError):
+        return None
+    return args
 
 
 def load_config(path: Path, command: str) -> dict:
@@ -309,12 +340,14 @@ def rational_str(value: Fraction) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def _colength_records(args: argparse.Namespace) -> list:
-    """The colength record of each grid point, through the --cache store."""
+def _colength_records(args: argparse.Namespace, ring_ideals: Optional[dict] = None) -> list:
+    """The colength record of each grid point, through the --cache store;
+    ``ring_ideals`` maps each prime to its (ring, ideal) when already built."""
     store = ResultStore(args.cache) if args.cache else None
 
     def job(p, n):
-        return cached_colength(store, *_ring_ideal(args, p), n, max_dim=args.cap)
+        ring, ideal = ring_ideals[p] if ring_ideals else _ring_ideal(args, p)
+        return cached_colength(store, ring, ideal, n, max_dim=args.cap)
 
     return [rec for _, _, rec in run_grid(args, job)]
 
@@ -525,15 +558,17 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     if len(parse_n_list(args.n_list)) != 1:
         raise SpecParseError("convergence needs a single --n")
     references = {}
+    ring_ideals = {}
     for p in grid_primes(args):  # every reference before the first colength
-        _, ideal = _ring_ideal(args, p)  # an unparseable spec still exits 2 first
+        ring_ideals[p] = _ring_ideal(args, p)  # an unparseable spec still exits 2 first
+        ideal = ring_ideals[p][1]
         references[p] = reference_value(args.family, p)
         if not ideal.is_maximal:  # the reference is the maximal ideal's e_HK
             raise ValueError(
                 "convergence needs the maximal ideal, one nonzero multiple of each "
                 f"variable, not --ideal {args.ideal} at p={p}"
             )
-    records = _colength_records(args)
+    records = _colength_records(args, ring_ideals)
     fit = convergence_fit(records)
     rows = []
     for rec in records:
@@ -601,15 +636,11 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # hk-lab itself takes no option with a value, so a first word that names
-    # a subcommand is the one argparse runs; any other first word fails at
-    # the top level, whatever flags the subcommands have
-    command = next((a for a in argv if a in _COMMAND_FLAGS), None)
     try:
-        args = build_parser(command=command).parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         if args.config is not None:
             config = load_config(args.config, args.command)
-            args = build_parser(config, args.command).parse_args(argv)
+            args = _plain_args(argv, config) or build_parser(config).parse_args(argv)
         _validate(args)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # argparse: usage errors, bad config values, --help

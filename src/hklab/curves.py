@@ -115,23 +115,27 @@ def curve_geometry(ring: HypersurfaceRing, max_dim: Optional[int] = None) -> Cur
     """Degree/genus/theta after checking smoothness via the Jacobian ideal.
 
     The curve is smooth exactly when J = (f, ∂f/∂x, ∂f/∂y, ∂f/∂z) is
-    primary to the irrelevant ideal m of S = F_p[x,y,z].  With D = deg f,
-    the largest degree among the nonzero generators, that takes one rank:
-    J is m-primary exactly when (S/J)_{3D-2} = 0.  If J is m-primary, so
-    is the ideal its degree-D piece generates; over the algebraic closure
-    that ideal holds a regular sequence of three forms of degree D, whose
-    quotient vanishes from degree 3D-2 on, and ranks do not change under
-    field extension.  Conversely, a zero piece makes every later piece
-    zero, so S/J has finite length.  SizeGuardError is raised instead of
-    building that matrix when it has more than ``max_dim`` rows or columns.
+    primary to the irrelevant ideal m of S = F_p[x,y,z].  When p does not
+    divide d = deg f, Euler's identity d·f = Σ x_i·∂f/∂x_i puts f in the
+    ideal of the partials, so f is left out.  With e the largest degree
+    among the remaining nonzero generators, that takes one rank: J is
+    m-primary exactly when (S/J)_{3e-2} = 0 (degree 0 when e = 0).  If J is
+    m-primary, so is the ideal its degree-e piece generates; over the
+    algebraic closure that ideal holds a regular sequence of three forms of
+    degree e, whose quotient vanishes from degree 3e-2 on, and ranks do not
+    change under field extension.  Conversely, a zero piece makes every
+    later piece zero, so S/J has finite length.  SizeGuardError is raised
+    instead of building that matrix when it has more than ``max_dim`` rows
+    or columns.
     """
     if ring.relation is None or ring.s != 3:
         raise ValueError("need a plane curve: three variables, one relation")
     f = ring.relation
     d = f.degree
     ambient = HypersurfaceRing(ring.field, 3, None)
-    gens = [g for g in (f, *(f.derivative(i) for i in range(3))) if not g.is_zero]
-    top = 3 * d - 2
+    partials = [g for g in (f.derivative(i) for i in range(3)) if not g.is_zero]
+    gens = partials if d % ring.field.p else [f, *partials]
+    top = max(3 * max(g.degree for g in gens) - 2, 0)
     trip = SizeGuardError.for_degree(ambient, [g.degree for g in gens], top, max_dim)
     if trip is not None:
         raise trip

@@ -323,25 +323,27 @@ def d_char0(*ks: int) -> int:
 
 def g_lambda(xs: Sequence, lam: int) -> Fraction:
     """Signed sum of (eps.x - 2*lam)^{s-1} over sign vectors with
-    eps.x >= 2*lam."""
+    eps.x >= 2*lam.  With L the lcm of the denominators of xs, the sum runs
+    over the integers L*eps.x - 2*lam*L and is divided by L^{s-1} once."""
     xs = [Fraction(x) for x in xs]
     s = len(xs)
     if s < 2:
         raise ValueError("need at least two coordinates")
-    total = Fraction(0)
+    scale = math.lcm(*(x.denominator for x in xs))
+    scaled = [x.numerator * (scale // x.denominator) for x in xs]
+    total = 0
     for bits in range(1 << s):
-        dot = Fraction(0)
+        dot = -2 * lam * scale
         sign = 1
-        for i, x in enumerate(xs):
+        for i, x in enumerate(scaled):
             if bits & (1 << i):
                 dot -= x
                 sign = -sign
             else:
                 dot += x
-        dot -= 2 * lam
         if dot >= 0:
             total += sign * dot ** (s - 1)
-    return total
+    return Fraction(total, scale ** (s - 1))
 
 
 def g_value(xs: Sequence) -> GValue:

@@ -9,6 +9,7 @@ in the suite were produced by one-off runs of these functions.
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def ref_rank(rows, p):
@@ -187,3 +188,24 @@ def ref_normal_form(p, f, g):
             else:
                 work.pop(shifted, None)
     return out
+
+
+def ref_g_lambda(xs, lam):
+    """Signed sum of (eps.x - 2*lam)^(s-1) over the sign vectors eps with
+    eps.x >= 2*lam, term by term in Fractions."""
+    xs = [Fraction(x) for x in xs]
+    s = len(xs)
+    total = Fraction(0)
+    for bits in range(1 << s):
+        dot = Fraction(0)
+        sign = 1
+        for i, x in enumerate(xs):
+            if bits & (1 << i):
+                dot -= x
+                sign = -sign
+            else:
+                dot += x
+        dot -= 2 * lam
+        if dot >= 0:
+            total += sign * dot ** (s - 1)
+    return total

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -11,10 +12,23 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import hklab.cli
 import hklab.diagonal
 import hklab.store
-from hklab.cli import COMMANDS, build_parser, main, parse_primes, rational_str, run_grid
+from hklab.cli import (
+    _COMMAND_FLAGS,
+    _FLAGS,
+    COMMANDS,
+    _plain_args,
+    build_parser,
+    main,
+    parse_primes,
+    rational_str,
+    run_grid,
+)
 from hklab.graded import SpecParseError
 
 
@@ -169,6 +183,18 @@ def test_convergence_accepts_multiples_of_the_variables(tmp_path):
     assert main(argv + ["--ideal", "2*z,y,4*x", "--out", str(tmp_path / "v")]) == 0
     for name in ("convergence.csv", "convergence_fit.json"):
         assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "m" / name).read_bytes()
+
+
+def test_convergence_builds_each_ring_once(tmp_path, monkeypatch):
+    # the reference check and the colength jobs share each prime's ring
+    specs = []
+    real = hklab.cli.parse_ring_spec
+    monkeypatch.setattr(
+        hklab.cli, "parse_ring_spec", lambda spec: specs.append(spec) or real(spec)
+    )
+    argv = ["convergence", "--family", "chang-quartic", "--primes", "7,11,13,17"]
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path)]) == 0
+    assert sorted(specs) == sorted(f"fermat:s=4,d=4,p={p}" for p in (7, 11, 13, 17))
 
 
 def test_jobs_flag_keeps_output_deterministic(tmp_path):
@@ -465,6 +491,109 @@ def test_main_parses_like_the_parser_with_every_flag(argv):
     assert _parse_output(main, argv) == full
 
 
+# Values for every flag type: ints that convert (with a sign, padding or an
+# underscore), ones that do not, negative numbers, paths and specs.
+ARG_VALUES = st.one_of(
+    st.sampled_from(
+        ["1", "2", "07", " 3", "+4", "1_0", "two", "", "1.5", "-1", "-3", "-",
+         "maximal", "x,y^2", "a b", "a=b", ".", "out", "fermat-quartic",
+         "diagonal:2,2,2", "3..23%8=1,7", "4,4,4,4", "gm", "-h", "--help", "--out"]
+    ),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand's argv: pairs of its flags and values, mixed with flags
+    it does not read, abbreviations, ``--flag=value``, help, lone words and
+    values that start with '-'."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = _COMMAND_FLAGS[command]
+    argv = [command] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(flags))
+        value = draw(ARG_VALUES)
+        kind = draw(st.sampled_from(["pair"] * 6 + ["other", "short", "equals", "help", "word"]))
+        if kind == "pair":
+            argv += [f"--{flag}", value]
+        elif kind == "other":
+            argv += [f"--{draw(st.sampled_from(list(_FLAGS)))}", value]
+        elif kind == "short":
+            argv += [f"--{flag[: draw(st.integers(1, len(flag)))]}", value]
+        elif kind == "equals":
+            argv.append(f"--{flag}={value}")
+        elif kind == "help":
+            argv.append(draw(st.sampled_from(["-h", "--help"])))
+        else:
+            argv.append(value)
+    keys = st.sampled_from([flag for flag in flags if flag != "config"])
+    config = draw(st.dictionaries(keys, ARG_VALUES, max_size=3))
+    return argv, config
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argv())
+def test_plain_args_match_the_parser(case):
+    argv, config = case
+    for defaults in (None, config):
+        plain = _plain_args(argv, defaults)
+        event("plain" if plain is not None else "argparse")
+        if plain is not None:
+            assert vars(plain) == vars(build_parser(defaults).parse_args(argv))
+
+
+def test_plain_args_read_config_values_like_the_parser(tmp_path, capsys):
+    argv = ["colength", "--family", "chang-quartic", "--primes", "7"]
+    # a config value is converted with the flag's type
+    config = {"jobs": "2", "out": str(tmp_path), "n": "1"}
+    plain = _plain_args(argv, config)
+    assert (plain.jobs, plain.out, plain.n_list) == (2, tmp_path, "1")
+    assert vars(plain) == vars(build_parser(config).parse_args(argv))
+    # a flag on the command line wins over a config value that does not convert
+    assert vars(_plain_args(argv + ["--jobs", "3"], {"jobs": "two"})) == vars(
+        build_parser({"jobs": "two"}).parse_args(argv + ["--jobs", "3"])
+    )
+    # a config value that does not convert gets argparse's error
+    assert _plain_args(argv, {"jobs": "two"}) is None
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs=two\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "hk-lab colength: error: argument --jobs: invalid int value: 'two'\n"
+    )
+    # every occurrence of a repeated flag is converted, as argparse does
+    assert _plain_args(argv + ["--jobs", "two", "--jobs", "2"]) is None
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+class ParserBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workload", ["curve-hn", "diag-session"])
+def test_bench_steps_build_no_parser(workload, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ParserBuilt
+
+    steps = _bench_workloads(monkeypatch).steps(workload, 0)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for index, step in enumerate(steps):
+        argv = [*step.argv, "--out", str(tmp_path / f"out{index}")]
+        if step.cache:
+            argv += ["--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0, argv
+
+
 def test_negative_m_max_exits_2(tmp_path):
     base = ["profile", "--family", "fermat-quartic", "--primes", "5"]
     assert main(base + ["--m-max", "-1", "--out", str(tmp_path)]) == 2
@@ -688,9 +817,9 @@ def test_size_guard_exits_3(tmp_path):
 
 def test_hn_cap_guards_the_smoothness_matrix(tmp_path, capsys):
     args = ["hn", "--family", "fermat-quartic", "--primes", "7", "--out", str(tmp_path)]
-    assert main(args + ["--cap", "100"]) == 3
+    assert main(args + ["--cap", "44"]) == 3
     err = capsys.readouterr().err
-    assert "degree 10" in err and "66x136" in err
+    assert "degree 7" in err and "36x45" in err
 
 
 def test_profile_cap_guards_only_the_colength_matrices(tmp_path):

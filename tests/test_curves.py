@@ -55,12 +55,13 @@ def test_geometry_of_smooth_fermat_curves(d, expected):
 
 
 def test_smoothness_matrix_is_size_guarded():
-    # degree 3d-2 = 10 of (f, f_x, f_y, f_z): dim S_10 = 66 rows, and
-    # dim S_6 + 3 dim S_7 = 28 + 108 = 136 columns
+    # 7 does not divide d = 4, so f lies in (f_x, f_y, f_z): degree
+    # 3e-2 = 7 of the three cubic partials, dim S_7 = 36 rows and
+    # 3 dim S_4 = 45 columns
     with pytest.raises(SizeGuardError) as info:
-        curve_geometry(fermat(7), max_dim=135)
-    assert (info.value.m, info.value.rows, info.value.cols) == (10, 66, 136)
-    assert curve_geometry(fermat(7), max_dim=136) == curve_geometry(fermat(7))
+        curve_geometry(fermat(7), max_dim=44)
+    assert (info.value.m, info.value.rows, info.value.cols) == (7, 36, 45)
+    assert curve_geometry(fermat(7), max_dim=45) == curve_geometry(fermat(7))
 
 
 def test_profile_reads_the_guard_before_the_twist_tables(monkeypatch):
@@ -116,8 +117,9 @@ def _ternary(p, f):
 @example(_ternary(13, "x^3*y+y^3*z+z^3*x"))
 @example(_ternary(5, "x+2*y"))  # line
 @example(_ternary(3, "x*y"))  # two lines
+@example(_ternary(3, "x^2*y+y^2*z+z^2*x"))  # p | d, nonzero partials: f is kept
 def test_smoothness_rank_matches_jacobian_colength(ring):
-    """One rank in degree 3D-2 gives the verdict of the whole generic
+    """One rank in degree 3e-2 gives the verdict of the whole generic
     colength of the Jacobian ideal."""
     f = ring.relation
     jacobian = IdealSpec([f] + [f.derivative(i) for i in range(3)])

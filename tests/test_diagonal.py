@@ -37,7 +37,7 @@ from hklab.graded import HypersurfaceRing, Polynomial, parse_ring_spec
 from hklab.limits import normalized_colength
 from hklab.store import cached_colength
 
-from oracles import power_of_sum, ref_graded_piece_dim, ref_truncation_dim
+from oracles import power_of_sum, ref_g_lambda, ref_graded_piece_dim, ref_truncation_dim
 
 HALF = Fraction(1, 2)
 
@@ -233,6 +233,22 @@ def test_g_lambda_vanishes_above_support():
         xs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(4)]
         lam = int(sum(xs) // 2) + 1
         assert g_lambda(xs, lam) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=60),
+        min_size=2,
+        max_size=6,
+    ),
+    st.integers(-4, 4),
+)
+@example([Fraction(1, 4)] * 4, 1)
+@example([HALF, Fraction(1, 3), Fraction(1, 5)], 0)
+@example([HALF, Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 11)], -1)
+def test_g_lambda_matches_the_fraction_sum(xs, lam):
+    assert g_lambda(xs, lam) == ref_g_lambda(xs, lam)
 
 
 def test_g_value_unit_cube():
