@@ -173,7 +173,7 @@ def _validate(args: argparse.Namespace) -> None:
         path = getattr(args, flag, None)
         if path is not None and path.exists() and not path.is_dir():
             raise SpecParseError(f"--{flag} {path} is not a directory")
-    if getattr(args, "ring", None) and args.family:
+    if getattr(args, "ring", None) is not None and args.family is not None:
         ring = parse_ring_spec(args.ring)
         family = family_ring(args.family, ring.field.p)
         if ring.canonical_string() != family.canonical_string():
@@ -256,13 +256,13 @@ def family_ring(family: str, p: int) -> HypersurfaceRing:
 
 def _ring_ideal(args, p: int) -> Tuple[HypersurfaceRing, IdealSpec]:
     """The --ring or --family ring at p, and --ideal in it."""
-    if args.ring:
+    if args.ring is not None:
         ring = parse_ring_spec(args.ring)
         if ring.field.p != p:
             raise SpecParseError(
                 f"--ring has characteristic {ring.field.p}, grid asked for {p}"
             )
-    elif args.family:
+    elif args.family is not None:
         ring = family_ring(args.family, p)
     else:
         raise SpecParseError("need --ring or --family")
@@ -271,24 +271,31 @@ def _ring_ideal(args, p: int) -> Tuple[HypersurfaceRing, IdealSpec]:
 
 def grid_primes(args: argparse.Namespace) -> List[int]:
     """--primes, or the prime of --ring when --primes is absent."""
-    if args.primes:
+    if args.primes is not None:
         return parse_primes(args.primes)
-    if getattr(args, "ring", None):  # sandwich has no --ring
+    if getattr(args, "ring", None) is not None:  # sandwich has no --ring
         return [parse_ring_spec(args.ring).field.p]
     raise SpecParseError("need --primes (or an explicit --ring)")
 
 
 def run_grid(args: argparse.Namespace, job) -> list:
-    """(p, n, job(p, n)) in grid order over ``grid_primes`` x --n.
+    """(p, n, job(p)(n)) in grid order over ``grid_primes`` x --n.
 
-    At --jobs 1 the caller runs the points in grid order; otherwise --jobs
-    threads take them in grid order.  After a job raises no further point
-    starts, and the error of the first failed point in grid order is raised.
+    job(p), which builds and checks what the points of p share, runs for
+    every prime, in grid order on the calling thread, before the first
+    point.  At --jobs 1 the caller runs the points in grid order; otherwise
+    --jobs threads take them in grid order and share each prime's ring: its
+    NF memo only gains read-only entries and ``_table`` returns the table it
+    built, so a race recomputes a value but never corrupts one.  After a
+    point raises no further point starts, and the first failure in grid
+    order is raised.
     """
-    pairs = [(p, n) for p in grid_primes(args) for n in parse_n_list(args.n_list)]
+    primes, ns = grid_primes(args), parse_n_list(args.n_list)
+    steps = {p: job(p) for p in primes}  # after --n, so a bad --n exits 2 first
+    pairs = [(p, n) for p in primes for n in ns]
     jobs = getattr(args, "jobs", 1)  # limits has no --jobs
     if jobs == 1:
-        return [(p, n, job(p, n)) for p, n in pairs]
+        return [(p, n, steps[p](n)) for p, n in pairs]
     results = [None] * len(pairs)
     errors = {}  # grid index -> what its job raised
     points = iter(enumerate(pairs))
@@ -302,7 +309,7 @@ def run_grid(args: argparse.Namespace, job) -> list:
                 return
             index, (p, n) = point
             try:
-                results[index] = (p, n, job(p, n))
+                results[index] = (p, n, steps[p](n))
             except BaseException as exc:  # re-raised in the caller, as Executor.map does
                 with lock:
                     errors[index] = exc
@@ -340,14 +347,15 @@ def rational_str(value: Fraction) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def _colength_records(args: argparse.Namespace, ring_ideals: Optional[dict] = None) -> list:
+def _colength_records(args: argparse.Namespace, check=lambda p, ideal: None) -> list:
     """The colength record of each grid point, through the --cache store;
-    ``ring_ideals`` maps each prime to its (ring, ideal) when already built."""
+    ``check(p, ideal)`` runs in each prime's step, after its ring is built."""
     store = ResultStore(args.cache) if args.cache else None
 
-    def job(p, n):
-        ring, ideal = ring_ideals[p] if ring_ideals else _ring_ideal(args, p)
-        return cached_colength(store, ring, ideal, n, max_dim=args.cap)
+    def job(p):
+        ring, ideal = _ring_ideal(args, p)
+        check(p, ideal)
+        return lambda n: cached_colength(store, ring, ideal, n, max_dim=args.cap)
 
     return [rec for _, _, rec in run_grid(args, job)]
 
@@ -356,14 +364,7 @@ def cmd_colength(args: argparse.Namespace) -> int:
     records = _colength_records(args)
     label = args.family or "custom"
     rows = [
-        {
-            "family": label,
-            "p": rec.p,
-            "n": rec.n,
-            "q": rec.q,
-            "m": m,
-            "dim": dim,
-        }
+        {"family": label, "p": rec.p, "n": rec.n, "q": rec.q, "m": m, "dim": dim}
         for rec in records
         for m, dim in enumerate(rec.dims)
     ]
@@ -380,12 +381,19 @@ def cmd_colength(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curve_profile(args, p: int, n: int):
-    return cohomology_profile(*_ring_ideal(args, p), n, m_max=args.m_max, max_dim=args.cap)
+def _curve_profile(args, p: int, then=None):
+    """n -> the cohomology profile at p, or then(that profile, its HN estimate)."""
+    ring, ideal = _ring_ideal(args, p)
+
+    def point(n):
+        prof = cohomology_profile(ring, ideal, n, m_max=args.m_max, max_dim=args.cap)
+        return then(prof, estimate_hn_profile(prof)) if then else prof
+
+    return point
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    results = run_grid(args, lambda p, n: _curve_profile(args, p, n))
+    results = run_grid(args, lambda p: _curve_profile(args, p))
     label = args.family or "custom"
     rows = []
     payload = []
@@ -427,28 +435,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_hn(args: argparse.Namespace) -> int:
-    def job(p, n):
-        prof = _curve_profile(args, p, n)
-        hn = estimate_hn_profile(prof)
-        return prof.q, hn, vanishing_report(prof, hn)
-
-    results = run_grid(args, job)
+    reported = lambda prof, hn: (prof.q, hn, vanishing_report(prof, hn))  # noqa: E731
+    results = run_grid(args, lambda p: _curve_profile(args, p, reported))
     label = args.family or "custom"
     rows = []
     payload = []
     for p, n, (q, hn, report) in results:
-        for k, (nu, r) in enumerate(hn.pairs, start=1):
-            rows.append(
-                {
-                    "family": label,
-                    "p": p,
-                    "n": n,
-                    "q": q,
-                    "k": k,
-                    "nu": rational_str(nu),
-                    "r": r,
-                }
-            )
+        rows += [
+            {"family": label, "p": p, "n": n, "q": q, "k": k, "nu": rational_str(nu), "r": r}
+            for k, (nu, r) in enumerate(hn.pairs, start=1)
+        ]
         payload.append(
             {
                 "p": p,
@@ -489,24 +485,20 @@ def cmd_limits(args: argparse.Namespace) -> int:
         if getattr(args, dest) != default:
             raise SpecParseError(f"limits --family {args.family} reads no --{flag}")
 
-    def job(p, n):
+    def job(p):
         reference = reference_value(args.family, p)
         if not profiled:
-            return reference, None
-        prof = _curve_profile(args, p, n)
-        value = rational_str(hk_from_profile(prof, estimate_hn_profile(prof)))
-        return reference, {"n": n, "hk_from_profile": value}
+            return lambda n: (reference, None)
+        return _curve_profile(args, p, lambda prof, hn: (reference, hk_from_profile(prof, hn)))
 
-    grid = run_grid(args, job)
-    per_prime = len(parse_n_list(args.n_list))
-    rows = []
-    for index, (p, _, (reference, estimate)) in enumerate(grid):
-        if index % per_prime == 0:
-            rows.append({"p": p, "reference": rational_str(reference)})
+    rows = {}  # p -> its row, in grid order
+    for p, n, (reference, value) in run_grid(args, job):
+        row = rows.setdefault(p, {"p": p, "reference": rational_str(reference)})
         if profiled:
-            rows[-1].setdefault("profile_estimates", []).append(estimate)
-    write_json(args.out / "limits.json", {"family": args.family, "rows": rows})
-    for entry in rows:
+            estimate = {"n": n, "hk_from_profile": rational_str(value)}
+            row.setdefault("profile_estimates", []).append(estimate)
+    write_json(args.out / "limits.json", {"family": args.family, "rows": list(rows.values())})
+    for entry in rows.values():
         print(f"p={entry['p']} reference={entry['reference']}")
     return 0
 
@@ -515,10 +507,12 @@ def cmd_sandwich(args: argparse.Namespace) -> int:
     if not args.family or not args.family.startswith("diagonal:"):
         raise SpecParseError("sandwich needs --family diagonal:d1,..,ds")
     spec = parse_diagonal_family(args.family)
-    parse_n_list(args.n_list)  # a bad --n still exits 2 before a bad prime exits 1
-    for p in grid_primes(args):  # every prime before the first bound
-        _sandwich_ring(spec, p)
-    reports = [r for _, _, r in run_grid(args, lambda p, n: sandwich_check(spec, p, n))]
+
+    def job(p):
+        _sandwich_ring(spec, p)  # raises on a prime sandwich_check cannot take
+        return lambda n: sandwich_check(spec, p, n)
+
+    reports = [r for _, _, r in run_grid(args, job)]
     label = args.family
     exact = [
         {
@@ -558,17 +552,16 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     if len(parse_n_list(args.n_list)) != 1:
         raise SpecParseError("convergence needs a single --n")
     references = {}
-    ring_ideals = {}
-    for p in grid_primes(args):  # every reference before the first colength
-        ring_ideals[p] = _ring_ideal(args, p)  # an unparseable spec still exits 2 first
-        ideal = ring_ideals[p][1]
+
+    def check(p, ideal):
         references[p] = reference_value(args.family, p)
         if not ideal.is_maximal:  # the reference is the maximal ideal's e_HK
             raise ValueError(
                 "convergence needs the maximal ideal, one nonzero multiple of each "
                 f"variable, not --ideal {args.ideal} at p={p}"
             )
-    records = _colength_records(args, ring_ideals)
+
+    records = _colength_records(args, check)
     fit = convergence_fit(records)
     rows = []
     for rec in records:

@@ -215,22 +215,22 @@ def colength(
     The lattice size-checks the degrees below the lowest generator degree,
     where every piece is R_m != 0, before it builds anything, and the
     degrees from there through the record's end after the reduction.
-    Every other case is ranked: another ring, f(s, t, 1) = 0 on all of
-    F_p^2 or convolutions that could pass 2^63 (``_NoetherModule.of``),
-    and n = 0 for an ideal other than m.  Each ranked degree's map is
-    built by ``graded_map_entries`` and ranked by ``sparse_rank``; a
-    degree below every generator degree needs neither.
+    It takes every plane curve but those ``_NoetherModule.of`` refuses.
+    Every other case is ranked, each degree's map built by
+    ``graded_map_entries`` and ranked by ``sparse_rank``; a degree below
+    every generator degree needs neither.
 
-    On a ring of positive Krull dimension with at least two generators
-    outside (f), only the degrees above L0, the last degree with h0 = 0,
-    are ranked up to the first zero piece, plus a few probes.  With e_i =
-    deg g_i, dim (R/J)_m = dim R_m - Σ_i dim R_{m-e_i} + h0(m), where
-    h0(m) counts the degree-m syzygies of the g_i.  h0 cannot rise as m
-    falls: over the algebraic closure some linear form ℓ does not divide
-    f, so it is a nonzerodivisor on R, multiplying by ℓ maps the degree-m
-    syzygies injectively into the degree-(m+1) ones, and ranks do not
-    change under field extension.  So every piece of 0..L0 is closed form,
-    and ``_below_window`` finds L0; the loop reuses its probes' ranks.  An
+    On the rings the lattice leaves (``_below_window`` names them), of
+    positive Krull dimension and with at least two generators outside (f),
+    only the degrees above L0, the last degree with h0 = 0, are ranked up
+    to the first zero piece, plus a few probes.  With e_i = deg g_i,
+    dim (R/J)_m = dim R_m - Σ_i dim R_{m-e_i} + h0(m), where h0(m) counts
+    the degree-m syzygies of the g_i.  h0 cannot rise as m falls: over the
+    algebraic closure some linear form ℓ does not divide f, so it is a
+    nonzerodivisor on R, multiplying by ℓ maps the degree-m syzygies
+    injectively into the degree-(m+1) ones, and ranks do not change under
+    field extension.  So every piece of 0..L0 is closed form, and
+    ``_below_window`` finds L0; the loop reuses its probes' ranks.  An
     ideal that is not primary never reaches a zero piece and raises
     NotPrimaryError.  Krull dimension 0, where no linear form is a
     nonzerodivisor, and a single generator rank every degree.
@@ -295,7 +295,9 @@ def _free_part(ring: HypersurfaceRing, degrees: Sequence, m: int) -> int:
 
 def _below_window(ring: HypersurfaceRing, degrees: Sequence, piece, max_dim: Optional[int]) -> list:
     """dim (R/J)_m, J generated in ``degrees``, for m = 0..L0, all closed
-    form; ``piece(m)`` ranks degree m.
+    form; ``piece(m)`` ranks degree m.  ``colength`` calls it on the rings
+    its lattice leaves: two variables, four or more, polynomial rings, plane
+    curves ``_NoetherModule.of`` refuses, and n = 0 for an ideal other than m.
 
     The walk starts at the last degree of the run 0, 1, 2, ... whose
     matrices have more rows than columns, each size-checked on the way up,

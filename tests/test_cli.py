@@ -233,39 +233,116 @@ def test_grid_reports_the_first_failed_point(tmp_path, capsys, monkeypatch, prim
 
 
 def test_run_grid_raises_the_first_failure_in_grid_order():
-    # p=3 fails only after p=5 has failed, and p=7 never starts
+    # p=3 fails only after p=5 has failed, and p=7 never starts; every
+    # prime's step runs before the first point
     failed = threading.Event()
+    steps = []
     started = []
 
-    def job(p, n):
-        started.append(p)
-        if p == 3:
-            failed.wait(timeout=30)
-            raise ValueError("p=3")
-        if p == 5:
-            failed.set()
-            raise ValueError("p=5")
+    def job(p):
+        steps.append((p, len(started)))
+
+        def point(n):
+            started.append(p)
+            if p == 3:
+                failed.wait(timeout=30)
+                raise ValueError("p=3")
+            if p == 5:
+                failed.set()
+                raise ValueError("p=5")
+
+        return point
 
     args = argparse.Namespace(primes="3,5,7", n_list="1", jobs=2)
     with pytest.raises(ValueError, match="p=3"):
         run_grid(args, job)
+    assert steps == [(3, 0), (5, 0), (7, 0)]
     assert sorted(started) == [3, 5]
 
 
 def test_run_grid_runs_every_point_once_in_grid_order():
     # more threads than cores, switching often: each point runs exactly once
     # and the results keep grid order
+    steps = []
     runs = []
+
+    def job(p):
+        steps.append((p, len(runs)))
+        return lambda n: runs.append((p, n)) or p * n
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         args = argparse.Namespace(primes="3..997", n_list="1,2", jobs=8)
-        grid = run_grid(args, lambda p, n: runs.append((p, n)) or p * n)
+        grid = run_grid(args, job)
     finally:
         sys.setswitchinterval(interval)
     expected = [(p, n) for p in parse_primes("3..997") for n in (1, 2)]
     assert grid == [(p, n, p * n) for p, n in expected]
     assert sorted(runs) == expected
+    # every prime's step ran once, in grid order, before the first point
+    assert steps == [(p, 0) for p in parse_primes("3..997")]
+
+
+def test_unusable_prime_stops_the_run_before_any_point(tmp_path, capsys, monkeypatch):
+    out = ["--out", str(tmp_path)]
+    started = []
+    real = hklab.cli.cached_colength
+    monkeypatch.setattr(
+        hklab.cli, "cached_colength", lambda *a, **k: started.append(a) or real(*a, **k)
+    )
+    assert main(["colength", "--ring", "fermat:s=3,d=4,p=7", "--primes", "7,11"] + out) == 2
+    assert "--ring has characteristic 7, grid asked for 11" in capsys.readouterr().err
+    assert started == []
+    # limits looks up each prime's reference before the first profile
+    monkeypatch.setattr(hklab.cli, "cohomology_profile", lambda *a, **k: started.append(a))
+    assert main(["limits", "--family", "fermat-quartic", "--primes", "7,2"] + out) == 1
+    assert "fermat-quartic needs an odd prime" in capsys.readouterr().err
+    assert started == []
+
+
+def test_grid_builds_each_ring_once_per_prime(tmp_path, monkeypatch):
+    specs = []
+    real = hklab.cli.parse_ring_spec
+    monkeypatch.setattr(
+        hklab.cli, "parse_ring_spec", lambda spec: specs.append(spec) or real(spec)
+    )
+    argv = ["hn", "--family", "fermat-quartic", "--primes", "7,11", "--n", "1,2"]
+    assert main(argv + ["--jobs", "2", "--out", str(tmp_path)]) == 0
+    assert sorted(specs) == ["fermat:s=3,d=4,p=11", "fermat:s=3,d=4,p=7"]
+
+
+@pytest.mark.parametrize(
+    "ring, ns",
+    [
+        ("hypersurface:s=2,p=31,f=x^5+x*y^4+y^5", "1,2"),
+        # the seven lines of P^2(F_2), which the syzygy lattice refuses
+        (
+            "hypersurface:s=3,p=2,"
+            "f=x^4*y^2*z+x^4*y*z^2+x^2*y*z^4+x^2*y^4*z+x*y^4*z^2+x*y^2*z^4",
+            "3,4",
+        ),
+    ],
+)
+def test_points_of_one_prime_share_its_ring_across_threads(tmp_path, monkeypatch, ring, ns):
+    # both points of the prime fill one ring's NF memo, at --jobs 2 from two
+    # threads, and write the bytes of a serial run
+    rings = []
+    real = hklab.cli.cached_colength
+
+    def counted(store, shared, *args, **kwargs):
+        rings.append(shared)
+        return real(store, shared, *args, **kwargs)
+
+    monkeypatch.setattr(hklab.cli, "cached_colength", counted)
+    argv = ["colength", "--ring", ring, "--n", ns]
+    for jobs in ("1", "2"):
+        rings.clear()
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert len(rings) == 2 and rings[0] is rings[1] and rings[0]._nf_memo
+    assert (tmp_path / "2" / "colength.json").read_bytes() == (
+        tmp_path / "1" / "colength.json"
+    ).read_bytes()
 
 
 def test_hn_report(tmp_path):
@@ -412,6 +489,23 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(chang + ["--n", "1,2"] + out) == 2
     assert "--n" in capsys.readouterr().err
     assert not (tmp_path / "limits.json").exists()
+    # an empty value is given, not absent: its flag's parser rejects it
+    ring = ["--ring", "fermat:s=3,d=4,p=7"]
+    empty = [
+        (["colength", *ring, "--primes", ""], "bad --primes ''"),
+        (["colength", "--ring", "", "--family", "fermat-quartic", "--primes", "7"], "ring spec"),
+        (["colength", "--ring", ""], "ring spec"),
+        (["colength", *ring, "--family", ""], "unknown family ''"),
+        (["colength", "--family", "", "--primes", "7"], "unknown family ''"),
+    ]
+    for argv, message in empty:
+        assert main(argv + out) == 2
+        assert message in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ring=fermat:s=3,d=4,p=7\nprimes=\n", encoding="utf-8")
+    assert main(["colength", "--config", str(cfg)] + out) == 2
+    assert "bad --primes ''" in capsys.readouterr().err
+    assert not (tmp_path / "colength.csv").exists()
 
 
 def test_repeated_grid_values_exit_2(tmp_path, capsys):
